@@ -236,6 +236,10 @@ class FactorModel:
             "eigenvalues": [float(x) for x in self.eigenvalues],
             "sigma_star": [[float(x) for x in row] for row in self.sigma_star],
         }
+        # a document without the key means the default width, so models at
+        # the default keep writing the same bytes
+        if self.bucket_width != DEFAULT_BUCKET_WIDTH:
+            doc["bucket_width"] = float(self.bucket_width)
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -254,6 +258,7 @@ class FactorModel:
             dt=float(doc["dt"]),
             eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
             sigma_star=np.asarray(doc["sigma_star"], dtype=float),
+            bucket_width=float(doc.get("bucket_width", DEFAULT_BUCKET_WIDTH)),
         )
 
 

@@ -670,8 +670,11 @@ def _price_swing(cfg: RunConfig, model, curves) -> None:
     if sweep:
         rows = []
         for rights in sweep:
-            c = SwingContract(n_days, rights, rights, contract.strike, contract.quantity)
-            r = price_swing(c, paths, cfg.rate)
+            if (rights, rights) == (contract.u_max, contract.d_max):
+                r = res  # price_swing is deterministic on the same paths
+            else:
+                c = SwingContract(n_days, rights, rights, contract.strike, contract.quantity)
+                r = price_swing(c, paths, cfg.rate)
             rows.append(
                 [
                     rights,

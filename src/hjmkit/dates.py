@@ -1,17 +1,13 @@
-"""Calendar-month and trading-day helpers.
+"""Calendar-month helpers.
 
 All delivery periods in this package are whole calendar months, so the only
 date arithmetic needed is month shifting, month spans and day counts.
-Trading-day counting treats Monday to Friday as trading days; holiday
-calendars are out of scope.
 """
 
 from __future__ import annotations
 
 import calendar
-from datetime import date, timedelta
-
-import numpy as np
+from datetime import date
 
 
 def month_start(d: date) -> date:
@@ -54,30 +50,5 @@ def quarter_start(d: date) -> date:
     return date(d.year, 3 * ((d.month - 1) // 3) + 1, 1)
 
 
-def year_start(d: date) -> date:
-    return date(d.year, 1, 1)
-
-
 def add_quarters(d: date, n: int) -> date:
     return add_months(quarter_start(d), 3 * n)
-
-
-def trading_days_between(start: date, end: date) -> int:
-    """Weekday count in [start, end), Monday through Friday."""
-    return int(np.busday_count(start.isoformat(), end.isoformat()))
-
-
-def year_fraction(start: date, end: date, dt: float) -> float:
-    """Trading-day-counted year fraction between two dates."""
-    return trading_days_between(start, end) * dt
-
-
-def weekdays(start: date, end: date) -> list[date]:
-    """All weekdays in the inclusive range [start, end]."""
-    out = []
-    d = start
-    while d <= end:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out

@@ -393,10 +393,12 @@ def _backward_induction(
 ) -> tuple[np.ndarray, list[ContinuationFit] | None]:
     """Generic realized-cash-flow recursion over (step, resource state).
 
-    price_state[:, k] is the regression state at step k; terminal seeds the
-    value-to-go matrix (n_paths, n_states). step_actions(k) yields tuples
-    (immediate, valid, target): per-path immediate cash, a per-state
-    validity mask and per-state successor indices. With foresight=True the
+    price_state[:, k] is the regression state at step k; terminal is the
+    value matrix (n_paths, n_states) of the last layer and seeds the
+    value-to-go. step_actions(k) yields tuples (immediate, valid, target):
+    per-path immediate cash, a validity mask over the states of step k and
+    their successor indices into the states of step k + 1, so the state
+    count may change from step to step. With foresight=True the
     decision uses realized values directly (per-path optimum); otherwise
     fitted continuations decide and realized values are carried.
     """
@@ -548,6 +550,46 @@ class SwingValuation:
     upper_bound_std_error: float
 
 
+def _swing_layers(contract: SwingContract):
+    """Per-step swing states and the successor tables of every move.
+
+    layers[k] lists, sorted, the (upswings, downswings) left entering day k
+    for k = 0..n_days. With r = n_days - k days left and one exercise a day,
+    (u, d) is worth exactly (min(u, r), min(d, r)), so each layer holds the
+    clamped states reachable from (u_max, d_max): layers[0] is that single
+    state and layers[n_days] is (0, 0). Clamping commutes with every move,
+    so tables[k] = (hold target, up valid, up target, down valid, down
+    target) over layers[k] indexes into layers[k + 1].
+    """
+    n = contract.n_days
+    layers = [[(contract.u_max, contract.d_max)]]
+    tables = []
+    for k in range(n):
+        r = n - k - 1
+        moves = [
+            (
+                (min(u, r), min(d, r)),
+                (min(u - 1, r), min(d, r)) if u else None,
+                (min(u, r), min(d - 1, r)) if d else None,
+            )
+            for u, d in layers[k]
+        ]
+        nxt = sorted({s for row in moves for s in row if s is not None})
+        pos = {s: i for i, s in enumerate(nxt)}
+        hold, up, down = zip(*moves)
+        tables.append(
+            (
+                np.array([pos[h] for h in hold]),
+                np.array([x is not None for x in up]),
+                np.array([pos.get(x, 0) for x in up]),
+                np.array([x is not None for x in down]),
+                np.array([pos.get(x, 0) for x in down]),
+            )
+        )
+        layers.append(nxt)
+    return layers, tables
+
+
 def price_swing(
     contract: SwingContract,
     spot_paths: PathSet,
@@ -558,10 +600,17 @@ def price_swing(
     """LSMC swing value with its American lower and European upper bounds.
 
     The state is (remaining upswings, remaining downswings); one exercise
-    per day at most. The lower bound is an American call plus an American
-    put priced on the same paths; the upper bound is the strip of daily
-    European calls and puts, which dominates path by path. A bound breach
-    beyond three combined standard errors raises.
+    per day at most. Day k carries only the states reachable from
+    (u_max, d_max) in k days, each clamped to at most the days left
+    (rights beyond them can never be used), so a saturated contract runs
+    one state per day instead of the full (u_max+1)(d_max+1) grid; the
+    value is the same. The policy holds the per-step state lists under
+    "states": the columns of fits[k] follow states[k + 1].
+
+    The lower bound is an American call plus an American put priced on the
+    same paths; the upper bound is the strip of daily European calls and
+    puts, which dominates path by path. A bound breach beyond three
+    combined standard errors raises.
     """
     settings = settings or LsmcSettings()
     n = contract.n_days
@@ -573,34 +622,18 @@ def price_swing(
     up_cash = q * np.maximum(s - contract.strike, 0.0) * disc[None, :]
     down_cash = q * np.maximum(contract.strike - s, 0.0) * disc[None, :]
 
-    nu, nd = contract.u_max + 1, contract.d_max + 1
-    idx = lambda u, d: u * nd + d  # noqa: E731
-    n_states = nu * nd
-    hold_target = np.arange(n_states)
-    up_valid = np.zeros(n_states, dtype=bool)
-    up_target = np.zeros(n_states, dtype=int)
-    down_valid = np.zeros(n_states, dtype=bool)
-    down_target = np.zeros(n_states, dtype=int)
-    for u in range(nu):
-        for d in range(nd):
-            if u > 0:
-                up_valid[idx(u, d)] = True
-                up_target[idx(u, d)] = idx(u - 1, d)
-            if d > 0:
-                down_valid[idx(u, d)] = True
-                down_target[idx(u, d)] = idx(u, d - 1)
-
+    layers, tables = _swing_layers(contract)
     zero = np.zeros(spot_paths.n_paths)
-    all_valid = np.ones(n_states, dtype=bool)
 
     def actions(k):
-        yield zero, all_valid, hold_target
+        hold_target, up_valid, up_target, down_valid, down_target = tables[k]
+        yield zero, np.ones(hold_target.size, dtype=bool), hold_target
         yield up_cash[:, k], up_valid, up_target
         yield down_cash[:, k], down_valid, down_target
 
-    terminal = np.zeros((spot_paths.n_paths, n_states))
+    terminal = np.zeros((spot_paths.n_paths, len(layers[n])))
     cf, fits = _backward_induction(s, terminal, actions, settings, foresight=False)
-    sample = cf[:, idx(contract.u_max, contract.d_max)]
+    sample = cf[:, 0]
     value, se = _pair_stats(sample, spot_paths.config.antithetic)
 
     ub_sample = (up_cash + down_cash).sum(axis=1)
@@ -631,7 +664,7 @@ def price_swing(
         raise PricingError(
             f"swing value {value:.6g} breaches its American lower bound {lb:.6g}"
         )
-    policy = {"fits": fits, "u_max": contract.u_max, "d_max": contract.d_max}
+    policy = {"fits": fits, "states": layers, "u_max": contract.u_max, "d_max": contract.d_max}
     return SwingValuation(PolicyValuation(value, se, policy), lb, lb_se, ub, ub_se)
 
 

@@ -65,7 +65,9 @@ class SimConfig:
         if self.antithetic and self.n_paths % 2:
             raise ValidationError("antithetic pairing needs an even path count")
         if not (self.step > 0 and math.isfinite(self.step)):
-            raise ValidationError("step must be positive")
+            raise ValidationError("step must be positive and finite")
+        if not math.isfinite(self.horizon):
+            raise ValidationError("horizon must be finite")
         if self.horizon < self.step:
             raise ValidationError("horizon must cover at least one step")
 
@@ -521,7 +523,9 @@ def sanity_check(
             theo[i, j] = theoretical_log_variance(model, d, float(t))
 
     failures: list[str] = []
-    var_se = theo * math.sqrt(2.0 / max(n_paths - 1, 1))
+    # an antithetic pair shares (x - mean)^2, so only n/2 squares are independent
+    n_var = n_paths // 2 if paths.config.antithetic else n_paths
+    var_se = theo * math.sqrt(2.0 / max(n_var - 1, 1))
     bad = np.abs(emp_var - theo) > z_tol * var_se + 1e-14
     for i, j in zip(*np.nonzero(bad)):
         failures.append(

@@ -1,9 +1,14 @@
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjmkit.calibration import (
+    DEFAULT_BUCKET_WIDTH,
     CovarianceEstimate,
     FactorModel,
     build_sigma_star,
@@ -309,6 +314,41 @@ def test_factor_model_save_load_round_trip(tmp_path):
     assert back.buckets_per_market == model.buckets_per_market
     assert back.n_factors == model.n_factors
     assert back.dt == model.dt
+    np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
+    np.testing.assert_array_equal(back.sigma_star, model.sigma_star)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_markets=st.integers(1, 3),
+    buckets=st.integers(1, 4),
+    data=st.data(),
+    bucket_width=st.floats(1e-3, 10.0) | st.just(DEFAULT_BUCKET_WIDTH),
+    dt=st.floats(1e-4, 1.0),
+)
+def test_factor_model_file_round_trip(n_markets, buckets, data, bucket_width, dt):
+    rows = n_markets * buckets
+    n_factors = data.draw(st.integers(1, rows))
+    row = st.lists(st.floats(-5.0, 5.0), min_size=n_factors, max_size=n_factors)
+    sigma = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    eig = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n_factors, max_size=n_factors))
+    model = FactorModel(
+        markets=[f"M{i}" for i in range(n_markets)],
+        buckets_per_market=buckets,
+        n_factors=n_factors,
+        dt=dt,
+        eigenvalues=sorted(eig, reverse=True),
+        sigma_star=sigma,
+        bucket_width=bucket_width,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model.save(path)
+        back = FactorModel.load(path)
+    assert back.markets == model.markets
+    assert (back.buckets_per_market, back.n_factors) == (model.buckets_per_market, model.n_factors)
+    assert back.dt == model.dt
+    assert back.bucket_width == model.bucket_width
     np.testing.assert_array_equal(back.eigenvalues, model.eigenvalues)
     np.testing.assert_array_equal(back.sigma_star, model.sigma_star)
 

@@ -119,6 +119,18 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert main(["price", "--seed", "1", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_exit_code_non_finite_horizon(pipeline_out, tmp_path, capsys, horizon):
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {pipeline_out / 'model.json'}\n"
+        f"curve_file = {pipeline_out / 'curves.csv'}\n"
+        f"out = {tmp_path / 'out'}\nseed = 1\nhorizon = {horizon}\n"
+    )
+    assert main(["simulate", "--config", str(conf)]) == 1
+    assert "horizon must be finite" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_failure(tmp_path, capsys):
     # two different prices for the same delivery: no curve can price both
     quotes = tmp_path / "quotes.csv"

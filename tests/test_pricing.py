@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjmkit.errors import PricingError, ValidationError
@@ -23,6 +23,7 @@ from hjmkit.pricing import (
     StorageContract,
     SwingContract,
     VppContract,
+    _backward_induction,
     american_option,
     black_price,
     call_payoff,
@@ -475,6 +476,71 @@ def test_swing_quantity_scales_linearly():
     one = price_swing(SwingContract(4, 2, 1, 100.0, quantity=1.0), ps)
     five = price_swing(SwingContract(4, 2, 1, 100.0, quantity=5.0), ps)
     assert five.lsmc.value == pytest.approx(5.0 * one.lsmc.value, rel=1e-10)
+
+
+def full_grid_swing_value(contract, ps, rate, lsmc):
+    """Swing value on the full (u_max+1)(d_max+1) grid at every step.
+
+    Test-only reference for the clamped, reachable layers of price_swing:
+    the same recursion over every state, rights beyond the days left
+    included.
+    """
+    n = contract.n_days
+    s = ps.values[:, :n, 0]
+    disc = np.exp(-rate * ps.time_grid[:n])
+    q = contract.quantity
+    up_cash = q * np.maximum(s - contract.strike, 0.0) * disc[None, :]
+    down_cash = q * np.maximum(contract.strike - s, 0.0) * disc[None, :]
+    nd = contract.d_max + 1
+    state = np.arange((contract.u_max + 1) * nd)
+    u, d = np.divmod(state, nd)
+    zero = np.zeros(ps.n_paths)
+
+    def actions(k):
+        yield zero, np.ones(state.size, dtype=bool), state
+        yield up_cash[:, k], u > 0, np.where(u > 0, state - nd, state)
+        yield down_cash[:, k], d > 0, np.where(d > 0, state - 1, state)
+
+    terminal = np.zeros((ps.n_paths, state.size))
+    cf, _ = _backward_induction(s, terminal, actions, lsmc, foresight=False)
+    return cf[:, state[-1]].mean()
+
+
+# Two days or more and strikes near the money: a contract whose value is
+# certain (one day, or all rights taken on day 0) has zero standard errors,
+# and its lower-bound check then trips on rounding alone, a separate defect.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_days=st.integers(2, 6),
+    u_max=st.integers(0, 6),
+    d_max=st.integers(0, 6),
+    strike=st.floats(90.0, 110.0),
+    antithetic=st.booleans(),
+    rate=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_days=4, u_max=3, d_max=2, strike=100.0, antithetic=False, rate=0.0, seed=1)
+@example(n_days=4, u_max=4, d_max=4, strike=100.0, antithetic=False, rate=0.05, seed=2)
+@example(n_days=5, u_max=2, d_max=0, strike=92.0, antithetic=False, rate=0.0, seed=3)
+@example(n_days=3, u_max=0, d_max=3, strike=108.0, antithetic=False, rate=0.0, seed=4)
+@example(n_days=6, u_max=4, d_max=3, strike=100.0, antithetic=True, rate=0.0, seed=5)
+def test_swing_layers_match_full_grid(n_days, u_max, d_max, strike, antithetic, rate, seed):
+    u_max, d_max = min(u_max, n_days), min(d_max, n_days)
+    rng = np.random.default_rng(seed)
+    n_paths = 240
+    z = rng.standard_normal((n_paths // 2 if antithetic else n_paths, n_days))
+    if antithetic:
+        z = np.stack([z, -z], axis=1).reshape(n_paths, n_days)
+    dt = 1 / 12
+    logs = np.cumsum(-0.5 * 0.3**2 * dt + 0.3 * math.sqrt(dt) * z, axis=1)
+    vals = 100.0 * np.exp(np.column_stack([np.zeros(n_paths), logs]))
+    ps = make_paths(vals, step=dt, seed=seed, antithetic=antithetic)
+    contract = SwingContract(n_days, u_max, d_max, strike)
+    got = price_swing(contract, ps, rate=rate)
+    want = full_grid_swing_value(contract, ps, rate, LsmcSettings())
+    assert got.lsmc.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+    states = got.lsmc.policy["states"]
+    assert states[0] == [(u_max, d_max)] and states[-1] == [(0, 0)]
 
 
 def test_swing_validation():

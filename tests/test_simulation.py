@@ -75,6 +75,9 @@ def test_config_grid_arithmetic():
         dict(step=0.0),
         dict(step=math.inf),
         dict(horizon=0.01),  # below one step
+        dict(step=math.nan),
+        dict(horizon=math.inf),
+        dict(horizon=math.nan),
     ],
 )
 def test_config_rejects(kwargs):
@@ -463,6 +466,18 @@ def test_spot_mean_and_variance_match_model():
     assert any("martingale" in f for f in sanity_check(ps, model).failures)
     with pytest.raises(ValidationError, match="expected_mean"):
         sanity_check(ps, model, expected_mean=curve[:-1, None])
+
+
+def test_spot_antithetic_variance_tolerance_counts_pairs():
+    # both paths of an antithetic pair share (x - mean)^2, so the variance
+    # tolerance must be sized for n/2 independent squares; sized for n,
+    # this seed breaches at t = 3/52
+    model = model_of([[0.45, 0.1], [0.3, -0.05], [0.22, 0.02]], bucket_width=1 / 12)
+    cfg = SimConfig(seed=8, n_paths=1000, step=1 / 52, horizon=0.25, antithetic=True)
+    curve = 40.0 * np.exp(0.3 * cfg.time_grid)
+    ps = simulate_spot(model, {"X": curve}, cfg)
+    report = sanity_check(ps, model, expected_mean=curve[:, None])
+    assert report.passed, report.failures
 
 
 def test_spot_shared_factors_couple_markets():

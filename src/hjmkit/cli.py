@@ -1,8 +1,11 @@
 """Command-line pipeline: ingest -> curve -> calibrate -> simulate -> price.
 
-Each command reads exactly what the previous one wrote, so a full
-`hjmkit pipeline --config run.conf` works from a quotes CSV to valuation
-reports without manual edits. Outputs are plain CSV and key=value text
+Run on its own, each command reads what the previous one wrote, so the
+stages chain from a quotes CSV to valuation reports without manual edits.
+`hjmkit pipeline --config run.conf` parses and bootstraps the quotes once
+and hands the boards to ingest and curve; calibrate, simulate and price
+still read the artifacts, so the pipeline writes the same files as the
+stages run one by one. Outputs are plain CSV and key=value text
 with fixed float formatting; everything a run writes is a deterministic
 function of (config, seed). Wall-clock timings go to stdout only so
 artifact files stay byte-identical across reruns.
@@ -122,6 +125,10 @@ class RunConfig:
     storage: str = ""
 
     def validate(self) -> None:
+        for key, kind in _CONFIG_KINDS.items():
+            value = getattr(self, key)
+            if kind == "float" and value is not None and not math.isfinite(value):
+                raise ValidationError(f"{key} must be finite, got {value}")
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
         if self.outlier_k <= 0:
@@ -138,8 +145,8 @@ class RunConfig:
             raise ValidationError("horizon must be positive")
         if self.horizon_days is not None and self.horizon_days < 1:
             raise ValidationError("horizon_days must be at least 1")
-        if self.rate < 0 or not math.isfinite(self.rate):
-            raise ValidationError("rate must be a finite non-negative number")
+        if self.rate < 0:
+            raise ValidationError("rate must be non-negative")
         if self.sim_mode not in _SIM_MODES:
             raise ValidationError(f"sim_mode must be one of {_SIM_MODES}")
         if self.export_paths < 0:
@@ -258,7 +265,12 @@ def load_run_config(path=None, **overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _load_quotes(cfg: RunConfig):
+def _load_boards(cfg: RunConfig):
+    """Parse the quotes and bootstrap each (market, date) board independently.
+
+    Returns (quotes, issues, {(market, date): (board_quotes, curve, report)})
+    with the boards in key order.
+    """
     if not cfg.quotes:
         raise ValidationError("config key 'quotes' (input CSV) is required")
     quotes, issues = parse_quotes(cfg.quotes)
@@ -267,18 +279,11 @@ def _load_quotes(cfg: RunConfig):
         quotes = [q for q in quotes if q.market in wanted]
         if not quotes:
             raise ValidationError(f"no quotes for requested markets {sorted(wanted)}")
-    return quotes, issues
-
-
-def _bootstrap_all(quotes):
-    """(market, date) -> (curve, report), bootstrapped independently."""
     grouped: dict[tuple[str, date], list] = {}
     for q in quotes:
         grouped.setdefault((q.market, q.trading_date), []).append(q)
-    out = {}
-    for key in sorted(grouped):
-        out[key] = bootstrap_monthly_curve(grouped[key])
-    return out
+    boards = {k: (grouped[k], *bootstrap_monthly_curve(grouped[k])) for k in sorted(grouped)}
+    return quotes, issues, boards
 
 
 def _latest_curves(curves: dict[tuple[str, date], StepwiseCurve]) -> dict[str, StepwiseCurve]:
@@ -331,17 +336,16 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(cfg: RunConfig) -> None:
-    quotes, issues = _load_quotes(cfg)
+def cmd_ingest(cfg: RunConfig, loaded=None) -> None:
+    quotes, issues, boards = loaded or _load_boards(cfg)
     markets = cfg.markets or sorted({q.market for q in quotes})
     labels = default_tenor_labels(cfg.n_month_tenors, cfg.n_quarter_tenors, cfg.n_year_tenors)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     notes: list[str] = []
 
-    fitted = _bootstrap_all(quotes)
     panels = {}
     for market in markets:
-        curves = {d: cv for (mk, d), (cv, _) in fitted.items() if mk == market}
+        curves = {d: cv for (mk, d), (_, cv, _) in boards.items() if mk == market}
         if not curves:
             raise ValidationError(f"no usable quotes for market {market!r}")
         panel = build_relative_panel(market, curves, labels)
@@ -440,25 +444,20 @@ def cmd_ingest(cfg: RunConfig) -> None:
     print(f"wrote {cfg.out_dir / 'ingest_report.txt'}")
 
 
-def cmd_curve(cfg: RunConfig) -> None:
-    quotes, _ = _load_quotes(cfg)
+def cmd_curve(cfg: RunConfig, loaded=None) -> None:
+    _, _, boards = loaded or _load_boards(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    fitted = _bootstrap_all(quotes)
-    by_key = {}
-    for q in quotes:
-        by_key.setdefault((q.market, q.trading_date), []).append(q)
-    curves = [cv for cv, _ in fitted.values()]
+    curves = [cv for _, cv, _ in boards.values()]
     write_curve_csv(curves, cfg.path_curves())
     rows = []
     worst = 0.0
-    for key in sorted(fitted):
-        curve, report = fitted[key]
-        residual = verify_no_arbitrage(curve, by_key[key])
+    for (market, as_of), (board, curve, report) in boards.items():
+        residual = verify_no_arbitrage(curve, board)
         worst = max(worst, residual)
         rows.append(
             [
-                key[1].isoformat(),
-                key[0],
+                as_of.isoformat(),
+                market,
                 len(curve.months),
                 len(report.removed),
                 len(report.fill_groups),
@@ -867,8 +866,9 @@ def cmd_price(cfg: RunConfig) -> None:
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    cmd_ingest(cfg)
-    cmd_curve(cfg)
+    loaded = _load_boards(cfg)  # one parse and one bootstrap per board
+    cmd_ingest(cfg, loaded)
+    cmd_curve(cfg, loaded)
     cmd_calibrate(cfg)
     cmd_simulate(cfg)
     if cfg.vpp or cfg.swing or cfg.storage:

@@ -22,7 +22,6 @@ Conventions:
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -134,8 +133,6 @@ def parse_quotes(source) -> tuple[list[QuotedSwap], list[RowIssue]]:
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as fh:
             return parse_quotes(fh)
-    if isinstance(source, str):  # pragma: no cover - guarded above
-        source = io.StringIO(source)
 
     reader = csv.reader(source)
     try:

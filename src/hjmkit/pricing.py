@@ -27,12 +27,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import PricingError, ValidationError
 from .simulation import PathSet
 
 _TIE_TOL = 1e-9
+
+
+def _normal_cdf(x: float) -> float:
+    # erfc keeps full relative precision in the far left tail
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +74,7 @@ def black_price(
         sd = math.sqrt(total_variance)
         d1 = (math.log(forward / strike) + 0.5 * total_variance) / sd
         d2 = d1 - sd
-        call = disc * (forward * norm.cdf(d1) - strike * norm.cdf(d2))
+        call = disc * (forward * _normal_cdf(d1) - strike * _normal_cdf(d2))
     if kind == "call":
         return call
     return call - disc * (forward - strike)
@@ -659,7 +663,8 @@ def price_swing(
 
     if np.any(ub_sample < sample - 1e-7):
         raise PricingError("internal check failed: straddle strip below swing value")
-    slack = 3.0 * math.sqrt(se**2 + lb_se**2)
+    # the absolute term absorbs rounding when a certain value has zero standard errors
+    slack = 3.0 * math.sqrt(se**2 + lb_se**2) + 1e-9 * max(1.0, abs(lb))
     if value < lb - slack:
         raise PricingError(
             f"swing value {value:.6g} breaches its American lower bound {lb:.6g}"

@@ -618,8 +618,7 @@ def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:
 def write_summary_csv(paths: PathSet, path) -> None:
     """Mean and 5/95 percent quantiles per product and grid time."""
     mean = paths.values.mean(axis=0)
-    q05 = np.quantile(paths.values, 0.05, axis=0)
-    q95 = np.quantile(paths.values, 0.95, axis=0)
+    q05, q95 = np.quantile(paths.values, [0.05, 0.95], axis=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time", "product_key", "mean", "q05", "q95"])

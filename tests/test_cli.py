@@ -2,10 +2,15 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import hjmkit.cli
 from hjmkit.calibration import FactorModel
 from hjmkit.cli import RunConfig, load_run_config, main
 from hjmkit.curve import read_curve_csv
@@ -92,6 +97,12 @@ def test_config_rejects_bad_value(tmp_path):
         ("sim_mode", "jump"),
         ("export_paths", -1),
         ("acf_max_lag", 0),
+        ("dt", math.nan),
+        ("outlier_k", math.inf),
+        ("step", math.nan),
+        ("horizon", math.inf),
+        ("rate", math.nan),
+        ("swap_tau", math.nan),
     ],
 )
 def test_config_validation(field, value):
@@ -129,6 +140,17 @@ def test_exit_code_non_finite_horizon(pipeline_out, tmp_path, capsys, horizon):
     )
     assert main(["simulate", "--config", str(conf)]) == 1
     assert "horizon must be finite" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_swap_tau(pipeline_out, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {pipeline_out / 'model.json'}\n"
+        f"curve_file = {pipeline_out / 'curves.csv'}\n"
+        f"out = {tmp_path / 'out'}\nseed = 1\nsim_mode = swap\nswap_tau = nan\n"
+    )
+    assert main(["simulate", "--config", str(conf)]) == 1
+    assert "swap_tau must be finite" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -290,3 +312,62 @@ def test_price_rejects_unknown_contract_key(tmp_path, pipeline_out):
         f"seed = 3\nn_paths = 32\nswing = {bad}\n"
     )
     assert main(["price", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_import_loads_no_scipy():
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys, hjmkit, hjmkit.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_stages_one_by_one_match_pipeline(pipeline_out, tmp_path):
+    out = tmp_path / "stages"
+    for command in ("ingest", "curve", "calibrate", "simulate", "price"):
+        argv = [command, "--config", str(PIPELINE_CONF), "--out", str(out), "--paths", "300"]
+        assert main(argv) == 0
+    names = sorted(p.name for p in pipeline_out.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+
+
+def test_pipeline_parses_once_and_bootstraps_each_board_once(tmp_path, monkeypatch):
+    parses = []
+    boards = Counter()
+    parse, bootstrap = hjmkit.cli.parse_quotes, hjmkit.cli.bootstrap_monthly_curve
+
+    def counting_parse(source):
+        parses.append(source)
+        return parse(source)
+
+    def counting_bootstrap(quotes, *args, **kwargs):
+        boards[quotes[0].market, quotes[0].trading_date] += 1
+        return bootstrap(quotes, *args, **kwargs)
+
+    monkeypatch.setattr(hjmkit.cli, "parse_quotes", counting_parse)
+    monkeypatch.setattr(hjmkit.cli, "bootstrap_monthly_curve", counting_bootstrap)
+    conf = tmp_path / "run.conf"
+    contracts = ("swing", "vpp", "storage")
+    conf.write_text(
+        "".join(
+            line + "\n"
+            for line in PIPELINE_CONF.read_text().splitlines()
+            if not line.startswith(contracts)
+        )
+    )
+    argv = ["pipeline", "--config", str(conf), "--out", str(tmp_path / "out"), "--paths", "64"]
+    assert main(argv) == 0
+    assert len(parses) == 1
+    quotes, _ = parse(ROOT / "fixtures" / "quotes_synthetic.csv")
+    assert set(boards) == {(q.market, q.trading_date) for q in quotes}
+    assert set(boards.values()) == {1}

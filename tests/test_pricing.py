@@ -478,6 +478,18 @@ def test_swing_quantity_scales_linearly():
     assert five.lsmc.value == pytest.approx(5.0 * one.lsmc.value, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "contract",
+    [SwingContract(1, 1, 0, 80.68534660513687), SwingContract(2, 0, 1, 117.33)],
+)
+def test_swing_certain_value_meets_lower_bound(contract):
+    # constant paths: the value is certain and equals its American lower
+    # bound up to rounding, with both standard errors (near) zero
+    ps = make_paths(np.full((240, 2), 100.0))
+    got = price_swing(contract, ps)
+    assert got.lsmc.value == pytest.approx(got.lower_bound, rel=1e-12)
+
+
 def full_grid_swing_value(contract, ps, rate, lsmc):
     """Swing value on the full (u_max+1)(d_max+1) grid at every step.
 

@@ -197,8 +197,9 @@ def _parse_value(key: str, raw: str, kind: str):
             return float(raw)
         if kind == "bool":
             return _BOOLS[raw.lower()]
-        if kind == "list":
-            return [p.strip() for p in raw.split(",") if p.strip()]
+        if kind in ("list", "ints"):
+            items = [p.strip() for p in raw.split(",") if p.strip()]
+            return [int(p) for p in items] if kind == "ints" else items
         return raw
     except (ValueError, KeyError) as exc:
         raise ValidationError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
@@ -627,7 +628,7 @@ def _price_swing(cfg: RunConfig, model, curves) -> None:
             "d_max": "int",
             "K": "float",
             "Q": "float",
-            "sweep_rights": "list",
+            "sweep_rights": "ints",
         },
     )
     market = spec.get("market") or model.markets[0]
@@ -665,7 +666,7 @@ def _price_swing(cfg: RunConfig, model, curves) -> None:
         ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
     ]
     _write_report(cfg.out_dir / "price_swing.txt", pairs)
-    sweep = [int(v) for v in spec.get("sweep_rights", [])]
+    sweep = spec.get("sweep_rights", [])
     if sweep:
         rows = []
         for rights in sweep:
@@ -705,7 +706,7 @@ def _price_vpp(cfg: RunConfig, model, curves) -> None:
             "S_u": "float",
             "S_d": "float",
             "H": "float",
-            "sweep_lock_hours": "list",
+            "sweep_lock_hours": "ints",
         },
     )
     power = spec.get("power_market") or model.markets[0]
@@ -757,7 +758,7 @@ def _price_vpp(cfg: RunConfig, model, curves) -> None:
         ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
     ]
     _write_report(cfg.out_dir / "price_vpp.txt", pairs)
-    sweep = [int(v) for v in spec.get("sweep_lock_hours", [])]
+    sweep = spec.get("sweep_lock_hours", [])
     if sweep:
         rows = []
         for lock in sweep:

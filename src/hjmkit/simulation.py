@@ -18,7 +18,10 @@ Four generators cover the product families:
   its current time to delivery; also accepts a parametric term-structure
   volatility with closed-form step integrals.
 * simulate_spot: the delivery-time limit of the surface, where each past
-  shock is re-weighted by the bucket its age has grown into.
+  shock is re-weighted by the bucket its age has grown into. The lag
+  volatility changes only at lags that touch a bucket boundary, so spot is
+  a sum of cumulative shocks over those few lags: exact, and linear in the
+  step count.
 
 Determinism: the seed fully determines every path. Draws come from one
 seeded generator consumed path-major, then step, then factor; the
@@ -159,22 +162,21 @@ def normals(cfg: SimConfig, n_steps: int, n_factors: int) -> np.ndarray:
     return rng.standard_normal((cfg.n_paths, n_steps, n_factors))
 
 
-def bucket_occupancy(u_lo: float, u_hi: float, n_buckets: int, width: float) -> np.ndarray:
+def bucket_occupancy(u_lo, u_hi, n_buckets: int, width: float) -> np.ndarray:
     """Time the interval (u_lo, u_hi] of maturities spends in each bucket.
 
     Buckets are ((i-1)w, iw] for i = 1..n; the last bucket extends to
     infinity (flat extrapolation past the calibrated grid) and maturities
-    at or below zero carry no volatility.
+    at or below zero carry no volatility. Bounds may be arrays; the result
+    broadcasts them and adds a trailing axis of n_buckets.
     """
-    occ = np.zeros(n_buckets)
-    lo, hi = max(u_lo, 0.0), max(u_hi, 0.0)
-    if hi <= lo:
-        return occ
-    for i in range(n_buckets):
-        a = i * width
-        b = (i + 1) * width if i < n_buckets - 1 else math.inf
-        occ[i] = max(0.0, min(hi, b) - max(lo, a))
-    return occ
+    lo = np.maximum(np.asarray(u_lo, dtype=float), 0.0)[..., None]
+    hi = np.maximum(np.asarray(u_hi, dtype=float), 0.0)[..., None]
+    edges = width * np.arange(n_buckets + 1, dtype=float)
+    edges[-1] = math.inf
+    with np.errstate(invalid="ignore"):  # an empty (inf, inf] gives inf - inf
+        occ = np.maximum(0.0, np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]))
+    return np.where(hi > lo, occ, 0.0)
 
 
 class ExponentialVol:
@@ -302,18 +304,15 @@ def simulate_short_horizon(
 
 def _swap_step_variances(model, contract: ContractDescriptor, grid: np.ndarray) -> np.ndarray:
     tau = contract.tau_start
-    out = np.empty(grid.size - 1)
     if isinstance(model, FactorModel):
-        block = model.market_block(contract.market)
-        norms2 = (block**2).sum(axis=1)
-        for k in range(out.size):
-            occ = bucket_occupancy(
-                tau - grid[k + 1], tau - grid[k], model.buckets_per_market, model.bucket_width
-            )
-            out[k] = float(norms2 @ occ)
-    else:
-        for k in range(out.size):
-            out[k] = model.variance_between(tau, grid[k], grid[k + 1])
+        norms2 = (model.market_block(contract.market) ** 2).sum(axis=1)
+        occ = bucket_occupancy(
+            tau - grid[1:], tau - grid[:-1], model.buckets_per_market, model.bucket_width
+        )
+        return occ @ norms2
+    out = np.empty(grid.size - 1)
+    for k in range(out.size):
+        out[k] = model.variance_between(tau, grid[k], grid[k + 1])
     return out
 
 
@@ -344,14 +343,18 @@ def simulate_swap(
 
 
 def _spot_lag_vols(model: FactorModel, market: str, n_steps: int, step: float) -> np.ndarray:
-    """c[j, q]: factor-j volatility applied to a shock of age in (q, q+1] steps."""
-    block = model.market_block(market)  # (M, Nf)
-    m = model.buckets_per_market
-    c2 = np.empty((block.shape[1], n_steps))
-    for q in range(n_steps):
-        frac = bucket_occupancy(q * step, (q + 1) * step, m, model.bucket_width) / step
-        c2[:, q] = (block**2).T @ frac
-    return np.sqrt(c2)
+    """c[j, q]: factor-j volatility applied to a shock of age in (q, q+1] steps.
+
+    Each lag's occupancy is divided by that lag's own float length, so a
+    lag inside one bucket weighs exactly 1.0 and c is exactly constant
+    between the lags that touch a bucket boundary.
+    """
+    block2 = model.market_block(market) ** 2  # (M, Nf)
+    ages = step * np.arange(n_steps + 1, dtype=float)
+    frac = bucket_occupancy(ages[:-1], ages[1:], model.buckets_per_market, model.bucket_width)
+    frac /= np.diff(ages)[:, None]
+    # an explicit sum, not BLAS, so equal weights give bit-equal volatilities
+    return np.sqrt((frac[:, :, None] * block2[None, :, :]).sum(axis=1).T)
 
 
 def simulate_spot(
@@ -390,27 +393,23 @@ def simulate_spot(
             raise ValidationError(f"curve for {mk!r} has gaps or non-positive values")
         fwd[mk] = arr
 
-    z = normals(cfg, n, model.n_factors)
-    sqrt_dt = math.sqrt(cfg.step)
-    values = np.empty((cfg.n_paths, n + 1, len(markets)))
+    # x_m = sum_i z_i c_(m-i) sqrt(dt) = sum_q S_(m-q) dc_q with S the
+    # cumulative shocks and dc_q the exact jumps of c sqrt(dt) at lag q
+    shocks = normals(cfg, n, model.n_factors)
+    np.cumsum(shocks, axis=1, out=shocks)
+    values = np.zeros((cfg.n_paths, n + 1, len(markets)))
     keys = []
     for ki, mk in enumerate(markets):
         c = _spot_lag_vols(model, mk, n, cfg.step)  # (Nf, n)
-        var = np.concatenate(([0.0], np.cumsum((c**2).sum(axis=0) * cfg.step)))
-        changes = [
-            (q, (c[:, q] - c[:, q - 1]) * sqrt_dt)
-            for q in range(1, n)
-            if not np.allclose(c[:, q], c[:, q - 1], rtol=0.0, atol=1e-15)
-        ]
-        front = c[:, 0] * sqrt_dt
-        x = np.zeros(cfg.n_paths)
+        var = np.cumsum((c**2).sum(axis=0) * cfg.step)
+        dc = np.diff(c * math.sqrt(cfg.step), axis=1, prepend=0.0)
+        x = values[:, 1:, ki]  # the log sum, built in place
+        for q in np.flatnonzero((dc != 0.0).any(axis=0)):
+            x[:, q:] += shocks[:, : n - q, :] @ dc[:, q]
+        x -= 0.5 * var
+        np.exp(x, out=x)
+        x *= fwd[mk][1:]
         values[:, 0, ki] = fwd[mk][0]
-        for m in range(n):
-            x = x + z[:, m, :] @ front
-            for q, dc in changes:
-                if q <= m:
-                    x = x + z[:, m - q, :] @ dc
-            values[:, m + 1, ki] = fwd[mk][m + 1] * np.exp(-0.5 * var[m + 1] + x)
         keys.append(ContractDescriptor("spot", mk))
     return PathSet(values, grid, keys, cfg)
 

@@ -314,6 +314,29 @@ def test_price_rejects_unknown_contract_key(tmp_path, pipeline_out):
     assert main(["price", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize(
+    "kind,spec",
+    [
+        ("swing", "K = 45\nsweep_rights = 1,x\n"),
+        ("swing", "K = 45\nsweep_rights = 2.5\n"),
+        ("vpp", "q_max = 50\nsweep_lock_hours = 1,x\n"),
+        ("vpp", "q_max = 50\nsweep_lock_hours = 2.5\n"),
+    ],
+    ids=["swing-1,x", "swing-2.5", "vpp-1,x", "vpp-2.5"],
+)
+def test_price_rejects_non_integer_sweep_entry(tmp_path, pipeline_out, capsys, kind, spec):
+    bad = tmp_path / f"{kind}.conf"
+    bad.write_text(spec)
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {pipeline_out / 'model.json'}\n"
+        f"curve_file = {pipeline_out / 'curves.csv'}\n"
+        f"seed = 3\nn_paths = 64\n{kind} = {bad}\n"
+    )
+    assert main(["price", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+    assert "cannot parse" in capsys.readouterr().err
+
+
 def test_import_loads_no_scipy():
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     code = (

@@ -15,6 +15,7 @@ from hjmkit.simulation import (
     ExponentialVol,
     PathSet,
     SimConfig,
+    _spot_lag_vols,
     bucket_occupancy,
     normals,
     path_log_returns,
@@ -197,6 +198,21 @@ def test_occupancy_matches_riemann_oracle():
         got = bucket_occupancy(lo, hi, int(n), w)
         want = occupancy_riemann(lo, hi, int(n), w)
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-4)
+
+    # one broadcast array call gives the stacked scalar calls bit for bit
+    los = rng.uniform(-1.0, 3.0, size=(4, 5))
+    his = los + rng.uniform(-0.5, 3.0, size=(4, 5))
+    los[0, 0] = his[0, 0] = math.inf
+    stacked = np.array(
+        [[bucket_occupancy(a, b, 5, 0.35) for a, b in zip(ra, rb)] for ra, rb in zip(los, his)]
+    )
+    got = bucket_occupancy(los, his, 5, 0.35)
+    assert got.shape == (4, 5, 5)
+    np.testing.assert_array_equal(got, stacked)
+    np.testing.assert_array_equal(
+        bucket_occupancy(0.2, his[0], 5, 0.35),
+        [bucket_occupancy(0.2, b, 5, 0.35) for b in his[0]],
+    )
 
 
 @given(
@@ -440,17 +456,75 @@ def test_spot_zero_vol_tracks_curve_exactly():
     np.testing.assert_array_equal(from_callable.values, ps.values)
 
 
-def test_spot_front_bucket_reduces_to_gbm():
-    # wide buckets: no shock ages past the front bucket inside the run
-    model = model_of([[0.3, 0.1], [0.0, 0.0]], bucket_width=5.0)
-    cfg = SimConfig(seed=13, n_paths=5, step=0.1, horizon=0.5)
-    fwd = np.full(cfg.time_grid.size, 25.0)
-    ps = simulate_spot(model, {"X": fwd}, cfg)
-    z = normals(cfg, cfg.n_steps, 2)
-    w = np.cumsum(z @ np.array([0.3, 0.1]) * math.sqrt(0.1), axis=1)
-    var = 0.1 * np.cumsum(np.full(cfg.n_steps, 0.3**2 + 0.1**2))
-    want = 25.0 * np.exp(-0.5 * var[None, :] + w)
-    np.testing.assert_allclose(ps.values[:, 1:, 0], want, rtol=1e-12)
+def direct_spot(model, curves, cfg, markets):
+    """Spot as the plain causal sum x_m = sum_i z_i c_(m-i) sqrt(dt)."""
+    n, step = cfg.n_steps, cfg.step
+    z = normals(cfg, n, model.n_factors)
+    out = np.empty((cfg.n_paths, n, len(markets)))
+    for k, mk in enumerate(markets):
+        occ = [
+            bucket_occupancy(q * step, (q + 1) * step, model.buckets_per_market, model.bucket_width)
+            for q in range(n)
+        ]
+        c = np.sqrt(np.array(occ) / step @ model.market_block(mk) ** 2)  # (n, Nf)
+        var = step * np.cumsum((c**2).sum(axis=1))
+        for m in range(n):
+            x = np.einsum("pif,if->p", z[:, : m + 1], c[m::-1]) * math.sqrt(step)
+            out[:, m, k] = curves[mk][m + 1] * np.exp(-0.5 * var[m] + x)
+    return out
+
+
+@pytest.mark.parametrize(
+    "rows,markets,width,cfg",
+    [
+        # wide buckets: no shock ages past the front bucket, so spot is a GBM
+        (
+            [[0.3, 0.1], [0.0, 0.0]],
+            ("X",),
+            5.0,
+            SimConfig(seed=13, n_paths=5, step=0.1, horizon=0.5),
+        ),
+        # 0.03 does not divide 0.1: lags straddle the boundaries at 0.1 and 0.2
+        (
+            [[0.45, 0.1], [0.3, -0.05], [0.22, 0.02], [0.3, 0.2], [0.25, -0.1], [0.1, 0.05]],
+            ("X", "Y"),
+            0.1,
+            SimConfig(seed=21, n_paths=6, step=0.03, horizon=0.27, antithetic=True),
+        ),
+    ],
+    ids=["front_bucket", "straddling_boundaries"],
+)
+def test_spot_matches_direct_lag_sum(rows, markets, width, cfg):
+    model = model_of(rows, markets=markets, bucket_width=width)
+    grid = cfg.time_grid
+    curves = {mk: 25.0 + 5.0 * i + np.sin(7.0 * grid) for i, mk in enumerate(markets)}
+    ps = simulate_spot(model, curves, cfg)
+    want = direct_spot(model, curves, cfg, markets)
+    np.testing.assert_allclose(ps.values[:, 1:, :], want, rtol=1e-12)
+    if width == 5.0:  # the front-bucket case is a GBM in closed form
+        z = normals(cfg, cfg.n_steps, 2)
+        w = np.cumsum(z @ np.array([0.3, 0.1]) * math.sqrt(0.1), axis=1)
+        var = 0.1 * np.cumsum(np.full(cfg.n_steps, 0.3**2 + 0.1**2))
+        gbm = curves["X"][1:] * np.exp(-0.5 * var[None, :] + w)
+        np.testing.assert_allclose(ps.values[:, 1:, 0], gbm, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_steps", [72, 1008, 8760])
+def test_spot_lag_vols_change_only_at_bucket_boundaries(n_steps):
+    # a 3-bucket monthly model at hourly steps: c may change only at a lag
+    # that touches a bucket boundary, at most twice per boundary crossed
+    model = model_of([[0.5, 0.1], [0.35, -0.05], [0.25, 0.02]], bucket_width=1 / 12)
+    step = 1 / 8760
+    c = _spot_lag_vols(model, "X", n_steps, step)
+    changes = np.flatnonzero((c[:, 1:] != c[:, :-1]).any(axis=0)) + 1
+    bounds = [b / 12 for b in (1, 2) if b / 12 < n_steps * step]
+    assert len(changes) <= 2 * len(bounds)
+
+    def touches(q):
+        return any(q * step <= b <= (q + 1) * step for b in bounds)
+
+    for q in changes:
+        assert touches(q) or touches(q - 1), q
 
 
 def test_spot_mean_and_variance_match_model():

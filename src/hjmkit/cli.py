@@ -539,12 +539,14 @@ def cmd_calibrate(cfg: RunConfig) -> None:
     )
 
 
-def cmd_simulate(cfg: RunConfig) -> None:
+def _load_model_and_curves(cfg: RunConfig):
+    """The calibrated model and each market's latest curve, as earlier stages wrote them."""
+    return FactorModel.load(cfg.path_model()), _latest_curves(read_curve_csv(cfg.path_curves()))
+
+
+def cmd_simulate(cfg: RunConfig, loaded=None) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    model = FactorModel.load(cfg.path_model())
-    curves = _latest_curves(
-        {k: v for k, v in read_curve_csv(cfg.path_curves()).items()}
-    )
+    model, curves = loaded or _load_model_and_curves(cfg)
     sim_cfg = SimConfig(
         cfg.need_seed(), cfg.n_paths, cfg.sim_step(), cfg.sim_horizon(), cfg.antithetic
     )
@@ -762,17 +764,20 @@ def _price_vpp(cfg: RunConfig, model, curves) -> None:
     if sweep:
         rows = []
         for lock in sweep:
-            c = VppContract(
-                n_hours,
-                lock,
-                lock,
-                contract.q_min,
-                contract.q_max,
-                contract.start_cost,
-                contract.stop_cost,
-                contract.heat_rate,
-            )
-            r = price_vpp(c, paths, paths, cfg.rate, power_product=p_idx, fuel_product=f_idx)
+            if (lock, lock) == (contract.t_on, contract.t_off):
+                r = res  # price_vpp is deterministic on the same paths
+            else:
+                c = VppContract(
+                    n_hours,
+                    lock,
+                    lock,
+                    contract.q_min,
+                    contract.q_max,
+                    contract.start_cost,
+                    contract.stop_cost,
+                    contract.heat_rate,
+                )
+                r = price_vpp(c, paths, paths, cfg.rate, power_product=p_idx, fuel_product=f_idx)
             rows.append(
                 [lock, lock, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.naive), _fmt(r.upper_bound)]
             )
@@ -852,12 +857,11 @@ def _price_storage(cfg: RunConfig, model, curves) -> None:
     )
 
 
-def cmd_price(cfg: RunConfig) -> None:
+def cmd_price(cfg: RunConfig, loaded=None) -> None:
     if not (cfg.vpp or cfg.swing or cfg.storage):
         raise ValidationError("no contract files configured (vpp/swing/storage)")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    model = FactorModel.load(cfg.path_model())
-    curves = _latest_curves(read_curve_csv(cfg.path_curves()))
+    model, curves = loaded or _load_model_and_curves(cfg)
     if cfg.swing:
         _price_swing(cfg, model, curves)
     if cfg.vpp:
@@ -871,9 +875,10 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     cmd_ingest(cfg, loaded)
     cmd_curve(cfg, loaded)
     cmd_calibrate(cfg)
-    cmd_simulate(cfg)
+    calibrated = _load_model_and_curves(cfg)  # one read of model.json and curves.csv
+    cmd_simulate(cfg, calibrated)
     if cfg.vpp or cfg.swing or cfg.storage:
-        cmd_price(cfg)
+        cmd_price(cfg, calibrated)
 
 
 # ---------------------------------------------------------------------------

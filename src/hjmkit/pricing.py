@@ -1,11 +1,15 @@
 """Contract pricing: Black formula, European MC, and LSMC dynamic programs.
 
 The exotic pricers (virtual power plant, swing, gas storage) share one
-backward-induction pattern over (time, resource state):
+backward-induction core over (time, resource state):
 
 * the continuation value of every resource state is regressed on a
-  polynomial basis of the observed price in a single batched least-squares
-  solve per step;
+  polynomial basis of the observed price; all states share one design
+  matrix and one thin SVD of it per step, whose U(U'y) gives the core its
+  in-sample continuation values without a second pass over the design;
+* values are carried state-major, one row of paths per resource state,
+  so moving to a successor state copies whole rows, and each action
+  touches only the states it is valid in;
 * decisions compare immediate payoff plus fitted continuation, but the
   value carried backward is the realized future cash flow of the chosen
   action, which keeps the estimate a true lower bound for the optimal
@@ -133,6 +137,10 @@ class ContinuationFit:
 
     ``coefficients`` has one column per resource state, so evaluating on a
     vector of prices yields the whole continuation surface in one product.
+    ``fitted`` holds the in-sample values of the fit, state-major (one row
+    per value column), for the caller that ran the regression;
+    ``_backward_induction`` takes them and clears the field, so the fits
+    a policy keeps hold coefficients only.
     """
 
     center: float
@@ -140,13 +148,21 @@ class ContinuationFit:
     dim: int
     coefficients: np.ndarray
     ridge_used: bool = False
+    fitted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def design(self, x: np.ndarray) -> np.ndarray:
+        """Vandermonde matrix [1, z, z^2, ...] of the standardized state.
+
+        Each column is the previous one times z, the same products (and so
+        the same bits) as np.vander, without its call overhead.
+        """
         x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            return np.ones((x.size, 1))
-        z = (x - self.center) / self.scale
-        return np.vander(z, self.dim, increasing=True)
+        out = np.ones((x.size, self.dim))
+        if self.dim > 1:
+            z = (x - self.center) / self.scale
+            for j in range(1, self.dim):
+                np.multiply(out[:, j - 1], z, out=out[:, j])
+        return out
 
     def evaluate(self, x) -> np.ndarray:
         return self.design(x) @ self.coefficients
@@ -162,15 +178,16 @@ def lsmc_continuation(
     """Least-squares fit of realized future values on polynomials of the state.
 
     ``values`` may be a matrix with one column per resource state; all
-    columns share the design matrix and are solved together. The basis
-    order is capped at the number of distinct state samples minus one,
-    which keeps the design from being singular by construction; a residual
-    rank deficiency falls back to ridge regression with a warning.
+    columns share the design matrix and are solved together through one
+    thin SVD of it, with the rank rule of np.linalg.lstsq (singular values
+    above eps * max(samples, basis size) * the largest). The basis order
+    is capped at the number of distinct state samples minus one, which
+    keeps the design from being singular by construction; a residual rank
+    deficiency falls back to ridge regression with a warning.
     """
     x = np.asarray(states, dtype=float)
     y = np.asarray(values, dtype=float)
-    squeeze = y.ndim == 1
-    if squeeze:
+    if y.ndim == 1:
         y = y[:, None]
     if x.ndim != 1 or y.shape[0] != x.size:
         raise ValidationError("states and values must align on the sample axis")
@@ -178,7 +195,8 @@ def lsmc_continuation(
         raise ValidationError("regression inputs must be finite")
     if degree < 0:
         raise ValidationError("degree must be non-negative")
-    distinct = np.unique(x).size
+    xs = np.sort(x)
+    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
     dim = max(1, min(degree + 1, distinct))
     if x.size < min_samples_per_dim * dim:
         raise PricingError(
@@ -191,7 +209,8 @@ def lsmc_continuation(
         dim, scale = 1, 1.0
     fit = ContinuationFit(center, scale, dim, np.zeros((dim, y.shape[1])))
     design = fit.design(x)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(x.size, dim) * sv[0]))
     if rank < dim:
         warnings.warn(
             "rank-deficient continuation design; using ridge fallback",
@@ -199,9 +218,13 @@ def lsmc_continuation(
             stacklevel=2,
         )
         gram = design.T @ design + ridge * np.eye(dim)
-        coef = np.linalg.solve(gram, design.T @ y)
+        fit.coefficients = np.linalg.solve(gram, design.T @ y)
+        fit.fitted = fit.coefficients.T @ design.T
         fit.ridge_used = True
-    fit.coefficients = coef
+    else:
+        uty = u.T @ y
+        fit.coefficients = (vt.T / sv) @ uty
+        fit.fitted = uty.T @ u.T
     return fit
 
 
@@ -275,6 +298,7 @@ def american_option(
             fits.append(None)
             continue
         fit = settings.fit(s[itm, k], cf[itm])
+        fit.fitted = None  # the policy keeps coefficients only
         cont = fit.evaluate(s[itm, k])[:, 0]
         exercise_now = disc[k] * intrinsic[itm, k] >= cont - _TIE_TOL
         cf[np.flatnonzero(itm)[exercise_now]] = disc[k] * intrinsic[itm, k][exercise_now]
@@ -388,6 +412,30 @@ class StorageContract:
 # ---------------------------------------------------------------------------
 
 
+def _cells(mask: np.ndarray):
+    """The states a mask selects: a slice when they are contiguous, else indices.
+
+    None when it selects none. A slice makes the reads and writes of those
+    rows views instead of copies.
+    """
+    idx = mask.nonzero()[0]
+    if idx.size == 0:
+        return None
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    return slice(lo, hi) if hi - lo == idx.size else idx
+
+
+def _shifted(values: np.ndarray, target: np.ndarray, immediate: np.ndarray) -> np.ndarray:
+    """values[target] + immediate, row by row, in a new array.
+
+    np.take always copies, so the add runs in place on that copy; a basic
+    slice of values would be a view, and += on it would corrupt values.
+    """
+    out = np.take(values, target, axis=0)
+    out += immediate
+    return out
+
+
 def _backward_induction(
     price_state: np.ndarray,
     terminal: np.ndarray,
@@ -405,32 +453,48 @@ def _backward_induction(
     count may change from step to step. With foresight=True the
     decision uses realized values directly (per-path optimum); otherwise
     fitted continuations decide and realized values are carried.
+
+    Values are carried state-major, (n_states, n_paths), so a successor
+    gather copies whole rows; the result is returned as the transposed
+    (n_paths, n_states) view. Each action reads and writes only the
+    states it is valid in: the first valid action of a state sets it, a
+    later one replaces it only when its score beats the best so far by
+    more than _TIE_TOL. A state with no valid action is worth -inf.
     """
-    cf = terminal.copy()
+    cf = np.ascontiguousarray(terminal.T)
     fits: list[ContinuationFit] = []
     n_steps = price_state.shape[1]
     for k in range(n_steps - 1, -1, -1):
         if foresight:
             cont = cf
         else:
-            fit = settings.fit(price_state[:, k], cf)
+            fit = settings.fit(price_state[:, k], cf.T)
+            cont, fit.fitted = fit.fitted, None
             fits.append(fit)
-            cont = fit.evaluate(price_state[:, k])
-        best_score = None
-        new_cf = None
-        for immediate, valid, target in step_actions(k):
-            score = immediate[:, None] + cont[:, target]
-            realized = immediate[:, None] + cf[:, target]
-            if best_score is None:
-                best_score = np.where(valid[None, :], score, -np.inf)
-                new_cf = np.where(valid[None, :], realized, -np.inf)
-            else:
-                score = np.where(valid[None, :], score, -np.inf)
-                better = score > best_score + _TIE_TOL
-                new_cf = np.where(better, realized, new_cf)
-                best_score = np.where(better, score, best_score)
+        actions = list(step_actions(k))
+        new_cf = np.empty((actions[0][1].size, cf.shape[1]))
+        # with foresight the score is the realized value, so best is new_cf
+        best = new_cf if foresight else np.empty_like(new_cf)
+        seen = np.zeros(new_cf.shape[0], dtype=bool)
+        for i, (immediate, valid, target) in enumerate(actions):
+            fresh, contested = _cells(valid & ~seen), _cells(valid & seen)
+            seen |= valid
+            if fresh is not None:
+                t = target[fresh]
+                new_cf[fresh] = _shifted(cf, t, immediate)
+                if not foresight:
+                    best[fresh] = _shifted(cont, t, immediate)
+            if contested is not None:
+                t = target[contested]
+                realized = _shifted(cf, t, immediate)
+                score = realized if foresight else _shifted(cont, t, immediate)
+                better = score > best[contested] + _TIE_TOL
+                new_cf[contested] = np.where(better, realized, new_cf[contested])
+                if not foresight and i < len(actions) - 1:
+                    best[contested] = np.where(better, score, best[contested])
+        new_cf[~seen] = -np.inf
         cf = new_cf
-    return cf, (None if foresight else list(reversed(fits)))
+    return cf.T, (None if foresight else list(reversed(fits)))
 
 
 # ---------------------------------------------------------------------------

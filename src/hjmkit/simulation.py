@@ -99,8 +99,10 @@ class ContractDescriptor:
         if self.kind == "fixed_delivery" and (self.bucket is None or self.bucket < 1):
             raise ValidationError("fixed_delivery needs a bucket >= 1")
         if self.kind == "swap":
-            if self.tau_start is None or self.tau_start <= 0:
-                raise ValidationError("swap needs tau_start > 0")
+            if self.tau_start is None or not (math.isfinite(self.tau_start) and self.tau_start > 0):
+                raise ValidationError("swap needs a finite tau_start > 0")
+            if self.tau_end is not None and not math.isfinite(self.tau_end):
+                raise ValidationError("swap tau_end must be finite")
             if self.tau_end is not None and self.tau_end < self.tau_start:
                 raise ValidationError("swap tau_end precedes tau_start")
 

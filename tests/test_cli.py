@@ -364,6 +364,30 @@ def test_stages_one_by_one_match_pipeline(pipeline_out, tmp_path):
         assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
 
 
+def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, monkeypatch):
+    calls = Counter()
+    read_curves, load_model, vpp = (
+        hjmkit.cli.read_curve_csv,
+        FactorModel.load.__func__,
+        hjmkit.cli.price_vpp,
+    )
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(hjmkit.cli, "read_curve_csv", counting("curves", read_curves))
+    monkeypatch.setattr(FactorModel, "load", classmethod(counting("model", load_model)))
+    monkeypatch.setattr(hjmkit.cli, "price_vpp", counting("vpp", vpp))
+    argv = ["pipeline", "--config", str(PIPELINE_CONF), "--out", str(tmp_path / "out"), "--paths", "300"]
+    assert main(argv) == 0
+    # the sweep's lock-2 row is the headline contract (t_on = t_off = 2)
+    assert calls == {"curves": 1, "model": 1, "vpp": 3}
+
+
 def test_pipeline_parses_once_and_bootstraps_each_board_once(tmp_path, monkeypatch):
     parses = []
     boards = Counter()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from hjmkit.errors import PricingError, ValidationError
 from hjmkit.pricing import (
+    _TIE_TOL,
     LsmcSettings,
     PolicyValuation,
     StorageContract,
@@ -228,11 +229,37 @@ def test_regression_sample_floor():
 
 
 def test_regression_ridge_fallback_warns():
-    # two abscissae collide after standardization: rank-deficient Vandermonde
-    x = np.array([0.0, 5e-17, 1.0, 2.0])
-    with pytest.warns(RuntimeWarning, match="ridge"):
-        fit = lsmc_continuation(x, np.array([1.0, 1.0, 2.0, 3.0]), 3, 1)
-    assert fit.ridge_used
+    """The SVD solve keeps lstsq's rank, coefficients and ridge fallback."""
+    rng = np.random.default_rng(11)
+    x_random = rng.lognormal(3.0, 0.3, 500)
+    # two tight clusters: z^2 nearly repeats the constant column (condition ~5e3)
+    x_near = np.concatenate(
+        [1.0 + 1e-3 * rng.standard_normal(250), 2.0 + 1e-3 * rng.standard_normal(250)]
+    )
+    cases = [
+        (x_random, x_random[:, None] + rng.standard_normal((500, 5)), False),
+        (x_near, rng.standard_normal((500, 3)), False),
+        # two abscissae collide after standardization: rank-deficient Vandermonde
+        (np.array([0.0, 5e-17, 1.0, 2.0]), np.array([1.0, 1.0, 2.0, 3.0]), True),
+    ]
+    for x, y, deficient in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = lsmc_continuation(x, y, 3, 1)
+        design = fit.design(x)
+        y2 = y.reshape(x.size, -1)
+        coef, _, rank, _ = np.linalg.lstsq(design, y2, rcond=None)
+        assert fit.dim == 4 and (rank < fit.dim) == deficient
+        assert fit.ridge_used == deficient
+        assert [str(w.message) for w in caught] == (
+            ["rank-deficient continuation design; using ridge fallback"] if deficient else []
+        )
+        if deficient:
+            coef = np.linalg.solve(design.T @ design + 1e-8 * np.eye(4), design.T @ y2)
+        # near-zero coefficients carry no relative precision: scale by the largest
+        tol = dict(rtol=1e-12, atol=1e-12 * np.abs(coef).max())
+        np.testing.assert_allclose(fit.coefficients, coef, **tol)
+        np.testing.assert_allclose(fit.fitted, (design @ coef).T, rtol=1e-12, atol=1e-12 * np.abs(y).max())
 
 
 def test_regression_rejects_bad_inputs():
@@ -333,6 +360,120 @@ def test_recursion_agrees_with_policy_enumeration(name, args):
 @pytest.mark.parametrize("name,args", list(two_step_instances()))
 def test_foresight_dominates_adapted(name, args):
     assert foresight_value(*args) >= adapted_value(*args) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Backward-induction core against the masked reference
+# ---------------------------------------------------------------------------
+
+
+def masked_backward_induction(price_state, terminal, step_actions, settings, foresight):
+    """Test-only reference: the path-major recursion that masks every action.
+
+    Each action is applied to all (path, state) cells with np.where, the
+    invalid ones set to -inf, and the continuation is evaluated from the
+    fit's coefficients.
+    """
+    cf = terminal.copy()
+    n_steps = price_state.shape[1]
+    for k in range(n_steps - 1, -1, -1):
+        if foresight:
+            cont = cf
+        else:
+            fit = settings.fit(price_state[:, k], cf)
+            cont = fit.evaluate(price_state[:, k])
+        best_score = None
+        new_cf = None
+        for immediate, valid, target in step_actions(k):
+            score = immediate[:, None] + cont[:, target]
+            realized = immediate[:, None] + cf[:, target]
+            if best_score is None:
+                best_score = np.where(valid[None, :], score, -np.inf)
+                new_cf = np.where(valid[None, :], realized, -np.inf)
+            else:
+                score = np.where(valid[None, :], score, -np.inf)
+                better = score > best_score + _TIE_TOL
+                new_cf = np.where(better, realized, new_cf)
+                best_score = np.where(better, score, best_score)
+        cf = new_cf
+    return cf
+
+
+@st.composite
+def action_tables(draw):
+    """Per-step state counts and, per action, a validity mask, targets and zero-cash flag.
+
+    Every state gets at least one valid action; the masks are free
+    otherwise, so contiguous and scattered masks, single-action states and
+    states contested by up to four actions all occur.
+    """
+    n_steps = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=n_steps + 1, max_size=n_steps + 1))
+    steps = []
+    for k in range(n_steps):
+        n, n_next = sizes[k], sizes[k + 1]
+        n_actions = draw(st.integers(1, 4))
+        valid = [draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(n_actions)]
+        for s in range(n):
+            if not any(v[s] for v in valid):
+                valid[draw(st.integers(0, n_actions - 1))][s] = True
+        target = [
+            draw(st.lists(st.integers(0, n_next - 1), min_size=n, max_size=n))
+            for _ in range(n_actions)
+        ]
+        zero_cash = draw(st.lists(st.booleans(), min_size=n_actions, max_size=n_actions))
+        steps.append((valid, target, zero_cash))
+    return sizes, steps
+
+
+T, F = True, False
+# step 0: state 0 contested three ways, state 3 has one action, action 1's
+# mask is scattered; step 1: contiguous and scattered masks, zero-cash ties
+MIXED_TABLES = (
+    [5, 4, 3],
+    [
+        (
+            [[T, T, T, F, F], [T, F, T, F, T], [T, T, F, T, T]],
+            [[0, 1, 2, 3, 0], [1, 2, 3, 0, 3], [3, 0, 1, 2, 2]],
+            [F, F, T],
+        ),
+        (
+            [[T, T, T, T], [F, T, T, F], [T, F, T, T]],
+            [[0, 1, 2, 2], [2, 0, 1, 0], [0, 1, 2, 2]],
+            [T, F, T],
+        ),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tables=action_tables(), foresight=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(tables=MIXED_TABLES, foresight=False, seed=1)
+@example(tables=MIXED_TABLES, foresight=True, seed=1)
+def test_core_matches_masked_reference(tables, foresight, seed):
+    sizes, steps = tables
+    rng = np.random.default_rng(seed)
+    n_paths = 40
+    price_state = 100.0 * np.exp(0.2 * rng.standard_normal((n_paths, len(steps))))
+    terminal = rng.standard_normal((n_paths, sizes[-1]))
+    cash = [
+        [np.zeros(n_paths) if zero else rng.standard_normal(n_paths) for zero in zero_cash]
+        for _, _, zero_cash in steps
+    ]
+
+    def actions(k):
+        valid, target, _ = steps[k]
+        for a in range(len(valid)):
+            yield cash[k][a], np.array(valid[a]), np.array(target[a])
+
+    got, fits = _backward_induction(price_state, terminal, actions, LsmcSettings(), foresight)
+    want = masked_backward_induction(price_state, terminal, actions, LsmcSettings(), foresight)
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == (n_paths, sizes[0])
+    if foresight:
+        assert fits is None
+    else:
+        assert len(fits) == len(steps) and all(f.fitted is None for f in fits)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,11 @@ def test_contract_labels():
         dict(kind="swap", market="DE"),
         dict(kind="swap", market="DE", tau_start=0.0),
         dict(kind="swap", market="DE", tau_start=0.5, tau_end=0.25),
+        # non-finite maturities used to pass and simulate as constant paths
+        dict(kind="swap", market="DE", tau_start=math.inf),
+        dict(kind="swap", market="DE", tau_start=math.nan),
+        dict(kind="swap", market="DE", tau_start=0.25, tau_end=math.inf),
+        dict(kind="swap", market="DE", tau_start=0.25, tau_end=math.nan),
     ],
 )
 def test_contract_rejects(kwargs):

@@ -26,6 +26,11 @@ Four generators cover the product families:
 Determinism: the seed fully determines every path. Draws come from one
 seeded generator consumed path-major, then step, then factor; the
 antithetic flag pairs each even path with an odd path using negated draws.
+
+Memory: each generator holds one path array plus its normal draws, building
+the log path in place inside the array it returns. ``sanity_check`` and
+``write_summary_csv`` reduce the paths in blocks of grid times, so their
+temporaries stay near _BLOCK_VALUES values whatever the run's size.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from .errors import SimulationError, ValidationError
 from .marketdata import LogReturnMatrix
 
 _U64_MAX = 2**64 - 1
+# values per block of grid times in the path-wise reductions (at least one time)
+_BLOCK_VALUES = 2**20
 
 
 @dataclass(frozen=True)
@@ -247,13 +254,17 @@ def _constant_row_paths(
         lo = np.minimum(grid[:-1, None], stops[None, :])
         hi = np.minimum(grid[1:, None], stops[None, :])
         live = np.maximum(hi - lo, 0.0)
-    z = normals(cfg, n_steps, rows.shape[1])
-    shocks = np.einsum("pkj,nj->pkn", z, rows) * np.sqrt(live)[None, :, :]
-    drift = -0.5 * (rows**2).sum(axis=1)[None, :] * live
-    log_paths = np.cumsum(drift[None, :, :] + shocks, axis=1)
     values = np.empty((cfg.n_paths, n_steps + 1, n_prod))
     values[:, 0, :] = initial[None, :]
-    values[:, 1:, :] = initial[None, None, :] * np.exp(log_paths)
+    x = values[:, 1:, :]  # the log path, built in place
+    z = normals(cfg, n_steps, rows.shape[1])
+    np.einsum("pkj,nj->pkn", z, rows, out=x)
+    del z
+    x *= np.sqrt(live)
+    x += -0.5 * (rows**2).sum(axis=1)[None, :] * live
+    np.cumsum(x, axis=1, out=x)
+    np.exp(x, out=x)
+    x *= initial
     return PathSet(values, grid, keys, cfg)
 
 
@@ -336,11 +347,15 @@ def simulate_swap(
     initial = _check_initial(initial, 1)
     grid = cfg.time_grid
     v = _swap_step_variances(model, contract, grid)
-    z = normals(cfg, cfg.n_steps, 1)[:, :, 0]
-    increments = -0.5 * v[None, :] + np.sqrt(v)[None, :] * z
+    z = normals(cfg, cfg.n_steps, 1)[:, :, 0]  # the increments, built in place
+    z *= np.sqrt(v)
+    z += -0.5 * v
     values = np.empty((cfg.n_paths, grid.size, 1))
     values[:, 0, 0] = initial[0]
-    values[:, 1:, 0] = initial[0] * np.exp(np.cumsum(increments, axis=1))
+    x = values[:, 1:, 0]
+    np.cumsum(z, axis=1, out=x)
+    np.exp(x, out=x)
+    x *= initial[0]
     return PathSet(values, grid, [contract], cfg)
 
 
@@ -435,20 +450,23 @@ def theoretical_log_variance(
         if contract.kind != "swap":
             raise ValidationError("parametric volatility prices swaps only")
         return model.variance_between(contract.tau_start, t0, t)
+    return float(_factor_log_variance(model, contract, t, t0))
+
+
+def _factor_log_variance(model: FactorModel, contract: ContractDescriptor, t, t0: float = 0.0):
+    """theoretical_log_variance of a FactorModel; ``t`` may be an array of times."""
     if contract.kind == "fixed_delivery":
         row = model.row(contract.market, contract.bucket)
-        t_eff = min(t, contract.bucket * model.bucket_width)
-        return float((row**2).sum() * max(t_eff - t0, 0.0))
+        t_eff = np.minimum(t, contract.bucket * model.bucket_width)
+        return (row**2).sum() * np.maximum(t_eff - t0, 0.0)
     if contract.kind == "swap":
         tau = contract.tau_start
-        t_eff = min(t, tau)
         occ = bucket_occupancy(
-            tau - t_eff, tau - t0, model.buckets_per_market, model.bucket_width
+            tau - np.minimum(t, tau), tau - t0, model.buckets_per_market, model.bucket_width
         )
     else:  # spot
         occ = bucket_occupancy(0.0, t - t0, model.buckets_per_market, model.bucket_width)
-    block = model.market_block(contract.market)
-    return float((block**2).sum(axis=1) @ occ)
+    return occ @ (model.market_block(contract.market) ** 2).sum(axis=1)
 
 
 def path_log_returns(paths: PathSet) -> LogReturnMatrix:
@@ -492,6 +510,38 @@ class SanityReport:
         return not self.failures
 
 
+def _time_slices(values: np.ndarray) -> list[slice]:
+    """Consecutive slices of the time axis of a (path, time, product) array.
+
+    Each slice selects about _BLOCK_VALUES values, and at least one time.
+    Reductions over paths treat every (time, product) column on its own,
+    so blocking them gives the same bits as one whole-array call.
+    """
+    n_paths, n_times, n_prod = values.shape
+    width = max(1, _BLOCK_VALUES // (n_paths * n_prod))
+    return [slice(a, min(a + width, n_times)) for a in range(0, n_times, width)]
+
+
+def _path_moments(vals: np.ndarray):
+    """Per (time, product) after t=0: log-ratio variance, mean and mean SE.
+
+    Reduced in blocks of grid times, so the temporaries stay block-sized.
+    """
+    later = vals[:, 1:, :]
+    emp_var = np.empty(later.shape[1:])
+    emp_mean = np.empty_like(emp_var)
+    mean_se = np.empty_like(emp_var)
+    for s in _time_slices(later):
+        blk = later[:, s]
+        logs = blk / vals[:, :1, :]
+        np.log(logs, out=logs)
+        emp_var[s] = logs.var(axis=0, ddof=1)
+        emp_mean[s] = blk.mean(axis=0)
+        mean_se[s] = blk.std(axis=0, ddof=1)
+    mean_se /= math.sqrt(vals.shape[0])
+    return emp_var, emp_mean, mean_se
+
+
 def sanity_check(
     paths: PathSet,
     model: FactorModel | ExponentialVol,
@@ -513,15 +563,15 @@ def sanity_check(
     vals = paths.values
     n_paths = paths.n_paths
     times = paths.time_grid[1:]
-    logs = np.log(vals[:, 1:, :] / vals[:, :1, :])
-    emp_var = logs.var(axis=0, ddof=1)
-    emp_mean = vals[:, 1:, :].mean(axis=0)
-    mean_se = vals[:, 1:, :].std(axis=0, ddof=1) / math.sqrt(n_paths)
+    emp_var, emp_mean, mean_se = _path_moments(vals)
     initial = vals[0, 0, :].copy()
-    theo = np.empty_like(emp_var)
-    for j, d in enumerate(paths.product_keys):
-        for i, t in enumerate(times):
-            theo[i, j] = theoretical_log_variance(model, d, float(t))
+    if isinstance(model, FactorModel):
+        theo = np.column_stack([_factor_log_variance(model, d, times) for d in paths.product_keys])
+    else:
+        theo = np.array(
+            [[theoretical_log_variance(model, d, float(t)) for d in paths.product_keys]
+             for t in times]
+        )
 
     failures: list[str] = []
     # an antithetic pair shares (x - mean)^2, so only n/2 squares are independent
@@ -558,9 +608,11 @@ def sanity_check(
         and all(d.kind == "fixed_delivery" for d in paths.product_keys)
     ):
         stops = np.array([d.bucket * model.bucket_width for d in paths.product_keys])
-        live = paths.time_grid[1:] <= stops.min() + 1e-12
-        if live.sum() >= 1:
-            rets = np.log(vals[:, 1:, :][:, live, :] / vals[:, :-1, :][:, live, :])
+        # steps before the first delivery: a prefix of the grid
+        m = int((paths.time_grid[1:] <= stops.min() + 1e-12).sum())
+        if m >= 1:
+            rets = vals[:, 1 : m + 1, :] / vals[:, :m, :]
+            np.log(rets, out=rets)
             flat = rets.reshape(-1, rets.shape[2])
             emp_corr = np.corrcoef(flat.T)
             rows = np.vstack([model.row(d.market, d.bucket) for d in paths.product_keys])
@@ -605,32 +657,29 @@ def require_sane(report: SanityReport) -> None:
 def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:
     """Long format, one row per (path, time, product)."""
     limit = paths.n_paths if max_paths is None else min(max_paths, paths.n_paths)
+    times = [format(t, ".10g") for t in paths.time_grid]
+    labels = [key.label for key in paths.product_keys]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["path_id", "time", "product_key", "value"])
         for p in range(limit):
-            for i, t in enumerate(paths.time_grid):
-                for j, key in enumerate(paths.product_keys):
-                    writer.writerow(
-                        [p, format(t, ".10g"), key.label, format(paths.values[p, i, j], ".10g")]
-                    )
+            for t, row in zip(times, paths.values[p].tolist()):
+                writer.writerows(
+                    [p, t, label, format(v, ".10g")] for label, v in zip(labels, row)
+                )
 
 
 def write_summary_csv(paths: PathSet, path) -> None:
     """Mean and 5/95 percent quantiles per product and grid time."""
-    mean = paths.values.mean(axis=0)
-    q05, q95 = np.quantile(paths.values, [0.05, 0.95], axis=0)
+    labels = [key.label for key in paths.product_keys]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time", "product_key", "mean", "q05", "q95"])
-        for i, t in enumerate(paths.time_grid):
-            for j, key in enumerate(paths.product_keys):
-                writer.writerow(
-                    [
-                        format(t, ".10g"),
-                        key.label,
-                        format(mean[i, j], ".10g"),
-                        format(q05[i, j], ".10g"),
-                        format(q95[i, j], ".10g"),
-                    ]
-                )
+        for s in _time_slices(paths.values):
+            blk = paths.values[:, s]
+            stats = [blk.mean(axis=0), *np.quantile(blk, [0.05, 0.95], axis=0)]
+            for i, t in enumerate(paths.time_grid[s]):
+                for j, label in enumerate(labels):
+                    writer.writerow(
+                        [format(t, ".10g"), label] + [format(a[i, j], ".10g") for a in stats]
+                    )

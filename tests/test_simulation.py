@@ -2,12 +2,14 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjmkit import simulation
 from hjmkit.calibration import FactorModel
 from hjmkit.errors import SimulationError, ValidationError
 from hjmkit.simulation import (
@@ -16,6 +18,7 @@ from hjmkit.simulation import (
     PathSet,
     SimConfig,
     _spot_lag_vols,
+    _time_slices,
     bucket_occupancy,
     normals,
     path_log_returns,
@@ -756,3 +759,177 @@ def test_write_summary_csv(tmp_path):
     # byte-identical on rewrite
     write_summary_csv(ps, tmp_path / "again.csv")
     assert out.read_bytes() == (tmp_path / "again.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# One path array: whole-array references and memory bounds
+# ---------------------------------------------------------------------------
+
+
+def _reference_fixed_delivery(model, initial, cfg):
+    """The whole-array generator: every temporary the size of the paths."""
+    products = [(mk, b) for mk in model.markets for b in range(1, model.buckets_per_market + 1)]
+    rows = np.vstack([model.row(mk, b) for mk, b in products])
+    stops = np.array([b * model.bucket_width for _, b in products])
+    grid = cfg.time_grid
+    live = np.maximum(
+        np.minimum(grid[1:, None], stops[None, :]) - np.minimum(grid[:-1, None], stops[None, :]),
+        0.0,
+    )
+    z = normals(cfg, cfg.n_steps, rows.shape[1])
+    shocks = np.einsum("pkj,nj->pkn", z, rows) * np.sqrt(live)[None, :, :]
+    drift = -0.5 * (rows**2).sum(axis=1)[None, :] * live
+    log_paths = np.cumsum(drift[None, :, :] + shocks, axis=1)
+    initial = np.asarray(initial, dtype=float)
+    return np.concatenate(
+        [np.broadcast_to(initial, (cfg.n_paths, 1, initial.size)), initial * np.exp(log_paths)],
+        axis=1,
+    )
+
+
+def _reference_sanity_stats(ps, width=1 / 12):
+    """Whole-array sanity statistics: variance, mean, mean SE, correlation."""
+    vals = ps.values
+    logs = np.log(vals[:, 1:, :] / vals[:, :1, :])
+    mean_se = vals[:, 1:, :].std(axis=0, ddof=1) / math.sqrt(ps.n_paths)
+    stats = [logs.var(axis=0, ddof=1), vals[:, 1:, :].mean(axis=0), mean_se]
+    if all(d.kind == "fixed_delivery" for d in ps.product_keys):
+        stops = np.array([d.bucket * width for d in ps.product_keys])
+        live = ps.time_grid[1:] <= stops.min() + 1e-12
+        rets = np.log(vals[:, 1:, :][:, live, :] / vals[:, :-1, :][:, live, :])
+        stats.append(np.corrcoef(rets.reshape(-1, rets.shape[2]).T))
+    return stats
+
+
+def _reference_summary_csv(ps, path):
+    mean = ps.values.mean(axis=0)
+    q05, q95 = np.quantile(ps.values, [0.05, 0.95], axis=0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time", "product_key", "mean", "q05", "q95"])
+        for i, t in enumerate(ps.time_grid):
+            for j, key in enumerate(ps.product_keys):
+                writer.writerow(
+                    [format(t, ".10g"), key.label]
+                    + [format(a[i, j], ".10g") for a in (mean, q05, q95)]
+                )
+
+
+def _reference_paths_csv(ps, path, max_paths):
+    limit = ps.n_paths if max_paths is None else min(max_paths, ps.n_paths)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["path_id", "time", "product_key", "value"])
+        for p in range(limit):
+            for i, t in enumerate(ps.time_grid):
+                for j, key in enumerate(ps.product_keys):
+                    writer.writerow(
+                        [p, format(t, ".10g"), key.label, format(ps.values[p, i, j], ".10g")]
+                    )
+
+
+def _two_market_model():
+    rows = [[0.35, 0.1], [0.3, 0.05], [0.25, -0.02], [0.3, -0.1], [0.28, 0.0], [0.2, 0.04]]
+    return model_of(rows, markets=("A", "B"))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_blocked_statistics_match_whole_array_reference(antithetic, tmp_path, monkeypatch):
+    model = _two_market_model()
+    cfg = SimConfig(seed=31, n_paths=60, step=1 / 52, horizon=0.5, antithetic=antithetic)
+    ps = simulate_fixed_delivery(model, [30.0, 31.0, 32.0, 20.0, 21.0, 22.0], cfg)
+    want = _reference_fixed_delivery(model, ps.values[0, 0], cfg)
+    np.testing.assert_array_equal(ps.values, want)
+
+    # 5 grid times per block: 27 grid times leave a short last block
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 5 * 60 * 6)
+    assert [s.stop - s.start for s in _time_slices(ps.values)] == [5] * 5 + [2]
+    report = sanity_check(ps, model)
+    var, mean, se, corr = _reference_sanity_stats(ps)
+    np.testing.assert_array_equal(report.empirical_variance, var)
+    np.testing.assert_array_equal(report.empirical_mean, mean)
+    np.testing.assert_array_equal(report.mean_se, se)
+    np.testing.assert_array_equal(report.empirical_correlation, corr)
+
+    write_summary_csv(ps, tmp_path / "blocked.csv")
+    _reference_summary_csv(ps, tmp_path / "whole.csv")
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_blocked_spot_statistics_match_whole_array_reference(monkeypatch):
+    model = model_of([[0.5, 0.1], [0.3, 0.0]], bucket_width=1 / 52)
+    cfg = SimConfig(seed=4, n_paths=40, step=1 / 365, horizon=40 / 365)
+    curve = 50.0 + np.sin(np.arange(cfg.n_steps + 1))
+    ps = simulate_spot(model, {"X": curve}, cfg)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 7 * 40)
+    report = sanity_check(ps, model, expected_mean=curve[:, None])
+    var, mean, se = _reference_sanity_stats(ps)
+    np.testing.assert_array_equal(report.empirical_variance, var)
+    np.testing.assert_array_equal(report.empirical_mean, mean)
+    np.testing.assert_array_equal(report.mean_se, se)
+
+
+def test_swap_matches_whole_array_reference():
+    model = model_of([[0.4], [0.3], [0.2]])
+    contract = ContractDescriptor("swap", "X", tau_start=0.2)
+    cfg = SimConfig(seed=21, n_paths=30, step=1 / 52, horizon=0.3, antithetic=True)
+    ps = simulate_swap(model, contract, 25.0, cfg)
+    v = simulation._swap_step_variances(model, contract, cfg.time_grid)
+    z = normals(cfg, cfg.n_steps, 1)[:, :, 0]
+    increments = -0.5 * v[None, :] + np.sqrt(v)[None, :] * z
+    want = 25.0 * np.exp(np.cumsum(increments, axis=1))
+    np.testing.assert_array_equal(ps.values[:, 1:, 0], want)
+    np.testing.assert_array_equal(ps.values[:, 0, 0], 25.0)
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [
+        ContractDescriptor("fixed_delivery", "B", bucket=2),
+        ContractDescriptor("swap", "A", tau_start=0.13),
+        ContractDescriptor("swap", "B", tau_start=0.6),
+        ContractDescriptor("spot", "B"),
+    ],
+)
+def test_theoretical_variances_on_a_grid_match_scalar_calls(contract):
+    model = _two_market_model()
+    times = np.linspace(0.0, 0.45, 118)
+    grid = simulation._factor_log_variance(model, contract, times)
+    scalar = [theoretical_log_variance(model, contract, float(t)) for t in times]
+    assert grid.shape == times.shape
+    np.testing.assert_allclose(grid, scalar, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("max_paths", [None, 3])
+def test_write_paths_csv_matches_row_by_row_reference(max_paths, tmp_path):
+    model = _two_market_model()
+    cfg = SimConfig(seed=8, n_paths=5, step=1 / 12, horizon=0.25)
+    ps = simulate_fixed_delivery(model, [30.0, 31.0, 32.0, 20.0, 21.0, 22.0], cfg)
+    write_paths_csv(ps, tmp_path / "fast.csv", max_paths)
+    _reference_paths_csv(ps, tmp_path / "slow.csv", max_paths)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_stage_holds_one_path_array(tmp_path):
+    """Nightly size: 2,500 paths x 253 times x 18 products, 2 factors."""
+    rows = np.vstack([[0.3 * 0.9**b, 0.05 * (b - 3)] for b in range(18)])
+    model = model_of(rows, markets=("DE", "TTF", "NBP"))
+    cfg = SimConfig(seed=3001, n_paths=2500, step=1 / 252, horizon=1.0)
+    initial = np.linspace(30.0, 60.0, 18)
+    path_bytes = cfg.n_paths * (cfg.n_steps + 1) * 18 * 8
+    normal_bytes = cfg.n_paths * cfg.n_steps * 2 * 8
+
+    peak = _traced_peak(simulate_fixed_delivery, model, initial, cfg)
+    assert peak <= 1.1 * (path_bytes + normal_bytes)
+    ps = simulate_fixed_delivery(model, initial, cfg)
+    assert _traced_peak(sanity_check, ps, model) <= 0.25 * path_bytes
+    assert _traced_peak(write_summary_csv, ps, tmp_path / "summary.csv") <= 0.25 * path_bytes

@@ -247,19 +247,27 @@ class FactorModel:
     @classmethod
     def load(cls, path) -> "FactorModel":
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+                raise ValidationError(f"{path}: not a JSON model document ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: model document is not a JSON object")
         missing = {"markets", "buckets_per_market", "n_factors", "dt", "eigenvalues", "sigma_star"} - set(doc)
         if missing:
             raise ValidationError(f"model document missing fields: {sorted(missing)}")
-        return cls(
-            markets=list(doc["markets"]),
-            buckets_per_market=int(doc["buckets_per_market"]),
-            n_factors=int(doc["n_factors"]),
-            dt=float(doc["dt"]),
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-            sigma_star=np.asarray(doc["sigma_star"], dtype=float),
-            bucket_width=float(doc.get("bucket_width", DEFAULT_BUCKET_WIDTH)),
-        )
+        try:
+            return cls(
+                markets=list(doc["markets"]),
+                buckets_per_market=int(doc["buckets_per_market"]),
+                n_factors=int(doc["n_factors"]),
+                dt=float(doc["dt"]),
+                eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
+                sigma_star=np.asarray(doc["sigma_star"], dtype=float),
+                bucket_width=float(doc.get("bucket_width", DEFAULT_BUCKET_WIDTH)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: malformed model field ({exc})") from exc
 
 
 def _grid_from_keys(column_keys) -> tuple[list[str], int]:

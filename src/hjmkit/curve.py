@@ -28,7 +28,7 @@ import numpy as np
 
 from .dates import add_months, days_in_month, month_end, month_start
 from .errors import InfeasibleCurveError, ValidationError
-from .marketdata import QuotedSwap
+from .marketdata import QuotedSwap, _csv_field
 
 RESIDUAL_TOL = 1e-9
 
@@ -258,49 +258,84 @@ def verify_no_arbitrage(curve: StepwiseCurve, quotes: Sequence[QuotedSwap]) -> f
     return worst
 
 
+_CURVE_HEADER = ["as_of", "market", "bucket_start", "bucket_end", "value", "weight"]
+
+
 def write_curve_csv(curves: Sequence[StepwiseCurve], path) -> None:
     """One row per bucket: as_of,market,bucket_start,bucket_end,value,weight."""
+    spans: dict[date, str] = {}  # month -> "start,end", formatted once per month
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["as_of", "market", "bucket_start", "bucket_end", "value", "weight"])
+        fh.write(",".join(_CURVE_HEADER) + "\n")
         for curve in curves:
-            for i, m in enumerate(curve.months):
-                writer.writerow(
+            for m in curve.months:
+                if m not in spans:
+                    spans[m] = f"{m.isoformat()},{month_end(m).isoformat()}"
+            lead = f"{curve.as_of.isoformat()},{_csv_field(curve.market)}"
+            fh.write(
+                "".join(
                     [
-                        curve.as_of.isoformat(),
-                        curve.market,
-                        m.isoformat(),
-                        month_end(m).isoformat(),
-                        format(curve.values[i], ".10g"),
-                        format(curve.weights[i], ".10g"),
+                        f"{lead},{spans[m]},{v:.10g},{w:.10g}\n"
+                        for m, v, w in zip(
+                            curve.months, curve.values.tolist(), curve.weights.tolist()
+                        )
                     ]
                 )
+            )
 
 
 def read_curve_csv(path) -> dict[tuple[str, date], StepwiseCurve]:
-    """Inverse of write_curve_csv, keyed by (market, as_of)."""
+    """Inverse of write_curve_csv, keyed by (market, as_of).
+
+    Columns are found by header name. A malformed file raises
+    ValidationError naming the file and, for a bad row, its line.
+    """
     rows: dict[tuple[str, date], list[tuple[date, float, float]]] = {}
+    parsed: dict[str, date] = {}  # each distinct date string is parsed once
+
+    def day(text: str) -> date:
+        d = parsed.get(text)
+        if d is None:
+            d = parsed[text] = date.fromisoformat(text)
+        return d
+
     with open(path, "r", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: curve file is empty")
+        used = ("as_of", "market", "bucket_start", "value", "weight")
+        missing = [c for c in used if c not in header]
+        if missing:
+            raise ValidationError(f"{path}: curve file lacks column(s) {', '.join(missing)}")
+        i_as_of, i_market, i_start, i_value, i_weight = map(header.index, used)
+        width = len(header)
         for rec in reader:
-            key = (rec["market"], date.fromisoformat(rec["as_of"]))
-            rows.setdefault(key, []).append(
-                (
-                    date.fromisoformat(rec["bucket_start"]),
-                    float(rec["value"]),
-                    float(rec["weight"]),
+            if not rec:
+                continue
+            if len(rec) != width:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: row has {len(rec)} fields, "
+                    f"header has {width}"
                 )
-            )
+            try:
+                key = (rec[i_market], day(rec[i_as_of]))
+                bucket = (day(rec[i_start]), float(rec[i_value]), float(rec[i_weight]))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
+            rows.setdefault(key, []).append(bucket)
     out = {}
     for (market, as_of), buckets in rows.items():
         buckets.sort()
-        out[(market, as_of)] = StepwiseCurve(
-            market,
-            as_of,
-            [b[0] for b in buckets],
-            np.array([b[1] for b in buckets]),
-            np.array([b[2] for b in buckets]),
-        )
+        try:
+            out[(market, as_of)] = StepwiseCurve(
+                market,
+                as_of,
+                [b[0] for b in buckets],
+                np.array([b[1] for b in buckets]),
+                np.array([b[2] for b in buckets]),
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: curve {market} {as_of}: {exc}") from exc
     return out
 
 

@@ -1,13 +1,21 @@
 """Calendar-month helpers.
 
 All delivery periods in this package are whole calendar months, so the only
-date arithmetic needed is month shifting, month spans and day counts.
+date arithmetic needed is month shifting, month spans and day counts. The
+day counts and month shifts are memoized: a quote history asks for the same
+few hundred months over and over.
 """
 
 from __future__ import annotations
 
 import calendar
+import functools
 from datetime import date
+
+
+@functools.cache  # at most 12 entries per calendar year
+def _month_days(year: int, month: int) -> int:
+    return calendar.monthrange(year, month)[1]
 
 
 def month_start(d: date) -> date:
@@ -15,7 +23,7 @@ def month_start(d: date) -> date:
 
 
 def month_end(d: date) -> date:
-    return d.replace(day=calendar.monthrange(d.year, d.month)[1])
+    return d.replace(day=_month_days(d.year, d.month))
 
 
 def is_month_start(d: date) -> bool:
@@ -23,9 +31,10 @@ def is_month_start(d: date) -> bool:
 
 
 def is_month_end(d: date) -> bool:
-    return d.day == calendar.monthrange(d.year, d.month)[1]
+    return d.day == _month_days(d.year, d.month)
 
 
+@functools.lru_cache(maxsize=1 << 14)  # bounded: its keys are arbitrary dates
 def add_months(d: date, n: int) -> date:
     """Shift a month-start date by n whole months."""
     total = d.year * 12 + (d.month - 1) + n
@@ -38,7 +47,7 @@ def months_between(start: date, end: date) -> int:
 
 
 def days_in_month(d: date) -> int:
-    return calendar.monthrange(d.year, d.month)[1]
+    return _month_days(d.year, d.month)
 
 
 def month_span(start: date, end: date) -> int:

@@ -22,6 +22,8 @@ Conventions:
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -103,9 +105,9 @@ class QuotedSwap:
         if self.trading_date > self.delivery_end:
             raise ValidationError("trading_date is after the end of delivery")
 
-    @property
+    @functools.cached_property
     def window_months(self) -> list[date]:
-        """Month starts covered by the delivery window."""
+        """Month starts covered by the delivery window (built once per quote)."""
         n = month_span(self.delivery_start, self.delivery_end)
         return [add_months(self.delivery_start, i) for i in range(n)]
 
@@ -469,16 +471,27 @@ def normality_diagnostics(values) -> DistributionMoments:
 # ---------------------------------------------------------------------------
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row: quoted only when needed.
+
+    The artifact writers build each row as one string; their text fields
+    (markets, labels) go through this once, so they keep the csv dialect's
+    quoting without a csv.writer call per row.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", text])
+    return buf.getvalue()[1:-1]
+
+
 def write_panel_csv(panel: RelativePanel, path) -> None:
     """Dates as rows, tenor labels as columns, empty cells for gaps."""
+    header = ",".join(["date", *map(_csv_field, panel.tenor_labels)])
+    rows = [
+        ",".join([d.isoformat(), *(f"{v:.10g}" if math.isfinite(v) else "" for v in row)])
+        for d, row in zip(panel.dates, panel.prices.tolist())
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + panel.tenor_labels)
-        for i, d in enumerate(panel.dates):
-            row = [d.isoformat()]
-            for v in panel.prices[i]:
-                row.append(format(v, ".10g") if math.isfinite(v) else "")
-            writer.writerow(row)
+        fh.write("".join(f"{line}\n" for line in [header, *rows]))
 
 
 def read_panel_csv(path, market: str) -> RelativePanel:
@@ -496,13 +509,19 @@ def read_panel_csv(path, market: str) -> RelativePanel:
         for rec in reader:
             if not rec:
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(rec) != len(header):
-                raise ValidationError(f"{path}: row width does not match header")
+                raise ValidationError(
+                    f"{where}: row has {len(rec)} fields, header has {len(header)}"
+                )
             try:
                 dates.append(date.fromisoformat(rec[0]))
             except ValueError as exc:
-                raise ValidationError(f"{path}: bad date {rec[0]!r}") from exc
-            rows.append([float(v) if v else math.nan for v in rec[1:]])
+                raise ValidationError(f"{where}: bad date {rec[0]!r}") from exc
+            try:
+                rows.append([float(v) if v else math.nan for v in rec[1:]])
+            except ValueError as exc:
+                raise ValidationError(f"{where}: bad price ({exc})") from exc
     if not dates:
         raise ValidationError(f"{path}: panel has no data rows")
     return RelativePanel(market, labels, dates, np.array(rows))

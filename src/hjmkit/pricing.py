@@ -168,6 +168,15 @@ class ContinuationFit:
         return self.design(x) @ self.coefficients
 
 
+def _basis_size(x: np.ndarray, degree: int) -> int:
+    """Polynomial basis size for the samples x: degree + 1, capped at the
+    number of distinct samples (so the design is never singular by
+    construction), and at least 1."""
+    xs = np.sort(x)
+    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
+    return max(1, min(degree + 1, distinct))
+
+
 def lsmc_continuation(
     states,
     values,
@@ -195,9 +204,7 @@ def lsmc_continuation(
         raise ValidationError("regression inputs must be finite")
     if degree < 0:
         raise ValidationError("degree must be non-negative")
-    xs = np.sort(x)
-    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
-    dim = max(1, min(degree + 1, distinct))
+    dim = _basis_size(x, degree)
     if x.size < min_samples_per_dim * dim:
         raise PricingError(
             f"continuation regression needs at least {min_samples_per_dim * dim} "
@@ -272,8 +279,9 @@ def american_option(
 ) -> PolicyValuation:
     """Longstaff-Schwarz value with exercise on every grid date.
 
-    Regressions run on in-the-money paths only; a date whose in-the-money
-    set is too small for even a constant fit is treated as no-exercise.
+    Regressions run on in-the-money paths only; a date with no in-the-money
+    path, or too few for lsmc_continuation's sample-size rule, is treated
+    as no-exercise.
     ``last_exercise`` restricts the window to grid indices 0..last.
     """
     settings = settings or LsmcSettings()
@@ -292,9 +300,14 @@ def american_option(
     cf = disc[last] * intrinsic[:, last]
     for k in range(last - 1, 0, -1):
         itm = intrinsic[:, k] > 0
-        n_itm = int(itm.sum())
-        dim = max(1, min(settings.degree + 1, np.unique(s[itm, k]).size)) if n_itm else 1
-        if n_itm < settings.min_samples_per_dim * dim or n_itm == 0:
+        n_itm = int(np.count_nonzero(itm))
+        # lsmc_continuation's sample-size rule, checked without raising; the
+        # distinct-value count (a sort) matters only below the full basis
+        full = settings.min_samples_per_dim * (settings.degree + 1)
+        if n_itm == 0 or (
+            n_itm < full
+            and n_itm < settings.min_samples_per_dim * _basis_size(s[itm, k], settings.degree)
+        ):
             fits.append(None)
             continue
         fit = settings.fit(s[itm, k], cf[itm])

@@ -35,7 +35,6 @@ temporaries stay near _BLOCK_VALUES values whatever the run's size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -44,7 +43,7 @@ import numpy as np
 
 from .calibration import FactorModel
 from .errors import SimulationError, ValidationError
-from .marketdata import LogReturnMatrix
+from .marketdata import LogReturnMatrix, _csv_field
 
 _U64_MAX = 2**64 - 1
 # values per block of grid times in the path-wise reductions (at least one time)
@@ -657,29 +656,68 @@ def require_sane(report: SanityReport) -> None:
 def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:
     """Long format, one row per (path, time, product)."""
     limit = paths.n_paths if max_paths is None else min(max_paths, paths.n_paths)
-    times = [format(t, ".10g") for t in paths.time_grid]
-    labels = [key.label for key in paths.product_keys]
+    labels = [_csv_field(key.label) for key in paths.product_keys]
+    # "time,label," of each (time, product) cell, in the C order of a path's values
+    cells = [f"{t:.10g},{label}," for t in paths.time_grid.tolist() for label in labels]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path_id", "time", "product_key", "value"])
+        fh.write("path_id,time,product_key,value\n")
         for p in range(limit):
-            for t, row in zip(times, paths.values[p].tolist()):
-                writer.writerows(
-                    [p, t, label, format(v, ".10g")] for label, v in zip(labels, row)
+            fh.write(
+                "".join(
+                    [
+                        f"{p},{cell}{v:.10g}\n"
+                        for cell, v in zip(cells, paths.values[p].ravel().tolist())
+                    ]
                 )
+            )
+
+
+def _quantiles_of_sorted(ordered: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(..., q, axis=0) with method 'linear', from sorted columns.
+
+    The same order statistics and the same interpolation as numpy's
+    ``_lerp``, so the result has the same bits as np.quantile's.
+    """
+    n = ordered.shape[0]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:  # numpy reads the last value, its gamma taken from index -1
+        lo = hi = -1
+        g = virtual + 1.0
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        g = virtual - lo
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    if g >= 0.5:
+        return b - diff * (1.0 - g)
+    return a + diff * g
 
 
 def write_summary_csv(paths: PathSet, path) -> None:
-    """Mean and 5/95 percent quantiles per product and grid time."""
-    labels = [key.label for key in paths.product_keys]
+    """Mean and 5/95 percent quantiles per product and grid time.
+
+    Each block of grid times is sorted once along the paths; both
+    quantiles are read from that sort.
+    """
+    labels = [_csv_field(key.label) for key in paths.product_keys]
+    times = [f"{t:.10g}" for t in paths.time_grid.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "product_key", "mean", "q05", "q95"])
+        fh.write("time,product_key,mean,q05,q95\n")
         for s in _time_slices(paths.values):
             blk = paths.values[:, s]
-            stats = [blk.mean(axis=0), *np.quantile(blk, [0.05, 0.95], axis=0)]
-            for i, t in enumerate(paths.time_grid[s]):
-                for j, label in enumerate(labels):
-                    writer.writerow(
-                        [format(t, ".10g"), label] + [format(a[i, j], ".10g") for a in stats]
-                    )
+            ordered = np.sort(blk, axis=0)
+            stats = zip(
+                blk.mean(axis=0).tolist(),
+                _quantiles_of_sorted(ordered, 0.05).tolist(),
+                _quantiles_of_sorted(ordered, 0.95).tolist(),
+            )
+            fh.write(
+                "".join(
+                    [
+                        f"{t},{label},{m:.10g},{q05:.10g},{q95:.10g}\n"
+                        for t, row in zip(times[s], stats)
+                        for label, (m, q05, q95) in zip(labels, zip(*row))
+                    ]
+                )
+            )

@@ -153,6 +153,72 @@ def test_exit_code_non_finite_swap_tau(pipeline_out, tmp_path, capsys):
     assert "swap_tau must be finite" in capsys.readouterr().err
 
 
+def _assert_clean_validation_exit(rc, capsys, *needles):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def _corrupt_copy(src: Path, dst: Path, edit) -> Path:
+    lines = src.read_text().splitlines(keepends=True)
+    dst.write_text("".join(edit(lines)))
+    return dst
+
+
+def _simulate_on(tmp_path, pipeline_out, curve_file=None, model_file=None) -> Path:
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {model_file or pipeline_out / 'model.json'}\n"
+        f"curve_file = {curve_file or pipeline_out / 'curves.csv'}\n"
+        f"out = {tmp_path / 'out'}\nseed = 1\nn_paths = 8\n"
+    )
+    return conf
+
+
+def _replace_field(lines, line_no, column, text):
+    fields = lines[line_no - 1].rstrip("\n").split(",")
+    fields[column] = text
+    lines[line_no - 1] = ",".join(fields) + "\n"
+    return lines
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda ls: [ls[0].replace(",value,", ",price,")] + ls[1:], "value"),
+        (lambda ls: ls[:2] + ["2020-01-02,DE,2020-03-01\n"] + ls[2:], "line 3"),
+        (lambda ls: _replace_field(ls, 4, 4, "abc"), "line 4"),
+        (lambda ls: _replace_field(ls, 4, 2, "2021-02-xx"), "line 4"),
+    ],
+    ids=["missing-value-column", "short-row", "bad-value", "bad-date"],
+)
+def test_exit_code_malformed_curve_file(pipeline_out, tmp_path, capsys, edit, needle):
+    curves = _corrupt_copy(pipeline_out / "curves.csv", tmp_path / "curves.csv", edit)
+    rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out, curve_file=curves))])
+    _assert_clean_validation_exit(rc, capsys, str(curves), needle)
+
+
+def test_exit_code_malformed_model_file(pipeline_out, tmp_path, capsys):
+    model = _corrupt_copy(pipeline_out / "model.json", tmp_path / "model.json", lambda ls: ls[:-3])
+    rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out, model_file=model))])
+    _assert_clean_validation_exit(rc, capsys, str(model))
+
+
+def test_exit_code_malformed_panel_cell(pipeline_out, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    _corrupt_copy(
+        pipeline_out / "panel_DE.csv", out / "panel_DE.csv", lambda ls: _replace_field(ls, 5, 2, "n/a")
+    )
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"out = {out}\nmarkets = DE\n")
+    rc = main(["calibrate", "--config", str(conf)])
+    _assert_clean_validation_exit(rc, capsys, str(out / "panel_DE.csv"), "line 5")
+
+
 def test_exit_code_numerical_failure(tmp_path, capsys):
     # two different prices for the same delivery: no curve can price both
     quotes = tmp_path / "quotes.csv"

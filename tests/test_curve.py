@@ -1,7 +1,10 @@
+import csv
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hjmkit.curve import (
     StepwiseCurve,
@@ -11,7 +14,7 @@ from hjmkit.curve import (
     verify_no_arbitrage,
     write_curve_csv,
 )
-from hjmkit.dates import add_months, days_in_month
+from hjmkit.dates import add_months, days_in_month, month_end, month_start
 from hjmkit.errors import InfeasibleCurveError, ValidationError
 from hjmkit.marketdata import QuotedSwap
 
@@ -278,3 +281,121 @@ def test_curve_csv_round_trip(tmp_path, quote_board):
     assert rebuilt.months == curve.months
     np.testing.assert_allclose(rebuilt.values, curve.values, rtol=1e-9)
     np.testing.assert_array_equal(rebuilt.weights, curve.weights)
+
+
+def _reference_curve_csv(curves, path):
+    """The row-by-row csv.writer loop that write_curve_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["as_of", "market", "bucket_start", "bucket_end", "value", "weight"])
+        for curve in curves:
+            for i, m in enumerate(curve.months):
+                writer.writerow(
+                    [
+                        curve.as_of.isoformat(),
+                        curve.market,
+                        m.isoformat(),
+                        month_end(m).isoformat(),
+                        format(curve.values[i], ".10g"),
+                        format(curve.weights[i], ".10g"),
+                    ]
+                )
+
+
+def test_write_curve_csv_matches_csv_writer_reference(tmp_path, quote_board):
+    curve, _ = bootstrap_monthly_curve(quote_board)
+    odd = StepwiseCurve(
+        'Hub "A", peak',
+        date(2024, 2, 29),
+        [date(2024, 2, 1), date(2025, 1, 1), date(2031, 12, 1)],
+        np.array([1 / 3, 1e-7, 123456789012.5]),
+        np.array([29.0, 31.0, 0.25]),
+    )
+    plain = StepwiseCurve(" TTF", AS_OF, [date(2020, 1, 1)], np.array([17.5]), np.array([31.0]))
+    curves = [curve, odd, plain, curve]
+    write_curve_csv(curves, tmp_path / "fast.csv")
+    _reference_curve_csv(curves, tmp_path / "slow.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+# market names: letters plus the characters the csv dialect must quote
+MARKETS = st.text(alphabet="AZaz09 _:;,\"'", min_size=1, max_size=8)
+
+
+@st.composite
+def curve_sets(draw):
+    markets = draw(st.lists(MARKETS, min_size=1, max_size=3, unique=True))
+    curves = []
+    for market in markets:
+        as_of = draw(st.dates(date(1990, 1, 1), date(2060, 12, 31)))
+        offsets = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=8)))
+        months = [add_months(month_start(as_of), k) for k in offsets]
+        positive = st.floats(1e-6, 1e9)
+        values = draw(st.lists(positive, min_size=len(months), max_size=len(months)))
+        weights = draw(st.lists(positive, min_size=len(months), max_size=len(months)))
+        curves.append(StepwiseCurve(market, as_of, months, np.array(values), np.array(weights)))
+    return curves
+
+
+def _ten_digits(values) -> np.ndarray:
+    return np.array([float(format(v, ".10g")) for v in values])
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_sets())
+@example(
+    [
+        StepwiseCurve('a,"b"', AS_OF, [date(2020, 1, 1)], np.array([2 / 3]), np.array([31.0])),
+        StepwiseCurve('"', AS_OF, [date(2020, 2, 1)], np.array([40.0]), np.array([29.0])),
+    ]
+)
+def test_curve_csv_round_trip_property(tmp_path_factory, curves):
+    path = tmp_path_factory.mktemp("curves") / "curves.csv"
+    write_curve_csv(curves, path)
+    back = read_curve_csv(path)
+    assert set(back) == {(c.market, c.as_of) for c in curves}
+    for curve in curves:
+        rebuilt = back[(curve.market, curve.as_of)]
+        assert rebuilt.months == curve.months
+        np.testing.assert_array_equal(rebuilt.values, _ten_digits(curve.values))
+        np.testing.assert_array_equal(rebuilt.weights, _ten_digits(curve.weights))
+
+
+def _curve_file(tmp_path, body: str):
+    path = tmp_path / "curves.csv"
+    path.write_text(
+        "as_of,market,bucket_start,bucket_end,value,weight\n"
+        "2020-01-02,DE,2020-01-01,2020-01-31,36.05,31\n" + body
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("2020-01-02,DE,2020-02-01,2020-02-29,abc,29\n", "line 3"),
+        ("2020-01-02,DE,2020-02-xx,2020-02-29,36.1,29\n", "line 3"),
+        ("2020-01-02,DE,2020-02-01\n", "line 3"),
+        ("\n2020-01-02,DE,2020-02-01,2020-02-29,36.1\n", "line 4"),
+        ("2020-01-02,DE,2020-02-01,2020-02-29,-1,29\n", "curve DE 2020-01-02"),
+        ("2020-01-02,DE,2020-01-01,2020-01-31,36.05,31\n", "curve DE 2020-01-02"),
+    ],
+)
+def test_read_curve_csv_names_file_and_line(tmp_path, body, message):
+    path = _curve_file(tmp_path, body)
+    with pytest.raises(ValidationError, match=message) as info:
+        read_curve_csv(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_curve_csv_rejects_missing_columns_and_empty_file(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("as_of,market,bucket_start,bucket_end,weight\n2020-01-02,DE,2020-01-01,2020-01-31,31\n")
+    with pytest.raises(ValidationError, match="value"):
+        read_curve_csv(path)
+    path.write_text("")
+    with pytest.raises(ValidationError, match="empty"):
+        read_curve_csv(path)
+    # columns are found by name, in any order
+    path.write_text("weight,value,bucket_start,market,as_of\n31,36.05,2020-01-01,DE,2020-01-02\n")
+    assert read_curve_csv(path)[("DE", AS_OF)].values.tolist() == [36.05]

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 from datetime import date, timedelta
@@ -423,3 +424,77 @@ def test_panel_csv_round_trip(tmp_path):
     assert back.dates == panel.dates
     assert back.tenor_labels == panel.tenor_labels
     np.testing.assert_allclose(back.prices, panel.prices, equal_nan=True)
+
+
+def _reference_panel_csv(panel, path):
+    """The row-by-row csv.writer loop that write_panel_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date"] + panel.tenor_labels)
+        for i, d in enumerate(panel.dates):
+            row = [d.isoformat()]
+            for v in panel.prices[i]:
+                row.append(format(v, ".10g") if math.isfinite(v) else "")
+            writer.writerow(row)
+
+
+def test_write_panel_csv_matches_csv_writer_reference(tmp_path):
+    dates = [date(2020, 1, 2), date(2020, 1, 3), date(2020, 2, 3), date(2021, 1, 4)]
+    prices = np.array(
+        [
+            [36.05, np.nan, 1 / 3],
+            [np.nan, np.nan, np.nan],
+            [1e-7, 123456789012.5, 2.0],
+            [38.0, 38.0, np.nan],
+        ]
+    )
+    panel = panel_of(dates, ["M0", "Q1", "Y1"], prices)
+    write_panel_csv(panel, tmp_path / "fast.csv")
+    _reference_panel_csv(panel, tmp_path / "slow.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+@st.composite
+def panels(draw):
+    labels = draw(st.lists(st.sampled_from(default_tenor_labels(6, 3, 2)), min_size=1, max_size=6, unique=True))
+    dates = sorted(draw(st.sets(st.dates(date(1990, 1, 1), date(2060, 12, 31)), min_size=1, max_size=6)))
+    cell = st.floats(1e-6, 1e9) | st.just(math.nan)
+    prices = draw(
+        st.lists(
+            st.lists(cell, min_size=len(labels), max_size=len(labels)),
+            min_size=len(dates),
+            max_size=len(dates),
+        )
+    )
+    market = draw(st.text(alphabet='AZaz09 _:;,"', min_size=1, max_size=8))
+    return RelativePanel(market, labels, dates, np.array(prices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(panels())
+def test_panel_csv_round_trip_property(tmp_path_factory, panel):
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    write_panel_csv(panel, path)
+    back = read_panel_csv(path, panel.market)
+    assert back.market == panel.market
+    assert back.tenor_labels == panel.tenor_labels
+    assert back.dates == panel.dates
+    want = np.array([[float(format(v, ".10g")) for v in row] for row in panel.prices.tolist()])
+    np.testing.assert_array_equal(np.isnan(back.prices), np.isnan(panel.prices))
+    np.testing.assert_array_equal(back.prices, want)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2020-01-03,36.1,abc\n", "line 3: bad price"),
+        ("2020-01-xx,36.1,35.0\n", "line 3: bad date"),
+        ("2020-01-03,36.1\n", "line 3: row has 2 fields"),
+    ],
+)
+def test_read_panel_csv_names_file_and_line(tmp_path, row, message):
+    path = tmp_path / "panel_DE.csv"
+    path.write_text("date,M0,Q1\n2020-01-02,36.05,\n" + row)
+    with pytest.raises(ValidationError, match=message) as info:
+        read_panel_csv(path, "DE")
+    assert str(path) in str(info.value)

@@ -329,6 +329,57 @@ def test_american_rejects():
         american_option(ps, 100.0, last_exercise=99)
 
 
+def _reference_american(paths, strike, kind, settings, rate=0.0):
+    """The loop american_option had before its sample-size check moved into
+    lsmc_continuation's rule: a np.unique count of the in-the-money prices."""
+    s = paths.values[:, :, 0]
+    grid = paths.time_grid
+    last = grid.size - 1
+    intrinsic = np.maximum(s - strike, 0.0) if kind == "call" else np.maximum(strike - s, 0.0)
+    disc = np.exp(-rate * grid)
+    skipped = []
+    cf = disc[last] * intrinsic[:, last]
+    for k in range(last - 1, 0, -1):
+        itm = intrinsic[:, k] > 0
+        n_itm = int(itm.sum())
+        dim = max(1, min(settings.degree + 1, np.unique(s[itm, k]).size)) if n_itm else 1
+        if n_itm < settings.min_samples_per_dim * dim or n_itm == 0:
+            skipped.append(k)
+            continue
+        fit = settings.fit(s[itm, k], cf[itm])
+        cont = fit.evaluate(s[itm, k])[:, 0]
+        exercise_now = disc[k] * intrinsic[itm, k] >= cont - _TIE_TOL
+        cf[np.flatnonzero(itm)[exercise_now]] = disc[k] * intrinsic[itm, k][exercise_now]
+    return cf, skipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.integers(0, 4),
+    st.integers(1, 12),
+    st.sampled_from(["call", "put"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_american_sample_rule_matches_unique_count_reference(
+    n_paths, degree, min_samples, kind, tied, seed
+):
+    """Dates with few or tied in-the-money prices are skipped exactly as the
+    old np.unique count skipped them, and nothing raises."""
+    rng = np.random.default_rng(seed)
+    vals = 100.0 * np.exp(0.3 * rng.standard_normal((n_paths, 6)).cumsum(axis=1))
+    if tied:
+        vals = np.round(vals / 20.0) * 20.0 + 1.0
+    vals[:, 0] = 100.0
+    ps = make_paths(vals)
+    lsmc = LsmcSettings(degree=degree, min_samples_per_dim=min_samples)
+    got = american_option(ps, 100.0, kind=kind, settings=lsmc)
+    cf, skipped = _reference_american(ps, 100.0, kind, lsmc)
+    assert got.value == float(cf.mean())  # at the money at t=0: no immediate exercise
+    assert [k for k, fit in enumerate(got.policy, start=1) if fit is None] == sorted(skipped)
+
+
 # ---------------------------------------------------------------------------
 # Exact recursion cross-check (oracle self-test)
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjmkit import simulation
@@ -18,6 +18,7 @@ from hjmkit.simulation import (
     PathSet,
     SimConfig,
     _spot_lag_vols,
+    _quantiles_of_sorted,
     _time_slices,
     bucket_occupancy,
     normals,
@@ -908,6 +909,52 @@ def test_write_paths_csv_matches_row_by_row_reference(max_paths, tmp_path):
     write_paths_csv(ps, tmp_path / "fast.csv", max_paths)
     _reference_paths_csv(ps, tmp_path / "slow.csv", max_paths)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 2500])
+def test_write_summary_csv_matches_np_quantile_reference(n_paths, tmp_path, monkeypatch):
+    rng = np.random.default_rng(n_paths)
+    vals = np.exp(0.2 * rng.standard_normal((n_paths, 9, 2)))
+    vals[:, 0] = 1.0  # every path starts at the same value
+    vals[:, 4] = 1.0 + rng.integers(0, 3, size=(n_paths, 2))  # heavily tied
+    ps = make_paths(vals, step=0.25, market='Hub "A", peak')
+    # 4 grid times per block: 9 grid times leave a short last block
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 4 * n_paths * 2)
+    assert [s.stop - s.start for s in _time_slices(ps.values)] == [4, 4, 1]
+    write_summary_csv(ps, tmp_path / "fast.csv")
+    _reference_summary_csv(ps, tmp_path / "slow.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+def test_write_summary_csv_matches_reference_on_antithetic_paths(tmp_path, monkeypatch):
+    model = _two_market_model()
+    cfg = SimConfig(seed=17, n_paths=2500, step=1 / 52, horizon=0.25, antithetic=True)
+    ps = simulate_fixed_delivery(model, [30.0, 31.0, 32.0, 20.0, 21.0, 22.0], cfg)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 3 * 2500 * 6)  # 14 times: 3+3+3+3+2
+    write_summary_csv(ps, tmp_path / "fast.csv")
+    _reference_summary_csv(ps, tmp_path / "slow.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+def _sample_columns(n, cols):
+    cell = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.5, 1.0, 2.0])
+    return st.lists(cell, min_size=n * cols, max_size=n * cols).map(
+        lambda v: np.array(v).reshape(n, cols)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 40), st.integers(1, 3)).flatmap(lambda shape: _sample_columns(*shape)),
+    st.floats(0.0, 1.0),
+)
+@example(np.array([[1.34], [4.031], [5.031]]), 0.25)  # gamma exactly 0.5: the b - (b-a)(1-g) side
+def test_one_sort_quantile_equals_np_quantile(x, q):
+    ordered = np.sort(x, axis=0)
+    np.testing.assert_array_equal(_quantiles_of_sorted(ordered, q), np.quantile(x, q, axis=0))
+    for q_fixed in (0.05, 0.95):
+        got = _quantiles_of_sorted(ordered, q_fixed)
+        np.testing.assert_array_equal(got, np.quantile(x, [q_fixed], axis=0)[0])
 
 
 def _traced_peak(fn, *args):

@@ -340,13 +340,6 @@ def build_sigma_star(
     )
 
 
-def full_sigma(result: PcaResult, dt: float) -> np.ndarray:
-    """All-factor volatility matrix C * Gamma^(1/2) / sqrt(dt)."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    return result.eigenvectors * np.sqrt(result.eigenvalues / dt)
-
-
 def correlation_surface(
     source: CovarianceEstimate | FactorModel, market_a: str, market_b: str
 ) -> tuple[list[str], list[str], np.ndarray]:

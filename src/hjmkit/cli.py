@@ -36,8 +36,15 @@ from .calibration import (
     correlation_surface,
     FactorModel,
 )
-from .curve import StepwiseCurve, bootstrap_monthly_curve, verify_no_arbitrage, write_curve_csv, read_curve_csv
-from .dates import add_months, month_start
+from .curve import (
+    StepwiseCurve,
+    bootstrap_monthly_curve,
+    extract_fixed_delivery,
+    read_curve_csv,
+    verify_no_arbitrage,
+    write_curve_csv,
+)
+from .dates import month_start
 from .errors import HjmkitError, ValidationError
 from .marketdata import (
     LogReturnMatrix,
@@ -293,16 +300,6 @@ def _latest_curves(curves: dict[tuple[str, date], StepwiseCurve]) -> dict[str, S
         if market not in latest or as_of > latest[market].as_of:
             latest[market] = curve
     return latest
-
-
-def _curve_month_price(curve: StepwiseCurve, months_ahead: int) -> float:
-    month = add_months(month_start(curve.as_of), months_ahead)
-    if month not in curve.index:
-        raise ValidationError(
-            f"curve for {curve.market} as of {curve.as_of} does not cover {month} "
-            f"({months_ahead} months ahead); extend the quote horizon"
-        )
-    return curve.value_at(month)
 
 
 def _curve_on_grid(curve: StepwiseCurve, grid: np.ndarray) -> np.ndarray:
@@ -562,19 +559,19 @@ def cmd_simulate(cfg: RunConfig, loaded=None) -> None:
         products = [
             (mk, b) for mk in model.markets for b in range(1, model.buckets_per_market + 1)
         ]
-        initial = [_curve_month_price(curve_for(mk), b) for mk, b in products]
+        initial = [extract_fixed_delivery(curve_for(mk), b) for mk, b in products]
         paths = simulate_fixed_delivery(model, initial, sim_cfg, products)
     elif mode == "short_horizon":
         market = cfg.sim_market or model.markets[0]
         initial = [
-            _curve_month_price(curve_for(market), b)
+            extract_fixed_delivery(curve_for(market), b)
             for b in range(1, model.buckets_per_market + 1)
         ]
         paths = simulate_short_horizon(model, market, initial, sim_cfg)
     elif mode == "swap":
         market = cfg.sim_market or model.markets[0]
         contract = ContractDescriptor("swap", market, tau_start=cfg.swap_tau)
-        initial = _curve_month_price(curve_for(market), max(1, round(cfg.swap_tau * 12)))
+        initial = extract_fixed_delivery(curve_for(market), max(1, round(cfg.swap_tau * 12)))
         paths = simulate_swap(model, contract, initial, sim_cfg)
     else:  # spot
         fns = {mk: _curve_on_grid(curve_for(mk), sim_cfg.time_grid) for mk in model.markets}

@@ -237,7 +237,10 @@ def extract_fixed_delivery(curve: StepwiseCurve, h: int) -> float:
         raise ValidationError("month offset must be non-negative")
     m = add_months(month_start(curve.as_of), h)
     if m not in curve.index:
-        raise ValidationError(f"bucket M{h} ({m}) is outside the curve horizon")
+        raise ValidationError(
+            f"curve for {curve.market} as of {curve.as_of} does not cover bucket M{h} "
+            f"({m}, {h} months ahead); extend the quote horizon"
+        )
     return curve.value_at(m)
 
 

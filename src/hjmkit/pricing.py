@@ -16,7 +16,9 @@ backward-induction core over (time, resource state):
   adapted policy and makes the perfect-foresight variant dominate it
   path by path;
 * the perfect-foresight benchmark runs the same recursion with realized
-  values in place of fitted ones.
+  values in place of fitted ones;
+* the out-of-sample value runs the same recursion on fresh paths with the
+  fitted regressions held fixed, which removes the look-ahead bias.
 
 All cash flows are discounted to time zero with e^(-r t) off the path
 time grid, so the pricers are agnostic to the grid's calendar meaning
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,12 +253,12 @@ class LsmcSettings:
 
 @dataclass
 class PolicyValuation:
-    """Value estimate plus the policy (per-step regressions) that produced it."""
+    """Value estimate plus the policy that produced it: ``fits[k]`` is the
+    regression that decided at step k, None where none ran."""
 
     value: float
     std_error: float
-    policy: object = None
-    in_sample: bool = True
+    fits: list[ContinuationFit | None] | None = None
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -327,6 +329,14 @@ def american_option(
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(contract) -> None:
+    """NaN passes every range check below, and infinity the lower bounds."""
+    for f in fields(contract):
+        v = getattr(contract, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValidationError(f"{f.name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class VppContract:
     """Power plant dispatch rights over an hourly window.
@@ -349,6 +359,7 @@ class VppContract:
     heat_rate: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_hours < 1:
             raise ValidationError("n_hours must be at least 1")
         if self.t_on < 1 or self.t_off < 1:
@@ -379,6 +390,7 @@ class SwingContract:
     quantity: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_days < 1:
             raise ValidationError("n_days must be at least 1")
         if not 0 <= self.u_max <= self.n_days or not 0 <= self.d_max <= self.n_days:
@@ -408,6 +420,7 @@ class StorageContract:
     penalty_scale: float = 2.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_days < 1:
             raise ValidationError("n_days must be at least 1")
         if not self.v_min <= self.v_start <= self.v_max:
@@ -455,6 +468,7 @@ def _backward_induction(
     step_actions,
     settings: LsmcSettings,
     foresight: bool,
+    fits: list[ContinuationFit] | None = None,
 ) -> tuple[np.ndarray, list[ContinuationFit] | None]:
     """Generic realized-cash-flow recursion over (step, resource state).
 
@@ -465,7 +479,10 @@ def _backward_induction(
     their successor indices into the states of step k + 1, so the state
     count may change from step to step. With foresight=True the
     decision uses realized values directly (per-path optimum); otherwise
-    fitted continuations decide and realized values are carried.
+    fitted continuations decide and realized values are carried. Given
+    ``fits`` from an earlier call, no regression runs: step k's continuation
+    is fits[k] evaluated on price_state[:, k], so on fresh paths the result
+    is the realized cash of that fixed policy, its out-of-sample value.
 
     Values are carried state-major, (n_states, n_paths), so a successor
     gather copies whole rows; the result is returned as the transposed
@@ -475,15 +492,17 @@ def _backward_induction(
     more than _TIE_TOL. A state with no valid action is worth -inf.
     """
     cf = np.ascontiguousarray(terminal.T)
-    fits: list[ContinuationFit] = []
+    fitted: list[ContinuationFit] = []
     n_steps = price_state.shape[1]
     for k in range(n_steps - 1, -1, -1):
         if foresight:
             cont = cf
+        elif fits is not None:
+            cont = fits[k].evaluate(price_state[:, k]).T
         else:
             fit = settings.fit(price_state[:, k], cf.T)
             cont, fit.fitted = fit.fitted, None
-            fits.append(fit)
+            fitted.append(fit)
         actions = list(step_actions(k))
         new_cf = np.empty((actions[0][1].size, cf.shape[1]))
         # with foresight the score is the realized value, so best is new_cf
@@ -507,7 +526,9 @@ def _backward_induction(
                     best[contested] = np.where(better, score, best[contested])
         new_cf[~seen] = -np.inf
         cf = new_cf
-    return cf.T, (None if foresight else list(reversed(fits)))
+    if foresight:
+        return cf.T, None
+    return cf.T, (fitted[::-1] if fits is None else fits)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +634,7 @@ def price_vpp(
         raise PricingError("internal check failed: foresight value below policy value")
     if np.any(strip_sample < naive_sample - 1e-7):
         raise PricingError("internal check failed: strip bound below foresight value")
-    policy = {"fits": fits, "t_on": contract.t_on, "t_off": contract.t_off}
-    return VppValuation(PolicyValuation(value, se, policy), naive, naive_se, strip, strip_se)
+    return VppValuation(PolicyValuation(value, se, fits), naive, naive_se, strip, strip_se)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +649,7 @@ class SwingValuation:
     lower_bound_std_error: float
     upper_bound: float
     upper_bound_std_error: float
+    states: list[list[tuple[int, int]]]
 
 
 def _swing_layers(contract: SwingContract):
@@ -685,8 +706,8 @@ def price_swing(
     (u_max, d_max) in k days, each clamped to at most the days left
     (rights beyond them can never be used), so a saturated contract runs
     one state per day instead of the full (u_max+1)(d_max+1) grid; the
-    value is the same. The policy holds the per-step state lists under
-    "states": the columns of fits[k] follow states[k + 1].
+    value is the same. The result's ``states[k]`` lists the states entering
+    day k: the columns of ``lsmc.fits[k]`` follow ``states[k + 1]``.
 
     The lower bound is an American call plus an American put priced on the
     same paths; the upper bound is the strip of daily European calls and
@@ -746,8 +767,7 @@ def price_swing(
         raise PricingError(
             f"swing value {value:.6g} breaches its American lower bound {lb:.6g}"
         )
-    policy = {"fits": fits, "states": layers, "u_max": contract.u_max, "d_max": contract.d_max}
-    return SwingValuation(PolicyValuation(value, se, policy), lb, lb_se, ub, ub_se)
+    return SwingValuation(PolicyValuation(value, se, fits), lb, lb_se, ub, ub_se, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +839,8 @@ def price_storage(
     the spacing the grid is truncated inward and the result flags it.
     Decisions are bang-bang (payoff linear in the move): inject, hold or
     withdraw. ``fresh_paths`` (a different seed) replays the fitted policy
-    out of sample to expose look-ahead bias.
+    out of sample to expose look-ahead bias: the backward core runs on them
+    with the fitted regressions held fixed.
     """
     settings = settings or LsmcSettings()
     n = contract.n_days
@@ -829,6 +850,8 @@ def price_storage(
         )
     if fresh_paths is not None and fresh_paths.config.seed == spot_paths.config.seed:
         raise ValidationError("fresh_paths must use a different seed for the out-of-sample test")
+    if fresh_paths is not None and fresh_paths.time_grid.size < n + 1:
+        raise ValidationError("fresh_paths do not cover the contract window")
     grid, v0_idx, i_units, w_units, trunc_lo, trunc_hi = _storage_grid(contract)
     n_v = grid.size
     s = spot_paths.values[:, : n + 1, product]
@@ -840,7 +863,6 @@ def price_storage(
     inj_target = np.minimum(state_idx + i_units, n_v - 1)
     wdr_valid = state_idx - w_units >= 0
     wdr_target = np.maximum(state_idx - w_units, 0)
-    zero = np.zeros(spot_paths.n_paths)
     all_valid = np.ones(n_v, dtype=bool)
 
     def terminal_values(spot_col: np.ndarray, disc_term: float) -> np.ndarray:
@@ -848,6 +870,8 @@ def price_storage(
         return -contract.penalty_scale * disc_term * spot_col[:, None] * short[None, :]
 
     def actions_for(spot: np.ndarray, dd: np.ndarray):
+        zero = np.zeros(spot.shape[0])
+
         def actions(k):
             yield zero, all_valid, hold_target
             yield -spot[:, k] * contract.inject_rate * dd[k], inj_valid, inj_target
@@ -868,41 +892,16 @@ def price_storage(
 
     out = None
     if fresh_paths is not None:
-        if fresh_paths.time_grid.size < n + 1:
-            raise ValidationError("fresh_paths do not cover the contract window")
         sf = fresh_paths.values[:, : n + 1, product]
-        pf = fresh_paths.n_paths
-        cur = np.full(pf, v0_idx)
-        total = np.zeros(pf)
-        rows = np.arange(pf)
-        for k in range(n):
-            cont = fits[k].evaluate(sf[:, k])
-            imm_inj = -sf[:, k] * contract.inject_rate * disc[k]
-            imm_wdr = -sf[:, k] * contract.withdraw_rate * disc[k]
-            score_hold = cont[rows, cur]
-            inj_ok = cur + i_units <= n_v - 1
-            score_inj = np.where(
-                inj_ok, imm_inj + cont[rows, np.minimum(cur + i_units, n_v - 1)], -np.inf
-            )
-            wdr_ok = cur - w_units >= 0
-            score_wdr = np.where(
-                wdr_ok, imm_wdr + cont[rows, np.maximum(cur - w_units, 0)], -np.inf
-            )
-            take_inj = score_inj > score_hold + _TIE_TOL
-            take_wdr = score_wdr > np.maximum(score_hold, score_inj) + _TIE_TOL
-            total += np.where(take_wdr, imm_wdr, np.where(take_inj, imm_inj, 0.0))
-            cur = np.where(
-                take_wdr, cur - w_units, np.where(take_inj, cur + i_units, cur)
-            )
-        total += -contract.penalty_scale * disc[n] * sf[:, n] * np.maximum(
-            contract.v_target - grid[cur], 0.0
+        terminal_f = terminal_values(sf[:, n], disc[n])
+        cf_o, _ = _backward_induction(
+            sf[:, :n], terminal_f, actions_for(sf, disc), settings, False, fits
         )
-        o_val, o_se = _pair_stats(total, fresh_paths.config.antithetic)
-        out = PolicyValuation(o_val, o_se, None, in_sample=False)
+        o_val, o_se = _pair_stats(cf_o[:, v0_idx], fresh_paths.config.antithetic)
+        out = PolicyValuation(o_val, o_se, fits)
 
-    policy = {"fits": fits, "grid": grid, "v0_idx": v0_idx}
     return StorageValuation(
-        PolicyValuation(value, se, policy),
+        PolicyValuation(value, se, fits),
         det,
         det_se,
         out,

@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .calibration import FactorModel
-from .errors import SimulationError, ValidationError
+from .errors import ValidationError
 from .marketdata import LogReturnMatrix, _csv_field
 
 _U64_MAX = 2**64 - 1
@@ -639,13 +639,6 @@ def sanity_check(
         model_corr,
         failures,
     )
-
-
-def require_sane(report: SanityReport) -> None:
-    if not report.passed:
-        raise SimulationError(
-            "simulation sanity check failed:\n  " + "\n  ".join(report.failures)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hjmkit.calibration import (
     build_sigma_star,
     correlation_surface,
     estimate_covariance,
-    full_sigma,
     pca,
     select_factors,
 )
@@ -243,18 +242,6 @@ def test_grid_layout_from_keys():
         res_bad = pca(cov_of(np.eye(len(bad)), keys=bad))
         with pytest.raises(CalibrationError):
             build_sigma_star(res_bad, n_factors=1, dt=DT)
-
-
-def test_full_sigma_identity():
-    rng = np.random.default_rng(12)
-    A = rng.normal(size=(3, 3))
-    m = A @ A.T
-    res = pca(cov_of(m, keys=[("DE", f"M{j+1}") for j in range(3)]))
-    sig = full_sigma(res, DT)
-    np.testing.assert_allclose(DT * sig @ sig.T, m, rtol=1e-10, atol=1e-14)
-    # 1x1: sigma = s / sqrt(dt)
-    res1 = pca(cov_of([[0.04]], keys=[("DE", "M1")]))
-    np.testing.assert_allclose(full_sigma(res1, 0.25), [[0.4]], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,33 @@ def test_price_rejects_non_integer_sweep_entry(tmp_path, pipeline_out, capsys, k
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,spec,needle",
+    [
+        ("swing", "K = nan\n", "strike must be finite"),
+        (
+            "storage",
+            "v_min = 0\nv_max = inf\nv_0 = 0\ni_min = -1\ni_max = 1\n",
+            "v_max must be finite",
+        ),
+    ],
+    ids=["swing-K-nan", "storage-v_max-inf"],
+)
+def test_price_rejects_non_finite_contract_field(
+    tmp_path, pipeline_out, capsys, kind, spec, needle
+):
+    bad = tmp_path / f"{kind}.conf"
+    bad.write_text(spec)
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {pipeline_out / 'model.json'}\n"
+        f"curve_file = {pipeline_out / 'curves.csv'}\n"
+        f"seed = 3\nn_paths = 64\n{kind} = {bad}\n"
+    )
+    rc = main(["price", "--config", str(conf), "--out", str(tmp_path / "out")])
+    _assert_clean_validation_exit(rc, capsys, needle)
+
+
 def test_import_loads_no_scipy():
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     code = (

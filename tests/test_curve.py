@@ -68,7 +68,7 @@ def test_quote_board_relative_products(quote_board):
     assert extract_fixed_delivery(curve, 1) == 39.76
     assert extract_fixed_delivery(curve, 2) == 37.15
     assert extract_fixed_delivery(curve, 3) == 35.50  # April, from the Q2 fill
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="extend the quote horizon"):
         extract_fixed_delivery(curve, 36)
     with pytest.raises(ValidationError):
         extract_fixed_delivery(curve, -1)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hjmkit.errors import PricingError, ValidationError
@@ -25,6 +25,7 @@ from hjmkit.pricing import (
     SwingContract,
     VppContract,
     _backward_induction,
+    _storage_grid,
     american_option,
     black_price,
     call_payoff,
@@ -377,7 +378,7 @@ def test_american_sample_rule_matches_unique_count_reference(
     got = american_option(ps, 100.0, kind=kind, settings=lsmc)
     cf, skipped = _reference_american(ps, 100.0, kind, lsmc)
     assert got.value == float(cf.mean())  # at the money at t=0: no immediate exercise
-    assert [k for k, fit in enumerate(got.policy, start=1) if fit is None] == sorted(skipped)
+    assert [k for k, fit in enumerate(got.fits, start=1) if fit is None] == sorted(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +618,20 @@ def test_vpp_contract_validation():
             VppContract(**{**good, **bad})
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["q_min", "q_max", "start_cost", "stop_cost", "heat_rate"])
+def test_vpp_contract_rejects_non_finite(name, value):
+    good = dict(
+        n_hours=3, t_on=1, t_off=1, q_min=0.0, q_max=1.0,
+        start_cost=0.0, stop_cost=0.0, heat_rate=1.0,
+    )
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        VppContract(**{**good, name: value})
+
+
 # ---------------------------------------------------------------------------
 # Swing
 # ---------------------------------------------------------------------------
@@ -743,8 +758,10 @@ def test_swing_layers_match_full_grid(n_days, u_max, d_max, strike, antithetic, 
     got = price_swing(contract, ps, rate=rate)
     want = full_grid_swing_value(contract, ps, rate, LsmcSettings())
     assert got.lsmc.value == pytest.approx(want, rel=1e-12, abs=1e-12)
-    states = got.lsmc.policy["states"]
+    states = got.states
     assert states[0] == [(u_max, d_max)] and states[-1] == [(0, 0)]
+    # the columns of lsmc.fits[k] follow states[k + 1]
+    assert [f.coefficients.shape[1] for f in got.lsmc.fits] == [len(s) for s in states[1:]]
 
 
 def test_swing_validation():
@@ -756,6 +773,14 @@ def test_swing_validation():
         SwingContract(3, 1, 1, 100.0, quantity=0.0)
     with pytest.raises(ValidationError, match="days"):
         price_swing(SwingContract(9, 1, 1, 100.0), gbm_paths(n_paths=64, n_times=4))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["strike", "quantity"])
+def test_swing_contract_rejects_non_finite(name, value):
+    good = dict(n_days=3, u_max=1, d_max=1, strike=100.0, quantity=1.0)
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        SwingContract(**{**good, name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +841,7 @@ def test_storage_out_of_sample_replay():
     fresh = gbm_paths(n_paths=4000, n_times=6, seed=42)
     c = StorageContract(5, 0.0, 3.0, 1.0, 1.0, -1.0, 1.0)
     got = price_storage(c, ps, fresh_paths=fresh)
-    assert got.out_of_sample is not None and not got.out_of_sample.in_sample
+    assert got.out_of_sample is not None
     slack = 3 * math.hypot(got.sdp.std_error, got.out_of_sample.std_error)
     assert got.out_of_sample.value <= got.sdp.value + slack
     # the replayed policy is still a real policy: it cannot beat foresight
@@ -841,6 +866,20 @@ def test_storage_input_validation():
         StorageContract(2, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "name",
+    ["v_min", "v_max", "v_start", "v_target", "withdraw_rate", "inject_rate", "penalty_scale"],
+)
+def test_storage_contract_rejects_non_finite(name, value):
+    good = dict(
+        n_days=2, v_min=0.0, v_max=1.0, v_start=0.0, v_target=0.0,
+        withdraw_rate=-1.0, inject_rate=1.0, penalty_scale=2.0,
+    )
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        StorageContract(**{**good, name: value})
+
+
 def test_storage_asymmetric_rates_stay_on_grid():
     # inject 2 units/day, withdraw 1: spacing 1, inject jumps two levels
     prices = np.tile([10.0, 30.0, 30.0, 30.0], (16, 1))
@@ -849,3 +888,103 @@ def test_storage_asymmetric_rates_stay_on_grid():
     got = price_storage(c, ps)
     # buy 2 at 10, sell 1 at 30 twice
     assert got.sdp.value == pytest.approx(-20.0 + 30.0 + 30.0, rel=1e-12)
+
+
+def reference_storage_replay(contract, fits, fresh, rate):
+    """Test-only copy of the forward loop price_storage used to replay its
+    fitted policy: one volume per path, stepped forward day by day, each
+    action scored as immediate cash plus fitted continuation."""
+    grid, v0_idx, i_units, w_units, _, _ = _storage_grid(contract)
+    n, n_v = contract.n_days, grid.size
+    sf = fresh.values[:, : n + 1, 0]
+    disc = np.exp(-rate * fresh.time_grid[: n + 1])
+    rows = np.arange(fresh.n_paths)
+    cur = np.full(fresh.n_paths, v0_idx)
+    total = np.zeros(fresh.n_paths)
+    for k in range(n):
+        cont = fits[k].evaluate(sf[:, k])
+        imm_inj = -sf[:, k] * contract.inject_rate * disc[k]
+        imm_wdr = -sf[:, k] * contract.withdraw_rate * disc[k]
+        score_hold = cont[rows, cur]
+        inj_ok = cur + i_units <= n_v - 1
+        score_inj = np.where(
+            inj_ok, imm_inj + cont[rows, np.minimum(cur + i_units, n_v - 1)], -np.inf
+        )
+        wdr_ok = cur - w_units >= 0
+        score_wdr = np.where(wdr_ok, imm_wdr + cont[rows, np.maximum(cur - w_units, 0)], -np.inf)
+        take_inj = score_inj > score_hold + _TIE_TOL
+        take_wdr = score_wdr > np.maximum(score_hold, score_inj) + _TIE_TOL
+        total += np.where(take_wdr, imm_wdr, np.where(take_inj, imm_inj, 0.0))
+        cur = np.where(take_wdr, cur - w_units, np.where(take_inj, cur + i_units, cur))
+    total += -contract.penalty_scale * disc[n] * sf[:, n] * np.maximum(
+        contract.v_target - grid[cur], 0.0
+    )
+    return total
+
+
+def _gbm_values(rng, n_paths, n_days, antithetic):
+    z = rng.standard_normal((n_paths // 2 if antithetic else n_paths, n_days))
+    if antithetic:
+        z = np.stack([z, -z], axis=1).reshape(n_paths, n_days)
+    dt = 1 / 12
+    logs = np.cumsum(-0.5 * 0.4**2 * dt + 0.4 * math.sqrt(dt) * z, axis=1)
+    return 100.0 * np.exp(np.column_stack([np.zeros(n_paths), logs]))
+
+
+@st.composite
+def storage_cases(draw):
+    """A storage contract with asymmetric rates and, at times, a volume grid
+    truncated at either end, plus the seed and rate to price it with."""
+    n_days = draw(st.integers(2, 6))
+    spacing = draw(st.sampled_from([0.5, 1.0]))
+    ratio = draw(st.integers(1, 3))
+    i_units, w_units = (ratio, 1) if draw(st.booleans()) else (1, ratio)
+    below = draw(st.integers(0, 4)) + draw(st.sampled_from([0.0, 0.5]))
+    above = draw(st.integers(0, 4)) + draw(st.sampled_from([0.0, 0.5]))
+    assume(int(below) + int(above) >= max(i_units, w_units))
+    target = draw(st.integers(-int(below), int(above)))
+    contract = StorageContract(
+        n_days,
+        v_min=10.0 - below * spacing,
+        v_max=10.0 + above * spacing,
+        v_start=10.0,
+        v_target=10.0 + target * spacing,
+        withdraw_rate=-w_units * spacing,
+        inject_rate=i_units * spacing,
+        penalty_scale=draw(st.sampled_from([0.0, 2.0])),
+    )
+    try:
+        _storage_grid(contract)
+    except ValidationError:
+        assume(False)  # v_target unreachable within the window
+    return contract, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.05]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=storage_cases(), antithetic=st.booleans())
+def test_storage_out_of_sample_matches_forward_loop(case, antithetic):
+    """The backward core with the fits held fixed realizes the same cash as
+    stepping the fitted policy forward path by path."""
+    contract, seed, rate = case
+    rng = np.random.default_rng(seed)
+    n = contract.n_days
+    ps = make_paths(_gbm_values(rng, 240, n, False), step=1 / 12, seed=1)
+    fresh = make_paths(
+        _gbm_values(rng, 300, n, antithetic), step=1 / 12, seed=2, antithetic=antithetic
+    )
+    got = price_storage(contract, ps, fresh_paths=fresh, rate=rate)
+    want = reference_storage_replay(contract, got.sdp.fits, fresh, rate)
+    want_value = want.reshape(-1, 2).mean(axis=1).mean() if antithetic else want.mean()
+    assert got.out_of_sample.value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=storage_cases())
+def test_storage_replay_on_fitting_paths_is_in_sample_value(case):
+    """Replayed on the paths it was fitted on, the policy earns its in-sample value."""
+    contract, seed, rate = case
+    vals = _gbm_values(np.random.default_rng(seed), 240, contract.n_days, False)
+    ps = make_paths(vals, step=1 / 12, seed=1)
+    same = make_paths(vals, step=1 / 12, seed=2)
+    got = price_storage(contract, ps, fresh_paths=same, rate=rate)
+    assert got.out_of_sample.value == pytest.approx(got.sdp.value, rel=1e-12, abs=1e-12)

@@ -38,10 +38,9 @@ from .calibration import (
 )
 from .curve import (
     StepwiseCurve,
-    bootstrap_monthly_curve,
+    bootstrap_boards,
     extract_fixed_delivery,
     read_curve_csv,
-    verify_no_arbitrage,
     write_curve_csv,
 )
 from .dates import month_start
@@ -274,7 +273,7 @@ def load_run_config(path=None, **overrides) -> RunConfig:
 
 
 def _load_boards(cfg: RunConfig):
-    """Parse the quotes and bootstrap each (market, date) board independently.
+    """Parse the quotes and bootstrap every (market, date) board in one call.
 
     Returns (quotes, issues, {(market, date): (board_quotes, curve, report)})
     with the boards in key order.
@@ -290,7 +289,7 @@ def _load_boards(cfg: RunConfig):
     grouped: dict[tuple[str, date], list] = {}
     for q in quotes:
         grouped.setdefault((q.market, q.trading_date), []).append(q)
-    boards = {k: (grouped[k], *bootstrap_monthly_curve(grouped[k])) for k in sorted(grouped)}
+    boards = {k: (grouped[k], *fit) for k, fit in bootstrap_boards(grouped).items()}
     return quotes, issues, boards
 
 
@@ -449,8 +448,8 @@ def cmd_curve(cfg: RunConfig, loaded=None) -> None:
     write_curve_csv(curves, cfg.path_curves())
     rows = []
     worst = 0.0
-    for (market, as_of), (board, curve, report) in boards.items():
-        residual = verify_no_arbitrage(curve, board)
+    for (market, as_of), (_, curve, report) in boards.items():
+        residual = report.max_quote_residual
         worst = max(worst, residual)
         rows.append(
             [

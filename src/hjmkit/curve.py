@@ -18,21 +18,34 @@ Buckets covered by no product are simply absent from the curve.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dates import add_months, days_in_month, month_end, month_start
-from .errors import InfeasibleCurveError, ValidationError
+from .errors import HjmkitError, InfeasibleCurveError, ValidationError
 from .marketdata import QuotedSwap, _csv_field
 
 RESIDUAL_TOL = 1e-9
 
 _GRAN_ORDER = {"month": 0, "quarter": 1, "year": 2}
+
+
+@functools.lru_cache(maxsize=256)  # a quote history has a few dozen bucket sets
+def _bucket_index(months: tuple[date, ...]) -> dict[date, int]:
+    """Position of each bucket, validated once per distinct bucket set."""
+    # one integer per bucket, ordered as the dates are: month ordinal * 32 + day
+    stamp = np.array([(m.year * 12 + m.month) * 32 + m.day for m in months], dtype=np.int64)
+    if np.any(stamp % 32 != 1):
+        raise ValidationError("curve buckets must start on month starts")
+    if np.any(stamp[1:] <= stamp[:-1]):
+        raise ValidationError("curve months must be strictly increasing")
+    return dict(zip(months, range(len(months))))
 
 
 @dataclass
@@ -55,15 +68,11 @@ class StepwiseCurve:
         self.weights = np.asarray(self.weights, dtype=float)
         if not (len(self.months) == self.values.size == self.weights.size):
             raise ValidationError("curve months, values and weights must align")
-        if any(m.day != 1 for m in self.months):
-            raise ValidationError("curve buckets must start on month starts")
-        if any(self.months[i] >= self.months[i + 1] for i in range(len(self.months) - 1)):
-            raise ValidationError("curve months must be strictly increasing")
-        if np.any(~np.isfinite(self.values)) or np.any(self.values <= 0):
+        self.index = _bucket_index(tuple(self.months)).copy()
+        if self.values.size and not (self.values.min() > 0 and self.values.max() < math.inf):
             raise ValidationError("curve values must be positive and finite")
-        if np.any(self.weights <= 0):
+        if self.weights.size and not self.weights.min() > 0:
             raise ValidationError("curve weights must be positive")
-        self.index = {m: i for i, m in enumerate(self.months)}
 
     def value_at(self, month: date) -> float:
         return float(self.values[self.index[month]])
@@ -92,31 +101,248 @@ class FillGroup:
 
 @dataclass
 class BootstrapReport:
+    """What a fit removed, filled and left as residuals.
+
+    ``residuals`` has one entry per distinct window; ``max_quote_residual``
+    is the largest residual over every quote of the board, duplicates
+    included, as verify_no_arbitrage measures it on the untruncated curve.
+    """
+
     removed: list[QuotedSwap] = field(default_factory=list)
     residuals: list[tuple[QuotedSwap, float]] = field(default_factory=list)
     fill_groups: list[FillGroup] = field(default_factory=list)
+    max_quote_residual: float = 0.0
 
     @property
     def max_residual(self) -> float:
         return max((r for _, r in self.residuals), default=0.0)
 
 
-def _dedupe(quotes: Sequence[QuotedSwap]) -> list[QuotedSwap]:
-    seen: dict[tuple[date, date], QuotedSwap] = {}
-    out = []
-    for q in quotes:
-        key = (q.delivery_start, q.delivery_end)
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = q
-            out.append(q)
-        elif abs(prev.price - q.price) > RESIDUAL_TOL * max(1.0, abs(prev.price)):
-            raise InfeasibleCurveError(
-                f"conflicting quotes for window {key[0]}..{key[1]}: "
-                f"{prev.price} vs {q.price}",
-                conflicts=[prev, q],
+class _LayoutPlan:
+    """The part of a board's fit that its quote windows alone decide.
+
+    Boards with the same layout (the ordered tuple of quote windows) share
+    one plan; only their prices differ. The plan holds the duplicate pairs,
+    the dominance removals, the fill order with each fill's determined and
+    undetermined buckets, the bucket day weights, and the quotes x buckets
+    day-weight matrix that gives every window average in one product.
+    """
+
+    def __init__(self, quotes: Sequence[QuotedSwap]):
+        first: dict[tuple[date, date], int] = {}
+        self.dup_pairs: list[tuple[int, int]] = []  # (first, later), later ascending
+        self.kept: list[int] = []
+        for i, q in enumerate(quotes):
+            j = first.setdefault((q.delivery_start, q.delivery_end), i)
+            if j == i:
+                self.kept.append(i)
+            else:
+                self.dup_pairs.append((j, i))
+
+        # Granularity dominance: strictly finer quoted windows covering a
+        # coarse window make the coarse quote redundant.
+        finer_cover: dict[str, set[date]] = {"quarter": set(), "year": set()}
+        for i in self.kept:
+            q = quotes[i]
+            if q.granularity == "month":
+                finer_cover["quarter"].update(q.window_months)
+                finer_cover["year"].update(q.window_months)
+            elif q.granularity == "quarter":
+                finer_cover["year"].update(q.window_months)
+        self.removed: list[int] = []
+        retained = []
+        for i in self.kept:
+            q = quotes[i]
+            if q.granularity != "month" and all(
+                m in finer_cover[q.granularity] for m in q.window_months
+            ):
+                self.removed.append(i)
+            else:
+                retained.append(i)
+
+        month_quotes = [i for i in retained if quotes[i].granularity == "month"]
+        determined = {quotes[i].delivery_start for i in month_quotes}
+        # Coarse products from fine to coarse; same-granularity windows are
+        # disjoint so the order within a granularity does not matter.
+        fill_order = sorted(
+            (i for i in retained if quotes[i].granularity != "month"),
+            key=lambda i: (_GRAN_ORDER[quotes[i].granularity], quotes[i].delivery_start),
+        )
+        # Every fill finds an undetermined bucket: calendar windows of one
+        # granularity are equal or disjoint, so a retained coarse window
+        # whose buckets were all set by finer fills or month quotes would be
+        # covered by finer quotes and dominance would have removed it.
+        fills = []  # (quote, pinned months, total weight, undetermined months)
+        for i in fill_order:
+            window = quotes[i].window_months
+            undetermined = tuple(m for m in window if m not in determined)
+            pinned = [m for m in window if m in determined]
+            fills.append((i, pinned, sum(float(days_in_month(m)) for m in window), undetermined))
+            determined.update(undetermined)
+
+        self.months = sorted(determined)
+        col = {m: c for c, m in enumerate(self.months)}
+        self.weights = np.array([float(days_in_month(m)) for m in self.months])
+        self.month_cols = [(i, col[quotes[i].delivery_start]) for i in month_quotes]
+        self.fills = [
+            _Fill(
+                i,
+                tuple((col[m], float(days_in_month(m))) for m in pinned),
+                total_w,
+                np.array([col[m] for m in undetermined], dtype=np.intp),
+                sum(float(days_in_month(m)) for m in undetermined),
+                undetermined,
             )
-    return out
+            for i, pinned, total_w, undetermined in fills
+        ]
+        self.day_weights = np.zeros((len(quotes), len(self.months)))
+        for i, q in enumerate(quotes):
+            for m in q.window_months:
+                self.day_weights[i, col[m]] = float(days_in_month(m))
+        self.window_days = self.day_weights.sum(axis=1)
+
+
+class _Fill(NamedTuple):
+    """One retained coarse quote's flat fill, in fill order."""
+
+    quote: int
+    pinned: tuple[tuple[int, float], ...]  # (bucket column, day weight) in window order
+    total_w: float
+    open_cols: np.ndarray  # buckets the flat value goes to
+    open_w: float
+    open_months: tuple[date, ...]
+
+
+def _fit_layout(
+    plan: _LayoutPlan,
+    keys: list[tuple[str, date]],
+    boards: dict[tuple[str, date], Sequence[QuotedSwap]],
+    fitted: dict,
+    failures: dict,
+) -> None:
+    """Fit every board of one layout as arrays.
+
+    Each flat fill repeats the per-quote arithmetic of a single board
+    column by column (``pinned`` summed left to right in window order), so
+    every curve value has the bits a one-board fit gives it. A board's first
+    failure, in the order a single fit meets them, goes to ``failures``.
+    """
+    prices = np.array([[q.price for q in boards[k]] for k in keys])
+    alive = np.ones(len(keys), dtype=bool)
+
+    def fail(bad: np.ndarray, error) -> None:
+        """Record error(b, quotes) for each live board b in ``bad``."""
+        for b in np.flatnonzero(bad & alive):
+            failures[keys[b]] = error(b, boards[keys[b]])
+        alive[bad] = False
+
+    for j, i in plan.dup_pairs:
+        prev = prices[:, j]
+        fail(
+            np.abs(prev - prices[:, i]) > RESIDUAL_TOL * np.maximum(1.0, np.abs(prev)),
+            lambda b, qs: InfeasibleCurveError(
+                f"conflicting quotes for window {qs[j].delivery_start}..{qs[j].delivery_end}: "
+                f"{qs[j].price} vs {qs[i].price}",
+                conflicts=[qs[j], qs[i]],
+            ),
+        )
+
+    values = np.full((len(keys), len(plan.months)), np.nan)
+    flats = np.empty((len(keys), len(plan.fills)))
+    for i, c in plan.month_cols:
+        values[:, c] = prices[:, i]
+    with np.errstate(all="ignore"):  # failed boards may overflow; they are masked
+        for k, f in enumerate(plan.fills):
+            pinned = 0.0
+            for c, w in f.pinned:
+                pinned = pinned + w * values[:, c]
+            flat = (prices[:, f.quote] * f.total_w - pinned) / f.open_w
+            q = f.quote
+            fail(
+                ~(np.isfinite(flat) & (flat > 0)),
+                lambda b, qs: InfeasibleCurveError(
+                    f"quote {qs[q].granularity} {qs[q].delivery_start} at {qs[q].price} implies "
+                    f"non-positive forward {float(flat[b]):.6g} for its unquoted months",
+                    conflicts=[qs[q]],
+                ),
+            )
+            values[:, f.open_cols] = flat[:, None]
+            flats[:, k] = flat
+
+        # Exactness check on everything, including removed quotes: a
+        # redundant coarse quote inconsistent with its finer cover is an
+        # arbitrage. Duplicates get a residual too but, as copies of a
+        # checked window, raise only through the conflict check.
+        resid = np.abs((values @ plan.day_weights.T) / plan.window_days - prices) / prices
+    over = resid[:, plan.kept] > RESIDUAL_TOL
+    fail(
+        over.any(axis=1),
+        lambda b, qs: InfeasibleCurveError(
+            "quote system is inconsistent; residual exceeds tolerance for: "
+            + ", ".join(
+                f"{qs[i].granularity} {qs[i].delivery_start}"
+                for i, o in zip(plan.kept, over[b])
+                if o
+            ),
+            conflicts=[qs[i] for i, o in zip(plan.kept, over[b]) if o],
+        ),
+    )
+
+    kept_resid = resid[:, plan.kept].tolist()
+    worst = resid.max(axis=1).tolist()
+    flat_rows = flats.tolist()
+    for b in np.flatnonzero(alive).tolist():
+        market, as_of = key = keys[b]
+        qs = boards[key]
+        curve = StepwiseCurve(
+            market, as_of, list(plan.months), values[b], plan.weights.copy()
+        )
+        report = BootstrapReport(
+            removed=[qs[i] for i in plan.removed],
+            residuals=list(zip([qs[i] for i in plan.kept], kept_resid[b])),
+            fill_groups=[
+                FillGroup(qs[f.quote], f.open_months, v) for f, v in zip(plan.fills, flat_rows[b])
+            ],
+            max_quote_residual=worst[b],
+        )
+        fitted[key] = (curve, report)
+
+
+def bootstrap_boards(
+    boards: dict[tuple[str, date], Sequence[QuotedSwap]],
+) -> dict[tuple[str, date], tuple[StepwiseCurve, BootstrapReport]]:
+    """Fit the monthly curve of every (market, trading date) board.
+
+    ``boards`` maps each (market, date) key to that board's quotes. Boards
+    are grouped by layout, the ordered tuple of their quote windows; each
+    layout's plan is derived once and applied to all of its boards as one
+    boards x quotes price array, and each layout's residuals for every
+    quote come from one product. The result is keyed like ``boards``, in
+    sorted key order. If any board fails, the error raised is the one the
+    first failing board in sorted key order would raise on its own: an
+    empty or mixed board, then conflicting duplicates, then a non-positive
+    flat fill (in fill order), then a residual above 1e-9 relative.
+    """
+    failures: dict[tuple[str, date], HjmkitError] = {}
+    layouts: dict[tuple, list[tuple[str, date]]] = {}
+    for key in sorted(boards):
+        quotes = boards[key]
+        if not quotes:
+            failures[key] = ValidationError("no quotes to bootstrap")
+            continue
+        market, as_of = key
+        if any(q.market != market or q.trading_date != as_of for q in quotes):
+            failures[key] = ValidationError("bootstrap expects one market and one trading date")
+            continue
+        layout = tuple([(q.delivery_start, q.delivery_end) for q in quotes])
+        layouts.setdefault(layout, []).append(key)
+
+    fitted: dict[tuple[str, date], tuple[StepwiseCurve, BootstrapReport]] = {}
+    for keys in layouts.values():
+        _fit_layout(_LayoutPlan(boards[keys[0]]), keys, boards, fitted, failures)
+    if failures:
+        raise failures[min(failures)]
+    return {key: fitted[key] for key in sorted(fitted)}
 
 
 def bootstrap_monthly_curve(
@@ -128,93 +354,12 @@ def bootstrap_monthly_curve(
     reproduced by its window average within 1e-9 relative, otherwise the
     quote system is inconsistent and InfeasibleCurveError is raised. The
     optional horizon truncates the returned curve without changing any
-    fitted value.
+    fitted value. This is bootstrap_boards on a one-board input.
     """
     if not quotes:
         raise ValidationError("no quotes to bootstrap")
-    markets = {q.market for q in quotes}
-    dates = {q.trading_date for q in quotes}
-    if len(markets) != 1 or len(dates) != 1:
-        raise ValidationError("bootstrap expects one market and one trading date")
     market, as_of = quotes[0].market, quotes[0].trading_date
-
-    deduped = _dedupe(quotes)
-    report = BootstrapReport()
-
-    # Granularity dominance: strictly finer quoted windows covering a coarse
-    # window make the coarse quote redundant.
-    finer_cover: dict[str, set[date]] = {"quarter": set(), "year": set()}
-    for q in deduped:
-        if q.granularity == "month":
-            finer_cover["quarter"].update(q.window_months)
-            finer_cover["year"].update(q.window_months)
-        elif q.granularity == "quarter":
-            finer_cover["year"].update(q.window_months)
-    retained = []
-    for q in deduped:
-        if q.granularity != "month" and all(
-            m in finer_cover[q.granularity] for m in q.window_months
-        ):
-            report.removed.append(q)
-        else:
-            retained.append(q)
-
-    values: dict[date, float] = {}
-    for q in retained:
-        if q.granularity == "month":
-            values[q.delivery_start] = q.price
-
-    # Coarse products from fine to coarse; same-granularity windows are
-    # disjoint so the order within a granularity does not matter.
-    for q in sorted(
-        (q for q in retained if q.granularity != "month"),
-        key=lambda q: (_GRAN_ORDER[q.granularity], q.delivery_start),
-    ):
-        window = q.window_months
-        w = {m: float(days_in_month(m)) for m in window}
-        undetermined = [m for m in window if m not in values]
-        if not undetermined:
-            raise InfeasibleCurveError(
-                f"window of {q.granularity} {q.delivery_start} already fully "
-                "determined; conflicting quote hierarchy",
-                conflicts=[q],
-            )
-        total_w = sum(w.values())
-        pinned = sum(w[m] * values[m] for m in window if m in values)
-        flat = (q.price * total_w - pinned) / sum(w[m] for m in undetermined)
-        if not (math.isfinite(flat) and flat > 0):
-            raise InfeasibleCurveError(
-                f"quote {q.granularity} {q.delivery_start} at {q.price} implies "
-                f"non-positive forward {flat:.6g} for its unquoted months",
-                conflicts=[q],
-            )
-        for m in undetermined:
-            values[m] = flat
-        report.fill_groups.append(FillGroup(q, tuple(undetermined), flat))
-
-    months = sorted(values)
-    curve = StepwiseCurve(
-        market,
-        as_of,
-        months,
-        np.array([values[m] for m in months]),
-        np.array([float(days_in_month(m)) for m in months]),
-    )
-
-    # Exactness check on everything, including removed quotes: a redundant
-    # coarse quote inconsistent with its finer cover is an arbitrage.
-    bad = []
-    for q in deduped:
-        resid = abs(curve.average(q.window_months) - q.price) / q.price
-        report.residuals.append((q, resid))
-        if resid > RESIDUAL_TOL:
-            bad.append(q)
-    if bad:
-        raise InfeasibleCurveError(
-            "quote system is inconsistent; residual exceeds tolerance for: "
-            + ", ".join(f"{q.granularity} {q.delivery_start}" for q in bad),
-            conflicts=bad,
-        )
+    curve, report = bootstrap_boards({(market, as_of): quotes})[(market, as_of)]
 
     if horizon_months is not None:
         if horizon_months < 1:
@@ -346,6 +491,7 @@ __all__ = [
     "StepwiseCurve",
     "FillGroup",
     "BootstrapReport",
+    "bootstrap_boards",
     "bootstrap_monthly_curve",
     "extract_fixed_delivery",
     "verify_no_arbitrage",

@@ -94,6 +94,12 @@ def put_payoff(strike: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda terminal: np.maximum(strike - terminal, 0.0)
 
 
+def _require_finite_rate(rate: float) -> None:
+    """A NaN rate would otherwise surface as a NaN value or a regression error."""
+    if not math.isfinite(rate):
+        raise ValidationError(f"rate must be finite, got {rate}")
+
+
 def _pair_stats(samples: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Mean and standard error; antithetic pairs are averaged first."""
     x = samples.reshape(-1, 2).mean(axis=1) if antithetic else samples
@@ -261,7 +267,7 @@ class PolicyValuation:
     fits: list[ContinuationFit | None] | None = None
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if not self.std_error >= 0:  # NaN fails too
             raise ValidationError("std_error must be non-negative")
 
 
@@ -289,8 +295,9 @@ def american_option(
     settings = settings or LsmcSettings()
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
-    if strike <= 0:
-        raise ValidationError("strike must be positive")
+    if not (math.isfinite(strike) and strike > 0):
+        raise ValidationError("strike must be positive and finite")
+    _require_finite_rate(rate)
     s = paths.values[:, :, product]
     grid = paths.time_grid
     last = grid.size - 1 if last_exercise is None else int(last_exercise)
@@ -591,6 +598,7 @@ def price_vpp(
     dominate the LSMC value path by path, which is asserted.
     """
     settings = settings or LsmcSettings()
+    _require_finite_rate(rate)
     if power_paths.config != fuel_paths.config or power_paths.time_grid.size != fuel_paths.time_grid.size:
         raise ValidationError("power and fuel paths must share seed, path count and grid")
     n = contract.n_hours
@@ -715,6 +723,7 @@ def price_swing(
     combined standard errors raises.
     """
     settings = settings or LsmcSettings()
+    _require_finite_rate(rate)
     n = contract.n_days
     if spot_paths.time_grid.size < n:
         raise ValidationError(f"paths cover {spot_paths.time_grid.size} days, contract needs {n}")
@@ -843,6 +852,7 @@ def price_storage(
     with the fitted regressions held fixed.
     """
     settings = settings or LsmcSettings()
+    _require_finite_rate(rate)
     n = contract.n_days
     if spot_paths.time_grid.size < n + 1:
         raise ValidationError(
@@ -850,8 +860,16 @@ def price_storage(
         )
     if fresh_paths is not None and fresh_paths.config.seed == spot_paths.config.seed:
         raise ValidationError("fresh_paths must use a different seed for the out-of-sample test")
-    if fresh_paths is not None and fresh_paths.time_grid.size < n + 1:
-        raise ValidationError("fresh_paths do not cover the contract window")
+    if fresh_paths is not None:
+        if fresh_paths.time_grid.size < n + 1:
+            raise ValidationError("fresh_paths do not cover the contract window")
+        # the replay is discounted on the fitting grid, so the grids must agree
+        t_fit, t_fresh = spot_paths.time_grid[: n + 1], fresh_paths.time_grid[: n + 1]
+        if np.any(np.abs(t_fresh - t_fit) > 1e-12 * np.abs(t_fit)):
+            raise ValidationError(
+                "fresh_paths time grid differs from the fitting paths' grid "
+                "within the contract window"
+            )
     grid, v0_idx, i_units, w_units, trunc_lo, trunc_hi = _storage_grid(contract)
     n_v = grid.size
     s = spot_paths.values[:, : n + 1, product]

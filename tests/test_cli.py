@@ -484,18 +484,18 @@ def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, 
 def test_pipeline_parses_once_and_bootstraps_each_board_once(tmp_path, monkeypatch):
     parses = []
     boards = Counter()
-    parse, bootstrap = hjmkit.cli.parse_quotes, hjmkit.cli.bootstrap_monthly_curve
+    parse, bootstrap = hjmkit.cli.parse_quotes, hjmkit.cli.bootstrap_boards
 
     def counting_parse(source):
         parses.append(source)
         return parse(source)
 
-    def counting_bootstrap(quotes, *args, **kwargs):
-        boards[quotes[0].market, quotes[0].trading_date] += 1
-        return bootstrap(quotes, *args, **kwargs)
+    def counting_bootstrap(by_key):
+        boards.update(by_key.keys())  # one count per board key
+        return bootstrap(by_key)
 
     monkeypatch.setattr(hjmkit.cli, "parse_quotes", counting_parse)
-    monkeypatch.setattr(hjmkit.cli, "bootstrap_monthly_curve", counting_bootstrap)
+    monkeypatch.setattr(hjmkit.cli, "bootstrap_boards", counting_bootstrap)
     conf = tmp_path / "run.conf"
     contracts = ("swing", "vpp", "storage")
     conf.write_text(

@@ -1,5 +1,6 @@
 import csv
-from datetime import date
+import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjmkit.curve import (
+    BootstrapReport,
+    FillGroup,
     StepwiseCurve,
+    bootstrap_boards,
     bootstrap_monthly_curve,
     extract_fixed_delivery,
     read_curve_csv,
@@ -244,6 +248,41 @@ def test_stepwise_curve_validation():
         )
 
 
+JAN, FEB, MAR = date(2020, 1, 1), date(2020, 2, 1), date(2020, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "months, values, weights, message",
+    [
+        ([JAN, FEB], [50.0], [31.0, 29.0], "must align"),
+        ([JAN], [50.0], [31.0, 29.0], "must align"),
+        ([JAN, date(2020, 2, 2)], [50.0, 50.0], [31.0, 29.0], "start on month starts"),
+        ([date(2020, 1, 31)], [50.0], [31.0], "start on month starts"),
+        ([JAN, MAR, FEB], [50.0] * 3, [31.0, 31.0, 29.0], "strictly increasing"),
+        ([JAN, FEB, FEB], [50.0] * 3, [31.0, 29.0, 29.0], "strictly increasing"),
+        ([date(2021, 1, 1), date(2020, 12, 1)], [50.0] * 2, [31.0] * 2, "strictly increasing"),
+        ([JAN, FEB], [50.0, 0.0], [31.0, 29.0], "values must be positive and finite"),
+        ([JAN, FEB], [50.0, math.nan], [31.0, 29.0], "values must be positive and finite"),
+        ([JAN, FEB], [math.inf, 50.0], [31.0, 29.0], "values must be positive and finite"),
+        ([JAN, FEB], [50.0, 50.0], [31.0, -1.0], "weights must be positive"),
+        ([JAN, FEB], [50.0, 50.0], [0.0, 29.0], "weights must be positive"),
+        ([JAN, FEB], [50.0, 50.0], [math.nan, 29.0], "weights must be positive"),
+    ],
+)
+def test_stepwise_curve_validation_messages(months, values, weights, message):
+    with pytest.raises(ValidationError, match=message):
+        StepwiseCurve("DE", AS_OF, months, np.array(values), np.array(weights))
+
+
+def test_stepwise_curve_accepts_empty_and_keeps_own_index():
+    empty = StepwiseCurve("DE", AS_OF, [], np.array([]), np.array([]))
+    assert empty.index == {}
+    a = StepwiseCurve("DE", AS_OF, [JAN, FEB], np.array([1.0, 2.0]), np.array([31.0, 29.0]))
+    b = StepwiseCurve("DE", AS_OF, [JAN, FEB], np.array([3.0, 4.0]), np.array([31.0, 29.0]))
+    a.index[MAR] = 2  # the bucket index is validated once per bucket set, never shared
+    assert b.index == {JAN: 0, FEB: 1}
+
+
 # ---------------------------------------------------------------------------
 # Randomized consistent systems
 # ---------------------------------------------------------------------------
@@ -261,6 +300,255 @@ def test_random_quote_systems_bootstrap_exactly():
             if q.granularity == "month":
                 assert curve.value_at(q.delivery_start) == q.price
                 assert latent[q.delivery_start] == pytest.approx(q.price, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched bootstrap against the per-board fit it replaced
+# ---------------------------------------------------------------------------
+
+_GRAN_ORDER = {"month": 0, "quarter": 1, "year": 2}
+
+
+def _reference_bootstrap(quotes):
+    """The per-board bootstrap_monthly_curve that bootstrap_boards replaced:
+    one dict lookup and one curve.average per quote."""
+    if not quotes:
+        raise ValidationError("no quotes to bootstrap")
+    if len({q.market for q in quotes}) != 1 or len({q.trading_date for q in quotes}) != 1:
+        raise ValidationError("bootstrap expects one market and one trading date")
+    market, as_of = quotes[0].market, quotes[0].trading_date
+
+    seen, deduped = {}, []
+    for q in quotes:
+        key = (q.delivery_start, q.delivery_end)
+        prev = seen.get(key)
+        if prev is None:
+            seen[key] = q
+            deduped.append(q)
+        elif abs(prev.price - q.price) > 1e-9 * max(1.0, abs(prev.price)):
+            raise InfeasibleCurveError(
+                f"conflicting quotes for window {key[0]}..{key[1]}: {prev.price} vs {q.price}",
+                conflicts=[prev, q],
+            )
+    removed, residuals, fill_groups = [], [], []
+
+    finer_cover = {"quarter": set(), "year": set()}
+    for q in deduped:
+        if q.granularity == "month":
+            finer_cover["quarter"].update(q.window_months)
+            finer_cover["year"].update(q.window_months)
+        elif q.granularity == "quarter":
+            finer_cover["year"].update(q.window_months)
+    retained = []
+    for q in deduped:
+        if q.granularity != "month" and all(m in finer_cover[q.granularity] for m in q.window_months):
+            removed.append(q)
+        else:
+            retained.append(q)
+
+    values = {q.delivery_start: q.price for q in retained if q.granularity == "month"}
+    for q in sorted(
+        (q for q in retained if q.granularity != "month"),
+        key=lambda q: (_GRAN_ORDER[q.granularity], q.delivery_start),
+    ):
+        window = q.window_months
+        w = {m: float(days_in_month(m)) for m in window}
+        undetermined = [m for m in window if m not in values]
+        if not undetermined:
+            raise InfeasibleCurveError(
+                f"window of {q.granularity} {q.delivery_start} already fully "
+                "determined; conflicting quote hierarchy",
+                conflicts=[q],
+            )
+        total_w = sum(w.values())
+        pinned = sum(w[m] * values[m] for m in window if m in values)
+        flat = (q.price * total_w - pinned) / sum(w[m] for m in undetermined)
+        if not (math.isfinite(flat) and flat > 0):
+            raise InfeasibleCurveError(
+                f"quote {q.granularity} {q.delivery_start} at {q.price} implies "
+                f"non-positive forward {flat:.6g} for its unquoted months",
+                conflicts=[q],
+            )
+        for m in undetermined:
+            values[m] = flat
+        fill_groups.append(FillGroup(q, tuple(undetermined), flat))
+
+    months = sorted(values)
+    curve = StepwiseCurve(
+        market,
+        as_of,
+        months,
+        np.array([values[m] for m in months]),
+        np.array([float(days_in_month(m)) for m in months]),
+    )
+    bad = []
+    for q in deduped:
+        resid = abs(curve.average(q.window_months) - q.price) / q.price
+        residuals.append((q, resid))
+        if resid > 1e-9:
+            bad.append(q)
+    if bad:
+        raise InfeasibleCurveError(
+            "quote system is inconsistent; residual exceeds tolerance for: "
+            + ", ".join(f"{q.granularity} {q.delivery_start}" for q in bad),
+            conflicts=bad,
+        )
+    return curve, BootstrapReport(removed, residuals, fill_groups)
+
+
+# Every window starts on or after ANCHOR and every trading date falls before
+# it, so any layout can go with any board.
+ANCHOR = date(2020, 3, 1)
+SPAN = 30  # months of windows after ANCHOR
+
+
+def _window(start, n_months):
+    return start, add_months(start, n_months) - timedelta(days=1)
+
+
+@st.composite
+def layouts(draw):
+    """An ordered list of windows: months with gaps, quarters (some of them
+    dominated by their months), years, and repeated windows."""
+    months = [add_months(ANCHOR, k) for k in range(SPAN)]
+    quarters = [m for m in months if m.month in (1, 4, 7, 10) and add_months(m, 2) in months]
+    years = [m for m in months if m.month == 1 and add_months(m, 11) in months]
+    picked_months = draw(st.sets(st.sampled_from(months), max_size=12))
+    picked_quarters = draw(st.sets(st.sampled_from(quarters), max_size=len(quarters)))
+    for q in draw(st.sets(st.sampled_from(quarters), max_size=2)):  # dominated quarters
+        picked_quarters.add(q)
+        picked_months.update(add_months(q, i) for i in range(3))
+    picked_years = draw(st.sets(st.sampled_from(years), max_size=len(years)))
+    windows = (
+        [_window(m, 1) for m in picked_months]
+        + [_window(q, 3) for q in picked_quarters]
+        + [_window(y, 12) for y in picked_years]
+    )
+    if not windows:
+        windows = [_window(ANCHOR, 1)]
+    windows = draw(st.permutations(sorted(windows)))
+    repeats = draw(st.lists(st.sampled_from(windows), max_size=3))
+    return list(windows) + repeats
+
+
+@st.composite
+def board_sets(draw, faults=False):
+    """Boards keyed by (market, trading date), the dates spanning month and
+    year ends, with up to three shared layouts. Prices are day-weighted
+    averages of each board's own latent curve, so a board fails only where a
+    fault was injected: a price scaled far off (a conflicting repeat, an
+    inconsistent dominated quarter, a non-positive flat fill), an empty
+    board, or a quote of another market. A repeated window may sit 4e-10
+    above its first quote: no conflict, yet on a sub-unit price level a
+    residual far above 1e-9 that only the board's worst residual reports."""
+    shapes = draw(st.lists(layouts(), min_size=1, max_size=3))
+    keys = draw(
+        st.sets(
+            st.tuples(st.sampled_from(["DE", "TTF", "NBP"]), st.integers(0, 100)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boards = {}
+    for market, offset in sorted(keys):
+        trading = date(2019, 11, 20) + timedelta(days=offset)
+        latent = draw(st.sampled_from([40.0, 0.004])) * np.exp(rng.normal(0.0, 0.3, SPAN))
+        quotes, seen = [], set()
+        for start, end in draw(st.sampled_from(shapes)):
+            k = (start.year - ANCHOR.year) * 12 + start.month - ANCHOR.month
+            n = (end.year - start.year) * 12 + end.month - start.month + 1
+            w = np.array([days_in_month(add_months(start, i)) for i in range(n)], dtype=float)
+            price = float(np.dot(w, latent[k : k + n]) / w.sum())
+            if (start, end) in seen and draw(st.booleans()):
+                price += 4e-10
+            seen.add((start, end))
+            if faults and draw(st.integers(0, 9)) == 0:
+                price *= draw(st.sampled_from([1 + 1e-6, 0.05, 1e-12]))
+            quotes.append(QuotedSwap(market, trading, start, end, price))
+        if faults:
+            fault = draw(st.sampled_from(["none"] * 6 + ["empty", "foreign"]))
+            if fault == "empty":
+                quotes = []
+            elif fault == "foreign":
+                stranger = "XX" if market != "XX" else "YY"
+                quotes.insert(draw(st.integers(0, len(quotes))), QuotedSwap(stranger, trading, *_window(ANCHOR, 1), 40.0))
+        boards[(market, trading)] = quotes
+    return boards
+
+
+def _first_reference_failure(boards):
+    """Per-board reference fits in key order, or the first error raised."""
+    fits = {}
+    for key in sorted(boards):
+        try:
+            fits[key] = _reference_bootstrap(boards[key])
+        except (ValidationError, InfeasibleCurveError) as exc:
+            return None, exc
+    return fits, None
+
+
+def _assert_same_fits(boards, fits):
+    got = bootstrap_boards(boards)
+    assert list(got) == sorted(boards)
+    for key, (curve, report) in got.items():
+        want_curve, want_report = fits[key]
+        assert (curve.market, curve.as_of) == key
+        assert curve.months == want_curve.months
+        assert curve.values.tobytes() == want_curve.values.tobytes()
+        assert curve.weights.tobytes() == want_curve.weights.tobytes()
+        assert report.removed == want_report.removed
+        assert report.fill_groups == want_report.fill_groups
+        assert [q for q, _ in report.residuals] == [q for q, _ in want_report.residuals]
+        for (_, r), (_, want) in zip(report.residuals, want_report.residuals):
+            assert abs(r - want) <= 1e-15
+        board_residual = verify_no_arbitrage(want_curve, boards[key])
+        assert abs(report.max_quote_residual - board_residual) <= 1e-15
+    # no two curves share a mutable months list or weight array
+    curves = [c for c, _ in got.values()]
+    assert len({id(c.months) for c in curves}) == len(curves)
+    assert len({id(c.weights) for c in curves}) == len(curves)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(board_sets())
+def test_bootstrap_boards_matches_per_board_reference(boards):
+    fits, error = _first_reference_failure(boards)
+    assert error is None
+    _assert_same_fits(boards, fits)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(board_sets(faults=True))
+def test_bootstrap_boards_raises_first_failing_board(boards):
+    fits, error = _first_reference_failure(boards)
+    if error is None:
+        _assert_same_fits(boards, fits)
+        return
+    with pytest.raises(type(error)) as info:
+        bootstrap_boards(boards)
+    assert str(info.value) == str(error)
+    assert getattr(info.value, "conflicts", None) == getattr(error, "conflicts", None)
+
+
+def test_bootstrap_boards_shares_one_plan_across_dates():
+    """Two boards of one layout on either side of a month end fit alone and
+    together to the same curves."""
+    a = [
+        swap((2020, 4, 1), (2020, 4, 30), 33.0, trading=date(2020, 1, 31)),
+        swap((2020, 4, 1), (2020, 6, 30), 30.0, trading=date(2020, 1, 31)),
+    ]
+    b = [
+        swap((2020, 4, 1), (2020, 4, 30), 34.0, trading=date(2020, 2, 3)),
+        swap((2020, 4, 1), (2020, 6, 30), 31.0, trading=date(2020, 2, 3)),
+    ]
+    both = bootstrap_boards({("DE", date(2020, 2, 3)): b, ("DE", date(2020, 1, 31)): a})
+    assert list(both) == [("DE", date(2020, 1, 31)), ("DE", date(2020, 2, 3))]
+    for board in (a, b):
+        alone, _ = bootstrap_monthly_curve(board)
+        together, _ = both[("DE", board[0].trading_date)]
+        assert together.values.tobytes() == alone.values.tobytes()
+        assert together.months == alone.months and together.months is not alone.months
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,8 @@ def test_regression_rejects_bad_inputs():
         lsmc_continuation([1.0, 2.0], [1.0, 2.0], -1, 1)
     with pytest.raises(ValidationError):
         PolicyValuation(1.0, -0.5)
+    with pytest.raises(ValidationError, match="std_error"):
+        PolicyValuation(1.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,8 @@ def test_american_rejects():
         american_option(ps, 100.0, kind="chooser")
     with pytest.raises(ValidationError, match="strike"):
         american_option(ps, 0.0)
+    with pytest.raises(ValidationError, match="strike"):
+        american_option(ps, math.nan)
     with pytest.raises(ValidationError, match="last_exercise"):
         american_option(ps, 100.0, last_exercise=99)
 
@@ -621,6 +625,24 @@ def test_vpp_contract_validation():
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
+def _price_with_rate(pricer: str, rate: float):
+    ps = gbm_paths(n_paths=64, n_times=4, seed=1)
+    if pricer == "american_option":
+        return american_option(ps, 100.0, rate=rate)
+    if pricer == "price_vpp":
+        return price_vpp(VppContract(3, 1, 1, 0.0, 1.0, 0.0, 0.0, 1.0), ps, ps, rate=rate)
+    if pricer == "price_swing":
+        return price_swing(SwingContract(3, 1, 1, 100.0), ps, rate=rate)
+    return price_storage(StorageContract(2, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0), ps, rate=rate)
+
+
+@pytest.mark.parametrize("rate", NON_FINITE)
+@pytest.mark.parametrize("pricer", ["american_option", "price_vpp", "price_swing", "price_storage"])
+def test_pricers_reject_non_finite_rate(pricer, rate):
+    with pytest.raises(ValidationError, match="rate must be finite"):
+        _price_with_rate(pricer, rate)
+
+
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("name", ["q_min", "q_max", "start_cost", "stop_cost", "heat_rate"])
 def test_vpp_contract_rejects_non_finite(name, value):
@@ -846,6 +868,19 @@ def test_storage_out_of_sample_replay():
     assert got.out_of_sample.value <= got.sdp.value + slack
     # the replayed policy is still a real policy: it cannot beat foresight
     assert got.out_of_sample.value <= got.deterministic + slack
+
+
+def test_storage_rejects_fresh_paths_on_another_grid():
+    """The replay is discounted on the fitting grid, so a fresh set on a
+    5-year step cannot stand in for monthly fitting paths."""
+    c = StorageContract(5, 0.0, 3.0, 1.0, 1.0, -1.0, 1.0)
+    ps = gbm_paths(n_paths=200, n_times=6, dt=1 / 12, seed=41)
+    coarse = gbm_paths(n_paths=200, n_times=6, dt=5.0, seed=42)
+    with pytest.raises(ValidationError, match="time grid"):
+        price_storage(c, ps, fresh_paths=coarse, rate=0.05)
+    # the same fresh paths on the fitting grid are accepted
+    monthly = make_paths(coarse.values, step=1 / 12, seed=42)
+    assert price_storage(c, ps, fresh_paths=monthly, rate=0.05).out_of_sample is not None
 
 
 def test_storage_input_validation():

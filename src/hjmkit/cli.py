@@ -2,10 +2,11 @@
 
 Run on its own, each command reads what the previous one wrote, so the
 stages chain from a quotes CSV to valuation reports without manual edits.
+A stage is handed its inputs: `main` loads them for a single command, and
 `hjmkit pipeline --config run.conf` parses and bootstraps the quotes once
-and hands the boards to ingest and curve; calibrate, simulate and price
-still read the artifacts, so the pipeline writes the same files as the
-stages run one by one. Outputs are plain CSV and key=value text
+for ingest and curve, then reads model.json and curves.csv once for
+simulate and price, so the pipeline writes the same files as the stages
+run one by one. Outputs are plain CSV and key=value text
 with fixed float formatting; everything a run writes is a deterministic
 function of (config, seed). Wall-clock timings go to stdout only so
 artifact files stay byte-identical across reruns.
@@ -22,7 +23,7 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -60,7 +61,6 @@ from .marketdata import (
     write_panel_csv,
 )
 from .pricing import (
-    LsmcSettings,
     StorageContract,
     SwingContract,
     VppContract,
@@ -131,7 +131,7 @@ class RunConfig:
     storage: str = ""
 
     def validate(self) -> None:
-        for key, kind in _CONFIG_KINDS.items():
+        for key, kind in _RUN_KINDS.items():
             value = getattr(self, key)
             if kind == "float" and value is not None and not math.isfinite(value):
                 raise ValidationError(f"{key} must be finite, got {value}")
@@ -191,6 +191,8 @@ class RunConfig:
         return self.seed
 
 
+# each key's kind is its field's annotation, optional or not
+_RUN_KINDS = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -203,44 +205,12 @@ def _parse_value(key: str, raw: str, kind: str):
             return float(raw)
         if kind == "bool":
             return _BOOLS[raw.lower()]
-        if kind in ("list", "ints"):
+        if kind in ("list[str]", "list[int]"):
             items = [p.strip() for p in raw.split(",") if p.strip()]
-            return [int(p) for p in items] if kind == "ints" else items
+            return [int(p) for p in items] if kind == "list[int]" else items
         return raw
     except (ValueError, KeyError) as exc:
         raise ValidationError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
-
-
-_CONFIG_KINDS = {
-    "quotes": "str",
-    "out": "str",
-    "markets": "list",
-    "n_month_tenors": "int",
-    "n_quarter_tenors": "int",
-    "n_year_tenors": "int",
-    "dt": "float",
-    "outlier_k": "float",
-    "threshold": "float",
-    "factors": "int",
-    "seed": "int",
-    "n_paths": "int",
-    "step": "float",
-    "horizon": "float",
-    "horizon_days": "int",
-    "antithetic": "bool",
-    "rate": "float",
-    "sim_mode": "str",
-    "sim_market": "str",
-    "swap_tau": "float",
-    "export_paths": "int",
-    "acf_max_lag": "int",
-    "acf_tenor": "str",
-    "model_file": "str",
-    "curve_file": "str",
-    "vpp": "str",
-    "swing": "str",
-    "storage": "str",
-}
 
 
 def _read_flat_config(path) -> dict[str, str]:
@@ -257,9 +227,9 @@ def load_run_config(path=None, **overrides) -> RunConfig:
     data = _read_flat_config(path) if path else {}
     cfg = RunConfig()
     for key, raw in data.items():
-        if key not in _CONFIG_KINDS:
+        if key not in _RUN_KINDS:
             raise ValidationError(f"unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw, _CONFIG_KINDS[key]))
+        setattr(cfg, key, _parse_value(key, raw, _RUN_KINDS[key]))
     for key, value in overrides.items():
         if value is not None:
             cfg = replace(cfg, **{key: value})
@@ -301,18 +271,27 @@ def _latest_curves(curves: dict[tuple[str, date], StepwiseCurve]) -> dict[str, S
     return latest
 
 
-def _curve_on_grid(curve: StepwiseCurve, grid: np.ndarray) -> np.ndarray:
-    """Initial expectation F(0, t) sampled from the monthly curve."""
-    out = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        d = curve.as_of + timedelta(days=int(round(t * _DAYS_PER_YEAR)))
-        m = month_start(d)
-        if m not in curve.index:
-            raise ValidationError(
-                f"curve for {curve.market} does not cover {m} needed at t={t:.4g}"
-            )
-        out[i] = curve.value_at(m)
-    return out
+def _curve_for(cfg: RunConfig, curves: dict[str, StepwiseCurve], market: str) -> StepwiseCurve:
+    if market not in curves:
+        raise ValidationError(f"no curve for market {market!r} in {cfg.path_curves()}")
+    return curves[market]
+
+
+def _curve_means(cfg: RunConfig, curves, markets, grid: np.ndarray) -> dict[str, np.ndarray]:
+    """Initial expectation F(0, t) of each market's spot, sampled from its monthly curve."""
+    means = {}
+    for market in markets:
+        curve = _curve_for(cfg, curves, market)
+        out = np.empty(grid.size)
+        for i, t in enumerate(grid):
+            m = month_start(curve.as_of + timedelta(days=int(round(t * _DAYS_PER_YEAR))))
+            if m not in curve.index:
+                raise ValidationError(
+                    f"curve for {curve.market} does not cover {m} needed at t={t:.4g}"
+                )
+            out[i] = curve.value_at(m)
+        means[market] = out
+    return means
 
 
 def _write_report(path: Path, pairs) -> None:
@@ -333,8 +312,8 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(cfg: RunConfig, loaded=None) -> None:
-    quotes, issues, boards = loaded or _load_boards(cfg)
+def cmd_ingest(cfg: RunConfig, loaded) -> None:
+    quotes, issues, boards = loaded
     markets = cfg.markets or sorted({q.market for q in quotes})
     labels = default_tenor_labels(cfg.n_month_tenors, cfg.n_quarter_tenors, cfg.n_year_tenors)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,8 +420,8 @@ def cmd_ingest(cfg: RunConfig, loaded=None) -> None:
     print(f"wrote {cfg.out_dir / 'ingest_report.txt'}")
 
 
-def cmd_curve(cfg: RunConfig, loaded=None) -> None:
-    _, _, boards = loaded or _load_boards(cfg)
+def cmd_curve(cfg: RunConfig, loaded) -> None:
+    _, _, boards = loaded
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     curves = [cv for _, cv, _ in boards.values()]
     write_curve_csv(curves, cfg.path_curves())
@@ -540,17 +519,12 @@ def _load_model_and_curves(cfg: RunConfig):
     return FactorModel.load(cfg.path_model()), _latest_curves(read_curve_csv(cfg.path_curves()))
 
 
-def cmd_simulate(cfg: RunConfig, loaded=None) -> None:
+def cmd_simulate(cfg: RunConfig, calibrated) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    model, curves = loaded or _load_model_and_curves(cfg)
+    model, curves = calibrated
     sim_cfg = SimConfig(
         cfg.need_seed(), cfg.n_paths, cfg.sim_step(), cfg.sim_horizon(), cfg.antithetic
     )
-
-    def curve_for(market: str) -> StepwiseCurve:
-        if market not in curves:
-            raise ValidationError(f"no curve for market {market!r} in {cfg.path_curves()}")
-        return curves[market]
 
     mode = cfg.sim_mode
     expected = None  # spot means track the curve, not the t=0 value
@@ -558,22 +532,24 @@ def cmd_simulate(cfg: RunConfig, loaded=None) -> None:
         products = [
             (mk, b) for mk in model.markets for b in range(1, model.buckets_per_market + 1)
         ]
-        initial = [extract_fixed_delivery(curve_for(mk), b) for mk, b in products]
+        initial = [extract_fixed_delivery(_curve_for(cfg, curves, mk), b) for mk, b in products]
         paths = simulate_fixed_delivery(model, initial, sim_cfg, products)
     elif mode == "short_horizon":
         market = cfg.sim_market or model.markets[0]
         initial = [
-            extract_fixed_delivery(curve_for(market), b)
+            extract_fixed_delivery(_curve_for(cfg, curves, market), b)
             for b in range(1, model.buckets_per_market + 1)
         ]
         paths = simulate_short_horizon(model, market, initial, sim_cfg)
     elif mode == "swap":
         market = cfg.sim_market or model.markets[0]
         contract = ContractDescriptor("swap", market, tau_start=cfg.swap_tau)
-        initial = extract_fixed_delivery(curve_for(market), max(1, round(cfg.swap_tau * 12)))
+        initial = extract_fixed_delivery(
+            _curve_for(cfg, curves, market), max(1, round(cfg.swap_tau * 12))
+        )
         paths = simulate_swap(model, contract, initial, sim_cfg)
     else:  # spot
-        fns = {mk: _curve_on_grid(curve_for(mk), sim_cfg.time_grid) for mk in model.markets}
+        fns = _curve_means(cfg, curves, model.markets, sim_cfg.time_grid)
         paths = simulate_spot(model, fns, sim_cfg)
         expected = np.column_stack([fns[mk] for mk in model.markets])
 
@@ -597,65 +573,123 @@ def cmd_simulate(cfg: RunConfig, loaded=None) -> None:
         )
 
 
-def _read_contract_file(path, kinds: dict[str, str]) -> dict:
-    data = _read_flat_config(path)
-    out = {}
-    for key, raw in data.items():
+# ---------------------------------------------------------------------------
+# Contract files
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+# One flat key = value file per contract, declared key by key as
+# (file key, contract field, kind, default). The default is _REQUIRED, a
+# value, or a function of (the values read so far, the model). A field of
+# None marks a market key, which takes its default also when left empty; a
+# tuple of fields marks a sweep key, which re-prices the contract with each
+# listed value in all of those fields.
+_CONTRACT_KEYS = {
+    "swing": (
+        ("market", None, "str", lambda values, model: model.markets[0]),
+        ("n_days", "n_days", "int", 30),
+        ("u_max", "u_max", "int", 1),
+        ("d_max", "d_max", "int", 1),
+        ("K", "strike", "float", _REQUIRED),
+        ("Q", "quantity", "float", 1.0),
+        ("sweep_rights", ("u_max", "d_max"), "list[int]", ()),
+    ),
+    "vpp": (
+        ("power_market", None, "str", lambda values, model: model.markets[0]),
+        ("fuel_market", None, "str", lambda values, model: model.markets[-1]),
+        ("n_hours", "n_hours", "int", 168),
+        ("t_on", "t_on", "int", 1),
+        ("t_off", "t_off", "int", 1),
+        ("q_min", "q_min", "float", 0.0),
+        ("q_max", "q_max", "float", _REQUIRED),
+        ("S_u", "start_cost", "float", 0.0),
+        ("S_d", "stop_cost", "float", 0.0),
+        ("H", "heat_rate", "float", 1.0),
+        ("sweep_lock_hours", ("t_on", "t_off"), "list[int]", ()),
+    ),
+    "storage": (
+        ("market", None, "str", lambda values, model: model.markets[0]),
+        ("n_days", "n_days", "int", 30),
+        ("v_min", "v_min", "float", _REQUIRED),
+        ("v_max", "v_max", "float", _REQUIRED),
+        ("v_0", "v_start", "float", _REQUIRED),
+        ("v_target", "v_target", "float", lambda values, model: values["v_0"]),
+        ("i_min", "withdraw_rate", "float", _REQUIRED),
+        ("i_max", "inject_rate", "float", _REQUIRED),
+        ("penalty_scale", "penalty_scale", "float", 2.0),
+    ),
+}
+
+
+def _read_contract(cfg: RunConfig, name: str, model) -> dict:
+    """Every declared key of the named contract file: its parsed value, else its default."""
+    path, keys = getattr(cfg, name), _CONTRACT_KEYS[name]
+    kinds = {key: kind for key, _, kind, _ in keys}
+    values = {}
+    for key, raw in _read_flat_config(path).items():
         if key not in kinds:
             raise ValidationError(f"{path}: unknown contract key {key!r}")
-        out[key] = _parse_value(key, raw, kinds[key])
-    return out
+        values[key] = _parse_value(key, raw, kinds[key])
+    for key, _, _, default in keys:
+        if values.get(key, "") != "":
+            continue
+        if default is _REQUIRED:
+            raise ValidationError(f"{path}: missing required contract key {key!r}")
+        values[key] = default(values, model) if callable(default) else default
+    return values
 
 
-def _spot_paths(model, curves, markets, sim_cfg):
-    fns = {}
-    for mk in markets:
-        if mk not in curves:
-            raise ValidationError(f"no curve for market {mk!r}")
-        fns[mk] = _curve_on_grid(curves[mk], sim_cfg.time_grid)
-    return simulate_spot(model, fns, sim_cfg, markets)
+def _contract(cls, name: str, values: dict):
+    return cls(**{f: values[key] for key, f, _, _ in _CONTRACT_KEYS[name] if isinstance(f, str)})
+
+
+def _report_head(cfg: RunConfig, name: str, values: dict) -> list:
+    """A price report's opening lines: the contract's file keys in declaration
+    order, sweeps left out, then the run's sampling settings."""
+    pairs = [("contract", name)]
+    for key, f, kind, _ in _CONTRACT_KEYS[name]:
+        if not isinstance(f, tuple):
+            pairs.append((key, _fmt(values[key]) if kind == "float" else values[key]))
+    return pairs + [("seed", cfg.seed), ("n_paths", cfg.n_paths), ("rate", _fmt(cfg.rate))]
+
+
+def _sweep(name: str, values: dict, contract, headline, price):
+    """(entry, result) for each entry of the contract's sweep keys.
+
+    An entry that leaves the contract as it is reuses the headline result:
+    the pricers are deterministic on the same paths.
+    """
+    for key, swept, _, _ in _CONTRACT_KEYS[name]:
+        if isinstance(swept, tuple):
+            for entry in values[key]:
+                varied = replace(contract, **dict.fromkeys(swept, entry))
+                yield entry, headline if varied == contract else price(varied)
+
+
+def _spot_paths(cfg: RunConfig, model, curves, markets, sim_cfg):
+    return simulate_spot(model, _curve_means(cfg, curves, markets, sim_cfg.time_grid), sim_cfg, markets)
 
 
 def _price_swing(cfg: RunConfig, model, curves) -> None:
-    spec = _read_contract_file(
-        cfg.swing,
-        {
-            "market": "str",
-            "n_days": "int",
-            "u_max": "int",
-            "d_max": "int",
-            "K": "float",
-            "Q": "float",
-            "sweep_rights": "ints",
-        },
-    )
-    market = spec.get("market") or model.markets[0]
-    n_days = spec.get("n_days", 30)
-    if n_days < 2:
+    spec = _read_contract(cfg, "swing", model)
+    if spec["n_days"] < 2:
         raise ValidationError("swing window needs at least 2 days")
-    contract = SwingContract(
-        n_days, spec.get("u_max", 1), spec.get("d_max", 1), spec["K"], spec.get("Q", 1.0)
-    )
+    contract = _contract(SwingContract, "swing", spec)
     sim_cfg = SimConfig(
         cfg.need_seed(),
         cfg.n_paths,
         1.0 / _DAYS_PER_YEAR,
-        (n_days - 1) / _DAYS_PER_YEAR,
+        (contract.n_days - 1) / _DAYS_PER_YEAR,
         cfg.antithetic,
     )
-    paths = _spot_paths(model, curves, [market], sim_cfg)
-    res = price_swing(contract, paths, cfg.rate)
-    pairs = [
-        ("contract", "swing"),
-        ("market", market),
-        ("n_days", n_days),
-        ("u_max", contract.u_max),
-        ("d_max", contract.d_max),
-        ("K", _fmt(contract.strike)),
-        ("Q", _fmt(contract.quantity)),
-        ("seed", sim_cfg.seed),
-        ("n_paths", sim_cfg.n_paths),
-        ("rate", _fmt(cfg.rate)),
+    paths = _spot_paths(cfg, model, curves, [spec["market"]], sim_cfg)
+
+    def price(c):
+        return price_swing(c, paths, cfg.rate)
+
+    res = price(contract)
+    pairs = _report_head(cfg, "swing", spec) + [
         ("value", _fmt(res.lsmc.value)),
         ("std_error", _fmt(res.lsmc.std_error)),
         ("lower_bound", _fmt(res.lower_bound)),
@@ -664,24 +698,11 @@ def _price_swing(cfg: RunConfig, model, curves) -> None:
         ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
     ]
     _write_report(cfg.out_dir / "price_swing.txt", pairs)
-    sweep = spec.get("sweep_rights", [])
-    if sweep:
-        rows = []
-        for rights in sweep:
-            if (rights, rights) == (contract.u_max, contract.d_max):
-                r = res  # price_swing is deterministic on the same paths
-            else:
-                c = SwingContract(n_days, rights, rights, contract.strike, contract.quantity)
-                r = price_swing(c, paths, cfg.rate)
-            rows.append(
-                [
-                    rights,
-                    _fmt(r.lsmc.value),
-                    _fmt(r.lsmc.std_error),
-                    _fmt(r.lower_bound),
-                    _fmt(r.upper_bound),
-                ]
-            )
+    rows = [
+        [rights, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.lower_bound), _fmt(r.upper_bound)]
+        for rights, r in _sweep("swing", spec, contract, res, price)
+    ]
+    if rows:
         _write_csv(
             cfg.out_dir / "price_swing_sweep.csv",
             ["rights", "value", "std_error", "lower_bound", "upper_bound"],
@@ -691,63 +712,26 @@ def _price_swing(cfg: RunConfig, model, curves) -> None:
 
 
 def _price_vpp(cfg: RunConfig, model, curves) -> None:
-    spec = _read_contract_file(
-        cfg.vpp,
-        {
-            "power_market": "str",
-            "fuel_market": "str",
-            "n_hours": "int",
-            "t_on": "int",
-            "t_off": "int",
-            "q_min": "float",
-            "q_max": "float",
-            "S_u": "float",
-            "S_d": "float",
-            "H": "float",
-            "sweep_lock_hours": "ints",
-        },
-    )
-    power = spec.get("power_market") or model.markets[0]
-    fuel = spec.get("fuel_market") or model.markets[-1]
-    n_hours = spec.get("n_hours", 168)
-    if n_hours < 2:
+    spec = _read_contract(cfg, "vpp", model)
+    if spec["n_hours"] < 2:
         raise ValidationError("VPP window needs at least 2 hours")
-    contract = VppContract(
-        n_hours,
-        spec.get("t_on", 1),
-        spec.get("t_off", 1),
-        spec.get("q_min", 0.0),
-        spec["q_max"],
-        spec.get("S_u", 0.0),
-        spec.get("S_d", 0.0),
-        spec.get("H", 1.0),
-    )
+    contract = _contract(VppContract, "vpp", spec)
     sim_cfg = SimConfig(
         cfg.need_seed(),
         cfg.n_paths,
         1.0 / _HOURS_PER_YEAR,
-        (n_hours - 1) / _HOURS_PER_YEAR,
+        (contract.n_hours - 1) / _HOURS_PER_YEAR,
         cfg.antithetic,
     )
+    power, fuel = spec["power_market"], spec["fuel_market"]
     markets = [power] if power == fuel else [power, fuel]
-    paths = _spot_paths(model, curves, markets, sim_cfg)
-    p_idx, f_idx = 0, 0 if power == fuel else 1
-    res = price_vpp(contract, paths, paths, cfg.rate, power_product=p_idx, fuel_product=f_idx)
-    pairs = [
-        ("contract", "vpp"),
-        ("power_market", power),
-        ("fuel_market", fuel),
-        ("n_hours", n_hours),
-        ("t_on", contract.t_on),
-        ("t_off", contract.t_off),
-        ("q_min", _fmt(contract.q_min)),
-        ("q_max", _fmt(contract.q_max)),
-        ("S_u", _fmt(contract.start_cost)),
-        ("S_d", _fmt(contract.stop_cost)),
-        ("H", _fmt(contract.heat_rate)),
-        ("seed", sim_cfg.seed),
-        ("n_paths", sim_cfg.n_paths),
-        ("rate", _fmt(cfg.rate)),
+    paths = _spot_paths(cfg, model, curves, markets, sim_cfg)
+
+    def price(c):
+        return price_vpp(c, paths, paths, cfg.rate, power_product=0, fuel_product=len(markets) - 1)
+
+    res = price(contract)
+    pairs = _report_head(cfg, "vpp", spec) + [
         ("value", _fmt(res.lsmc.value)),
         ("std_error", _fmt(res.lsmc.std_error)),
         ("naive", _fmt(res.naive)),
@@ -756,27 +740,11 @@ def _price_vpp(cfg: RunConfig, model, curves) -> None:
         ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
     ]
     _write_report(cfg.out_dir / "price_vpp.txt", pairs)
-    sweep = spec.get("sweep_lock_hours", [])
-    if sweep:
-        rows = []
-        for lock in sweep:
-            if (lock, lock) == (contract.t_on, contract.t_off):
-                r = res  # price_vpp is deterministic on the same paths
-            else:
-                c = VppContract(
-                    n_hours,
-                    lock,
-                    lock,
-                    contract.q_min,
-                    contract.q_max,
-                    contract.start_cost,
-                    contract.stop_cost,
-                    contract.heat_rate,
-                )
-                r = price_vpp(c, paths, paths, cfg.rate, power_product=p_idx, fuel_product=f_idx)
-            rows.append(
-                [lock, lock, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.naive), _fmt(r.upper_bound)]
-            )
+    rows = [
+        [lock, lock, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.naive), _fmt(r.upper_bound)]
+        for lock, r in _sweep("vpp", spec, contract, res, price)
+    ]
+    if rows:
         _write_csv(
             cfg.out_dir / "price_vpp_sweep.csv",
             ["t_on", "t_off", "value", "std_error", "naive", "upper_bound"],
@@ -786,54 +754,17 @@ def _price_vpp(cfg: RunConfig, model, curves) -> None:
 
 
 def _price_storage(cfg: RunConfig, model, curves) -> None:
-    spec = _read_contract_file(
-        cfg.storage,
-        {
-            "market": "str",
-            "n_days": "int",
-            "v_min": "float",
-            "v_max": "float",
-            "v_0": "float",
-            "v_target": "float",
-            "i_min": "float",
-            "i_max": "float",
-            "penalty_scale": "float",
-        },
-    )
-    market = spec.get("market") or model.markets[0]
-    n_days = spec.get("n_days", 30)
-    contract = StorageContract(
-        n_days,
-        spec["v_min"],
-        spec["v_max"],
-        spec["v_0"],
-        spec.get("v_target", spec["v_0"]),
-        spec["i_min"],
-        spec["i_max"],
-        spec.get("penalty_scale", 2.0),
-    )
+    spec = _read_contract(cfg, "storage", model)
+    contract = _contract(StorageContract, "storage", spec)
     seed = cfg.need_seed()
     sim_cfg = SimConfig(
-        seed, cfg.n_paths, 1.0 / _DAYS_PER_YEAR, n_days / _DAYS_PER_YEAR, cfg.antithetic
+        seed, cfg.n_paths, 1.0 / _DAYS_PER_YEAR, contract.n_days / _DAYS_PER_YEAR, cfg.antithetic
     )
-    paths = _spot_paths(model, curves, [market], sim_cfg)
-    fresh_cfg = replace(sim_cfg, seed=(seed + 1) % 2**64)
-    fresh = _spot_paths(model, curves, [market], fresh_cfg)
+    markets = [spec["market"]]
+    paths = _spot_paths(cfg, model, curves, markets, sim_cfg)
+    fresh = _spot_paths(cfg, model, curves, markets, replace(sim_cfg, seed=(seed + 1) % 2**64))
     res = price_storage(contract, paths, fresh, cfg.rate)
-    pairs = [
-        ("contract", "storage"),
-        ("market", market),
-        ("n_days", n_days),
-        ("v_min", _fmt(contract.v_min)),
-        ("v_max", _fmt(contract.v_max)),
-        ("v_0", _fmt(contract.v_start)),
-        ("v_target", _fmt(contract.v_target)),
-        ("i_min", _fmt(contract.withdraw_rate)),
-        ("i_max", _fmt(contract.inject_rate)),
-        ("penalty_scale", _fmt(contract.penalty_scale)),
-        ("seed", seed),
-        ("n_paths", sim_cfg.n_paths),
-        ("rate", _fmt(cfg.rate)),
+    pairs = _report_head(cfg, "storage", spec) + [
         ("deterministic", _fmt(res.deterministic)),
         ("deterministic_std_error", _fmt(res.deterministic_std_error)),
         ("sdp_value", _fmt(res.sdp.value)),
@@ -853,11 +784,16 @@ def _price_storage(cfg: RunConfig, model, curves) -> None:
     )
 
 
-def cmd_price(cfg: RunConfig, loaded=None) -> None:
+def _pricing_inputs(cfg: RunConfig):
+    """The calibrated model and curves, once some contract file is configured."""
     if not (cfg.vpp or cfg.swing or cfg.storage):
         raise ValidationError("no contract files configured (vpp/swing/storage)")
+    return _load_model_and_curves(cfg)
+
+
+def cmd_price(cfg: RunConfig, calibrated) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    model, curves = loaded or _load_model_and_curves(cfg)
+    model, curves = calibrated
     if cfg.swing:
         _price_swing(cfg, model, curves)
     if cfg.vpp:
@@ -910,14 +846,18 @@ def main(argv=None) -> int:
             factors=args.factors,
         )
         started = time.perf_counter()
-        {
-            "ingest": cmd_ingest,
-            "curve": cmd_curve,
-            "calibrate": cmd_calibrate,
-            "simulate": cmd_simulate,
-            "price": cmd_price,
-            "pipeline": cmd_pipeline,
-        }[args.command](cfg)
+        stage, load = {  # each command's stage and the loader of the inputs it is handed
+            "ingest": (cmd_ingest, _load_boards),
+            "curve": (cmd_curve, _load_boards),
+            "calibrate": (cmd_calibrate, None),
+            "simulate": (cmd_simulate, _load_model_and_curves),
+            "price": (cmd_price, _pricing_inputs),
+            "pipeline": (cmd_pipeline, None),
+        }[args.command]
+        if load is None:
+            stage(cfg)
+        else:
+            stage(cfg, load(cfg))
         print(f"[{args.command}] completed in {time.perf_counter() - started:.2f}s")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

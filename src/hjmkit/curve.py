@@ -345,35 +345,18 @@ def bootstrap_boards(
     return {key: fitted[key] for key in sorted(fitted)}
 
 
-def bootstrap_monthly_curve(
-    quotes: Sequence[QuotedSwap], horizon_months: int | None = None
-) -> tuple[StepwiseCurve, BootstrapReport]:
+def bootstrap_monthly_curve(quotes: Sequence[QuotedSwap]) -> tuple[StepwiseCurve, BootstrapReport]:
     """Fit the monthly curve of one market and trading date.
 
     The fit is exact: every quote (kept or removed as redundant) must be
     reproduced by its window average within 1e-9 relative, otherwise the
-    quote system is inconsistent and InfeasibleCurveError is raised. The
-    optional horizon truncates the returned curve without changing any
-    fitted value. This is bootstrap_boards on a one-board input.
+    quote system is inconsistent and InfeasibleCurveError is raised. This
+    is bootstrap_boards on a one-board input.
     """
     if not quotes:
         raise ValidationError("no quotes to bootstrap")
     market, as_of = quotes[0].market, quotes[0].trading_date
-    curve, report = bootstrap_boards({(market, as_of): quotes})[(market, as_of)]
-
-    if horizon_months is not None:
-        if horizon_months < 1:
-            raise ValidationError("horizon_months must be at least 1")
-        cutoff = add_months(month_start(as_of), horizon_months)
-        keep = [i for i, m in enumerate(curve.months) if m < cutoff]
-        curve = StepwiseCurve(
-            market,
-            as_of,
-            [curve.months[i] for i in keep],
-            curve.values[keep],
-            curve.weights[keep],
-        )
-    return curve, report
+    return bootstrap_boards({(market, as_of): quotes})[(market, as_of)]
 
 
 def extract_fixed_delivery(curve: StepwiseCurve, h: int) -> float:

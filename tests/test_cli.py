@@ -430,6 +430,121 @@ def test_price_rejects_non_finite_contract_field(
     _assert_clean_validation_exit(rc, capsys, needle)
 
 
+# ---------------------------------------------------------------------------
+# Contract and run-config keys, fuzzed from their declarations
+# ---------------------------------------------------------------------------
+
+CONTRACT_KEYS = hjmkit.cli._CONTRACT_KEYS
+
+# tiny valid contract files; empty markets and the missing v_target take
+# their defaults from the model and from v_0
+TINY_CONTRACTS = {
+    "swing": {
+        "market": "", "n_days": "5", "u_max": "1", "d_max": "1", "K": "45", "Q": "1",
+        "sweep_rights": "1,2",
+    },
+    "vpp": {
+        "power_market": "", "fuel_market": "", "n_hours": "12", "t_on": "2", "t_off": "2",
+        "q_min": "10", "q_max": "50", "S_u": "100", "S_d": "50", "H": "2",
+        "sweep_lock_hours": "1,2",
+    },
+    "storage": {
+        "market": "", "n_days": "5", "v_min": "0", "v_max": "30", "v_0": "10",
+        "i_min": "-10", "i_max": "10", "penalty_scale": "2",
+    },
+}
+BAD_VALUES = {  # per kind: values that no key of that kind accepts
+    "str": ["no-such-market"],
+    "int": ["x", "2.5"],
+    "float": ["x", "nan", "inf"],
+    "list[int]": ["x"],
+}
+
+
+def _price_contract(tmp_path, pipeline_out, kind, entries, n_paths=32) -> tuple[int, Path]:
+    spec = tmp_path / f"{kind}.conf"
+    spec.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {pipeline_out / 'model.json'}\n"
+        f"curve_file = {pipeline_out / 'curves.csv'}\n"
+        f"seed = 3\nn_paths = {n_paths}\n{kind} = {spec}\n"
+    )
+    return main(["price", "--config", str(conf), "--out", str(tmp_path / "out")]), spec
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_KEYS))
+def test_price_tiny_contract_takes_dynamic_defaults(tmp_path, pipeline_out, kind):
+    # storage's continuation regression needs more than 32 samples
+    rc, _ = _price_contract(tmp_path, pipeline_out, kind, TINY_CONTRACTS[kind], n_paths=64)
+    assert rc == 0
+    report = read_report(tmp_path / "out" / f"price_{kind}.txt")
+    markets = FactorModel.load(pipeline_out / "model.json").markets
+    for key, field, _, _ in CONTRACT_KEYS[kind]:
+        if field is None:
+            assert report[key] == (markets[-1] if key == "fuel_market" else markets[0])
+    if kind == "storage":
+        assert report["v_target"] == report["v_0"] == "10"
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [
+        (kind, key)
+        for kind, keys in CONTRACT_KEYS.items()
+        for key, _, _, default in keys
+        if default is hjmkit.cli._REQUIRED
+    ],
+)
+def test_price_rejects_missing_required_contract_key(tmp_path, pipeline_out, capsys, kind, key):
+    entries = {k: v for k, v in TINY_CONTRACTS[kind].items() if k != key}
+    rc, spec = _price_contract(tmp_path, pipeline_out, kind, entries)
+    _assert_clean_validation_exit(rc, capsys, str(spec), repr(key))
+
+
+@pytest.mark.parametrize(
+    "kind,key,value",
+    [
+        (kind, key, value)
+        for kind, keys in CONTRACT_KEYS.items()
+        for key, _, key_kind, _ in keys
+        for value in BAD_VALUES[key_kind]
+    ],
+)
+def test_price_rejects_bad_contract_value(tmp_path, pipeline_out, capsys, kind, key, value):
+    rc, _ = _price_contract(tmp_path, pipeline_out, kind, {**TINY_CONTRACTS[kind], key: value})
+    _assert_clean_validation_exit(rc, capsys)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        (key, value)
+        for key, kind in hjmkit.cli._RUN_KINDS.items()
+        if kind in ("int", "float", "bool")
+        for value in (["x", "nan", "inf"] if kind == "float" else ["x"])
+    ],
+)
+def test_config_rejects_unparseable_or_non_finite_value(tmp_path, key, value):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValidationError, match=key):
+        load_run_config(conf)
+
+
+def test_readme_lists_every_contract_key():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Contract files") :]
+    section = section[: section.index("\n## ", 1)]
+    for kind, keys in CONTRACT_KEYS.items():
+        table = section[section.index(f"### `{kind}`") :]
+        for key, _, key_kind, default in keys:
+            row = f"| `{key}` | {key_kind} | "
+            assert row in table, row
+            required = table[table.index(row) + len(row) :].startswith("required")
+            assert required == (default is hjmkit.cli._REQUIRED), key
+
+
 def test_import_loads_no_scipy():
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     code = (

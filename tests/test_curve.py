@@ -195,19 +195,8 @@ def test_bootstrap_input_validation(quote_board):
 
 
 # ---------------------------------------------------------------------------
-# Horizon, holes, verification
+# Holes, verification
 # ---------------------------------------------------------------------------
-
-
-def test_horizon_truncates_without_refitting(quote_board):
-    full, _ = bootstrap_monthly_curve(quote_board)
-    for horizon in (1, 3, 12, 24, 60):
-        cut, _ = bootstrap_monthly_curve(quote_board, horizon_months=horizon)
-        assert all(m < add_months(date(2020, 1, 1), horizon) for m in cut.months)
-        for m in cut.months:
-            assert cut.value_at(m) == full.value_at(m)
-    with pytest.raises(ValidationError):
-        bootstrap_monthly_curve(quote_board, horizon_months=0)
 
 
 def test_curve_with_hole():

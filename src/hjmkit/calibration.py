@@ -41,7 +41,6 @@ class CovarianceEstimate:
     column_keys: list[tuple[str, str]]
     n_obs: int
     dt: float
-    demeaned: bool
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -54,19 +53,13 @@ class CovarianceEstimate:
         self.matrix = 0.5 * (self.matrix + self.matrix.T)
 
 
-def estimate_covariance(
-    returns: LogReturnMatrix, method: str = "sample"
-) -> CovarianceEstimate:
-    """Covariance of the complete rows of a return matrix.
+def estimate_covariance(returns: LogReturnMatrix) -> CovarianceEstimate:
+    """Sample covariance (demeaned, normalized by n-1) of the complete rows
+    of a return matrix.
 
     Rows containing any missing entry are dropped so every pairwise entry
-    is estimated from the same dates. ``method="sample"`` demeans and
-    normalizes by n-1; ``method="raw"`` is the plain cross-product X^T X
-    with no demeaning or normalization, kept for literal reproduction of
-    the shortcut estimator some desks use.
+    is estimated from the same dates.
     """
-    if method not in ("sample", "raw"):
-        raise ValidationError(f"unknown covariance method {method!r}")
     X = returns.values
     complete = np.isfinite(X).all(axis=1)
     n = int(complete.sum())
@@ -76,12 +69,9 @@ def estimate_covariance(
             "cannot estimate a covariance"
         )
     Xc = X[complete]
-    if method == "sample":
-        Xc = Xc - Xc.mean(axis=0)
-        mat = (Xc.T @ Xc) / (n - 1)
-    else:
-        mat = Xc.T @ Xc
-    return CovarianceEstimate(mat, list(returns.column_keys), n, returns.dt, method == "sample")
+    Xc = Xc - Xc.mean(axis=0)
+    mat = (Xc.T @ Xc) / (n - 1)
+    return CovarianceEstimate(mat, list(returns.column_keys), n, returns.dt)
 
 
 @dataclass

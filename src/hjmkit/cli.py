@@ -115,7 +115,6 @@ class RunConfig:
     n_paths: int = 2000
     step: float | None = None
     horizon: float = 1.0
-    horizon_days: int | None = None
     antithetic: bool = False
     rate: float = 0.0
     sim_mode: str = "fixed_delivery"
@@ -149,8 +148,6 @@ class RunConfig:
             raise ValidationError("step must be positive")
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive")
-        if self.horizon_days is not None and self.horizon_days < 1:
-            raise ValidationError("horizon_days must be at least 1")
         if self.rate < 0:
             raise ValidationError("rate must be non-negative")
         if self.sim_mode not in _SIM_MODES:
@@ -180,11 +177,6 @@ class RunConfig:
     def sim_step(self) -> float:
         return self.step if self.step is not None else self.dt
 
-    def sim_horizon(self) -> float:
-        if self.horizon_days is not None:
-            return self.horizon_days / _DAYS_PER_YEAR
-        return self.horizon
-
     def need_seed(self) -> int:
         if self.seed is None:
             raise ValidationError("seed is required (no wall-clock default)")
@@ -196,7 +188,7 @@ _RUN_KINDS = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(key: str, raw: str, kind: str):
+def _parse_value(label: str, raw: str, kind: str):
     raw = raw.strip()
     try:
         if kind == "int":
@@ -210,7 +202,7 @@ def _parse_value(key: str, raw: str, kind: str):
             return [int(p) for p in items] if kind == "list[int]" else items
         return raw
     except (ValueError, KeyError) as exc:
-        raise ValidationError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
+        raise ValidationError(f"{label}: cannot parse {raw!r} as {kind}") from exc
 
 
 def _read_flat_config(path) -> dict[str, str]:
@@ -229,7 +221,7 @@ def load_run_config(path=None, **overrides) -> RunConfig:
     for key, raw in data.items():
         if key not in _RUN_KINDS:
             raise ValidationError(f"unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw, _RUN_KINDS[key]))
+        setattr(cfg, key, _parse_value(f"config key {key!r}", raw, _RUN_KINDS[key]))
     for key, value in overrides.items():
         if value is not None:
             cfg = replace(cfg, **{key: value})
@@ -523,7 +515,7 @@ def cmd_simulate(cfg: RunConfig, calibrated) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     model, curves = calibrated
     sim_cfg = SimConfig(
-        cfg.need_seed(), cfg.n_paths, cfg.sim_step(), cfg.sim_horizon(), cfg.antithetic
+        cfg.need_seed(), cfg.n_paths, cfg.sim_step(), cfg.horizon, cfg.antithetic
     )
 
     mode = cfg.sim_mode
@@ -630,7 +622,7 @@ def _read_contract(cfg: RunConfig, name: str, model) -> dict:
     for key, raw in _read_flat_config(path).items():
         if key not in kinds:
             raise ValidationError(f"{path}: unknown contract key {key!r}")
-        values[key] = _parse_value(key, raw, kinds[key])
+        values[key] = _parse_value(f"{path}: contract key {key!r}", raw, kinds[key])
     for key, _, _, default in keys:
         if values.get(key, "") != "":
             continue

@@ -44,8 +44,6 @@ from .dates import (
 )
 from .errors import ValidationError
 
-GRANULARITIES = ("month", "quarter", "year")
-
 QUOTES_HEADER = ["trading_date", "market", "delivery_start", "delivery_end", "price"]
 
 

@@ -1,7 +1,11 @@
 """Contract pricing: Black formula, European MC, and LSMC dynamic programs.
 
 The exotic pricers (virtual power plant, swing, gas storage) share one
-backward-induction core over (time, resource state):
+backward-induction core over (time, resource state). Each pricer declares
+its moves once, as (valid, target) tables over the states of a step (a
+validity mask and the successor of every state), plus one cash(x, k)
+that turns step k's price column x into the per-path immediate cash of
+each move; no paths x steps cash matrix is built. In the core:
 
 * the continuation value of every resource state is regressed on a
   polynomial basis of the observed price; all states share one design
@@ -38,6 +42,7 @@ from .errors import PricingError, ValidationError
 from .simulation import PathSet
 
 _TIE_TOL = 1e-9
+_RIDGE = 1e-8  # ridge of the rank-deficient fallback in lsmc_continuation
 
 
 def _normal_cdf(x: float) -> float:
@@ -186,11 +191,7 @@ def _basis_size(x: np.ndarray, degree: int) -> int:
 
 
 def lsmc_continuation(
-    states,
-    values,
-    degree: int = 3,
-    min_samples_per_dim: int = 10,
-    ridge: float = 1e-8,
+    states, values, degree: int = 3, min_samples_per_dim: int = 10
 ) -> ContinuationFit:
     """Least-squares fit of realized future values on polynomials of the state.
 
@@ -232,7 +233,7 @@ def lsmc_continuation(
             RuntimeWarning,
             stacklevel=2,
         )
-        gram = design.T @ design + ridge * np.eye(dim)
+        gram = design.T @ design + _RIDGE * np.eye(dim)
         fit.coefficients = np.linalg.solve(gram, design.T @ y)
         fit.fitted = fit.coefficients.T @ design.T
         fit.ridge_used = True
@@ -249,12 +250,9 @@ class LsmcSettings:
 
     degree: int = 3
     min_samples_per_dim: int = 10
-    ridge: float = 1e-8
 
     def fit(self, states, values) -> ContinuationFit:
-        return lsmc_continuation(
-            states, values, self.degree, self.min_samples_per_dim, self.ridge
-        )
+        return lsmc_continuation(states, values, self.degree, self.min_samples_per_dim)
 
 
 @dataclass
@@ -281,7 +279,7 @@ def american_option(
     strike: float,
     rate: float = 0.0,
     kind: str = "put",
-    settings: LsmcSettings | None = None,
+    settings: LsmcSettings = LsmcSettings(),
     product: int = 0,
     last_exercise: int | None = None,
 ) -> PolicyValuation:
@@ -292,7 +290,6 @@ def american_option(
     as no-exercise.
     ``last_exercise`` restricts the window to grid indices 0..last.
     """
-    settings = settings or LsmcSettings()
     if kind not in ("call", "put"):
         raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
     if not (math.isfinite(strike) and strike > 0):
@@ -307,23 +304,23 @@ def american_option(
     disc = np.exp(-rate * grid)
     fits: list[ContinuationFit | None] = []
     cf = disc[last] * intrinsic[:, last]
+    full = settings.min_samples_per_dim * (settings.degree + 1)
     for k in range(last - 1, 0, -1):
         itm = intrinsic[:, k] > 0
-        n_itm = int(np.count_nonzero(itm))
+        x = s[itm, k]
         # lsmc_continuation's sample-size rule, checked without raising; the
         # distinct-value count (a sort) matters only below the full basis
-        full = settings.min_samples_per_dim * (settings.degree + 1)
-        if n_itm == 0 or (
-            n_itm < full
-            and n_itm < settings.min_samples_per_dim * _basis_size(s[itm, k], settings.degree)
+        if x.size == 0 or (
+            x.size < full
+            and x.size < settings.min_samples_per_dim * _basis_size(x, settings.degree)
         ):
             fits.append(None)
             continue
-        fit = settings.fit(s[itm, k], cf[itm])
+        ex = disc[k] * intrinsic[itm, k]
+        fit = settings.fit(x, cf[itm])
         fit.fitted = None  # the policy keeps coefficients only
-        cont = fit.evaluate(s[itm, k])[:, 0]
-        exercise_now = disc[k] * intrinsic[itm, k] >= cont - _TIE_TOL
-        cf[np.flatnonzero(itm)[exercise_now]] = disc[k] * intrinsic[itm, k][exercise_now]
+        exercise_now = ex >= fit.evaluate(x)[:, 0] - _TIE_TOL
+        cf[np.flatnonzero(itm)[exercise_now]] = ex[exercise_now]
         fits.append(fit)
     cont0, se = _pair_stats(cf, paths.config.antithetic)
     if intrinsic[0, 0] > cont0:
@@ -346,10 +343,10 @@ def _require_finite(contract) -> None:
 
 @dataclass(frozen=True)
 class VppContract:
-    """Power plant dispatch rights over an hourly window.
+    """Power plant operating rights over an hourly window.
 
     While committed the unit must run with output in [q_min, q_max]; since
-    the payoff is linear in output, dispatch is bang-bang: q_max when the
+    the payoff is linear in output, it is bang-bang: q_max when the
     spark spread is positive, q_min otherwise (the forced loss at q_min is
     what makes the minimum-on time bite). Switching on costs start_cost
     and locks the unit on for t_on hours; switching off costs stop_cost
@@ -538,6 +535,40 @@ def _backward_induction(
     return cf.T, (fitted[::-1] if fits is None else fits)
 
 
+def _policy_value(
+    price_state: np.ndarray,
+    terminal: np.ndarray,
+    moves: Sequence[list[tuple[np.ndarray, np.ndarray]]],
+    cash,
+    start: int,
+    antithetic: bool,
+    settings: LsmcSettings,
+    foresight: bool,
+    fits: list[ContinuationFit] | None = None,
+) -> tuple[np.ndarray, PolicyValuation]:
+    """Run the core on a pricer's tables and cash; return the start state's
+    per-path cash and its valuation.
+
+    moves[k] lists step k's (valid, target) tables, and cash(x, k) returns
+    the per-path immediate cash of each table, in the same order, from the
+    price column x = price_state[:, k].
+    """
+
+    def step_actions(k):
+        immediate = cash(price_state[:, k], k)
+        return ((c, valid, target) for c, (valid, target) in zip(immediate, moves[k]))
+
+    cf, fits = _backward_induction(price_state, terminal, step_actions, settings, foresight, fits)
+    sample = cf[:, start]
+    return sample, PolicyValuation(*_pair_stats(sample, antithetic), fits)
+
+
+def _require_dominance(upper: np.ndarray, lower: np.ndarray, what: str) -> None:
+    """Path-by-path bound check, up to rounding in the summed cash flows."""
+    if np.any(upper < lower - 1e-7):
+        raise PricingError(f"internal check failed: {what}")
+
+
 # ---------------------------------------------------------------------------
 # Virtual power plant
 # ---------------------------------------------------------------------------
@@ -552,32 +583,22 @@ class VppValuation:
     upper_bound_std_error: float
 
 
-def _vpp_tables(contract: VppContract):
+def _vpp_moves(contract: VppContract) -> list[tuple[np.ndarray, np.ndarray]]:
     """Commitment state machine: index = lock hours left, on block then off block.
 
     A state (mode, lock) entering an hour runs in that mode for the hour;
     lock > 0 forces the mode to persist. Switching on at hour k makes
     hours k..k+t_on-1 mandatory, so the successor entering hour k+1
-    carries t_on-1 locked hours (symmetrically for switching off).
+    carries t_on-1 locked hours (symmetrically for switching off). The
+    tables are: run while on, idle while off, start from (off, lock 0),
+    stop from (on, lock 0).
     """
-    n_on, n_off = contract.t_on, contract.t_off
-    n_states = n_on + n_off
-    on_locks = np.arange(n_on)
-    off_locks = np.arange(n_off)
-    stay_target = np.empty(n_states, dtype=int)
-    stay_target[:n_on] = np.maximum(on_locks - 1, 0)
-    stay_target[n_on:] = n_on + np.maximum(off_locks - 1, 0)
-    is_on = np.zeros(n_states, dtype=bool)
-    is_on[:n_on] = True
-    to_off = np.zeros(n_states, dtype=bool)
-    to_off[0] = True  # only (on, lock 0) may shut down
-    to_on = np.zeros(n_states, dtype=bool)
-    to_on[n_on] = True  # only (off, lock 0) may start
-    switch_target = np.zeros(n_states, dtype=int)
-    switch_target[0] = n_on + (n_off - 1)
-    switch_target[n_on] = n_on - 1
-    start_state = n_on  # the window opens with the unit off and free
-    return n_states, start_state, stay_target, is_on, to_on, to_off, switch_target
+    n_on = contract.t_on
+    state = np.arange(n_on + contract.t_off)
+    is_on = state < n_on
+    stay = np.maximum(state - 1, np.where(is_on, 0, n_on))
+    switch = np.where(is_on, state.size - 1, n_on - 1)
+    return [(is_on, stay), (~is_on, stay), (state == n_on, switch), (state == 0, switch)]
 
 
 def price_vpp(
@@ -585,7 +606,7 @@ def price_vpp(
     power_paths: PathSet,
     fuel_paths: PathSet,
     rate: float = 0.0,
-    settings: LsmcSettings | None = None,
+    settings: LsmcSettings = LsmcSettings(),
     power_product: int = 0,
     fuel_product: int = 0,
 ) -> VppValuation:
@@ -597,7 +618,6 @@ def price_vpp(
     q_max; perfect foresight optimizes each path in hindsight. Both
     dominate the LSMC value path by path, which is asserted.
     """
-    settings = settings or LsmcSettings()
     _require_finite_rate(rate)
     if power_paths.config != fuel_paths.config or power_paths.time_grid.size != fuel_paths.time_grid.size:
         raise ValidationError("power and fuel paths must share seed, path count and grid")
@@ -608,41 +628,26 @@ def price_vpp(
     s_fuel = fuel_paths.values[:, :n, fuel_product]
     spread = s_power - contract.heat_rate * s_fuel
     disc = np.exp(-rate * power_paths.time_grid[:n])
-    dispatch = (
-        contract.q_max * np.maximum(spread, 0.0) + contract.q_min * np.minimum(spread, 0.0)
-    ) * disc[None, :]
-
-    n_states, start_state, stay_target, is_on, to_on, to_off, switch_target = _vpp_tables(
-        contract
-    )
-    zero = np.zeros(power_paths.n_paths)
 
     # immediate cash depends on the state only through on/off, so the four
-    # (action, mode) combinations become four masked action rows
-    def actions(k):
-        d_k = dispatch[:, k]
-        yield d_k, is_on, stay_target
-        yield zero, ~is_on, stay_target
-        yield -contract.start_cost * disc[k] + d_k, to_on, switch_target
-        yield np.full_like(d_k, -contract.stop_cost * disc[k]), to_off, switch_target
+    # (action, mode) combinations are four masked tables
+    def cash(x, k):
+        gen = (contract.q_max * np.maximum(x, 0.0) + contract.q_min * np.minimum(x, 0.0)) * disc[k]
+        start, stop = -contract.start_cost * disc[k] + gen, -contract.stop_cost * disc[k]
+        return gen, np.zeros_like(x), start, np.full_like(x, stop)
 
-    terminal = np.zeros((power_paths.n_paths, n_states))
-    cf, fits = _backward_induction(spread, terminal, actions, settings, foresight=False)
-    value_sample = cf[:, start_state]
-    value, se = _pair_stats(value_sample, power_paths.config.antithetic)
-
-    cf_f, _ = _backward_induction(spread, terminal, actions, settings, foresight=True)
-    naive_sample = cf_f[:, start_state]
-    naive, naive_se = _pair_stats(naive_sample, power_paths.config.antithetic)
-
+    moves = [_vpp_moves(contract)] * n
+    terminal = np.zeros((power_paths.n_paths, contract.t_on + contract.t_off))
+    start = contract.t_on  # the window opens with the unit off and free
+    anti = power_paths.config.antithetic
+    sample, lsmc = _policy_value(spread, terminal, moves, cash, start, anti, settings, False)
+    naive_sample, naive = _policy_value(spread, terminal, moves, cash, start, anti, settings, True)
     strip_sample = (contract.q_max * np.maximum(spread, 0.0) * disc[None, :]).sum(axis=1)
-    strip, strip_se = _pair_stats(strip_sample, power_paths.config.antithetic)
+    strip, strip_se = _pair_stats(strip_sample, anti)
 
-    if np.any(naive_sample < value_sample - 1e-7):
-        raise PricingError("internal check failed: foresight value below policy value")
-    if np.any(strip_sample < naive_sample - 1e-7):
-        raise PricingError("internal check failed: strip bound below foresight value")
-    return VppValuation(PolicyValuation(value, se, fits), naive, naive_se, strip, strip_se)
+    _require_dominance(naive_sample, sample, "foresight value below policy value")
+    _require_dominance(strip_sample, naive_sample, "strip bound below foresight value")
+    return VppValuation(lsmc, naive.value, naive.std_error, strip, strip_se)
 
 
 # ---------------------------------------------------------------------------
@@ -661,22 +666,21 @@ class SwingValuation:
 
 
 def _swing_layers(contract: SwingContract):
-    """Per-step swing states and the successor tables of every move.
+    """Per-step swing states and the (valid, target) table of every move.
 
     layers[k] lists, sorted, the (upswings, downswings) left entering day k
     for k = 0..n_days. With r = n_days - k days left and one exercise a day,
     (u, d) is worth exactly (min(u, r), min(d, r)), so each layer holds the
     clamped states reachable from (u_max, d_max): layers[0] is that single
     state and layers[n_days] is (0, 0). Clamping commutes with every move,
-    so tables[k] = (hold target, up valid, up target, down valid, down
-    target) over layers[k] indexes into layers[k + 1].
+    so moves[k] = [hold, up, down] over layers[k] indexes into layers[k + 1].
     """
     n = contract.n_days
     layers = [[(contract.u_max, contract.d_max)]]
-    tables = []
+    moves = []
     for k in range(n):
         r = n - k - 1
-        moves = [
+        rows = [
             (
                 (min(u, r), min(d, r)),
                 (min(u - 1, r), min(d, r)) if u else None,
@@ -684,27 +688,23 @@ def _swing_layers(contract: SwingContract):
             )
             for u, d in layers[k]
         ]
-        nxt = sorted({s for row in moves for s in row if s is not None})
+        nxt = sorted({s for row in rows for s in row if s is not None})
         pos = {s: i for i, s in enumerate(nxt)}
-        hold, up, down = zip(*moves)
-        tables.append(
-            (
-                np.array([pos[h] for h in hold]),
-                np.array([x is not None for x in up]),
-                np.array([pos.get(x, 0) for x in up]),
-                np.array([x is not None for x in down]),
-                np.array([pos.get(x, 0) for x in down]),
-            )
+        moves.append(
+            [
+                (np.array([x is not None for x in succ]), np.array([pos.get(x, 0) for x in succ]))
+                for succ in zip(*rows)
+            ]
         )
         layers.append(nxt)
-    return layers, tables
+    return layers, moves
 
 
 def price_swing(
     contract: SwingContract,
     spot_paths: PathSet,
     rate: float = 0.0,
-    settings: LsmcSettings | None = None,
+    settings: LsmcSettings = LsmcSettings(),
     product: int = 0,
 ) -> SwingValuation:
     """LSMC swing value with its American lower and European upper bounds.
@@ -722,61 +722,44 @@ def price_swing(
     puts, which dominates path by path. A bound breach beyond three
     combined standard errors raises.
     """
-    settings = settings or LsmcSettings()
     _require_finite_rate(rate)
     n = contract.n_days
     if spot_paths.time_grid.size < n:
         raise ValidationError(f"paths cover {spot_paths.time_grid.size} days, contract needs {n}")
     s = spot_paths.values[:, :n, product]
     disc = np.exp(-rate * spot_paths.time_grid[:n])
-    q = contract.quantity
-    up_cash = q * np.maximum(s - contract.strike, 0.0) * disc[None, :]
-    down_cash = q * np.maximum(contract.strike - s, 0.0) * disc[None, :]
+    q, strike = contract.quantity, contract.strike
 
-    layers, tables = _swing_layers(contract)
-    zero = np.zeros(spot_paths.n_paths)
+    def cash(x, k):
+        up = q * np.maximum(x - strike, 0.0) * disc[k]
+        return np.zeros_like(x), up, q * np.maximum(strike - x, 0.0) * disc[k]
 
-    def actions(k):
-        hold_target, up_valid, up_target, down_valid, down_target = tables[k]
-        yield zero, np.ones(hold_target.size, dtype=bool), hold_target
-        yield up_cash[:, k], up_valid, up_target
-        yield down_cash[:, k], down_valid, down_target
-
+    layers, moves = _swing_layers(contract)
     terminal = np.zeros((spot_paths.n_paths, len(layers[n])))
-    cf, fits = _backward_induction(s, terminal, actions, settings, foresight=False)
-    sample = cf[:, 0]
-    value, se = _pair_stats(sample, spot_paths.config.antithetic)
-
-    ub_sample = (up_cash + down_cash).sum(axis=1)
-    ub, ub_se = _pair_stats(ub_sample, spot_paths.config.antithetic)
+    anti = spot_paths.config.antithetic
+    sample, lsmc = _policy_value(s, terminal, moves, cash, 0, anti, settings, foresight=False)
+    # one of the two legs is exactly 0, so this is the call plus the put strip
+    ub_sample = (q * np.abs(s - strike) * disc).sum(axis=1)
+    ub, ub_se = _pair_stats(ub_sample, anti)
 
     lb = lb_se = 0.0
     if contract.u_max > 0 or contract.d_max > 0:
-        parts = []
-        if contract.u_max > 0:
-            parts.append(
-                american_option(
-                    spot_paths, contract.strike, rate, "call", settings, product, n - 1
-                )
-            )
-        if contract.d_max > 0:
-            parts.append(
-                american_option(
-                    spot_paths, contract.strike, rate, "put", settings, product, n - 1
-                )
-            )
+        parts = [
+            american_option(spot_paths, strike, rate, kind, settings, product, n - 1)
+            for kind, rights in (("call", contract.u_max), ("put", contract.d_max))
+            if rights > 0
+        ]
         lb = q * sum(p.value for p in parts)
         lb_se = q * math.sqrt(sum(p.std_error**2 for p in parts))
 
-    if np.any(ub_sample < sample - 1e-7):
-        raise PricingError("internal check failed: straddle strip below swing value")
+    _require_dominance(ub_sample, sample, "straddle strip below swing value")
     # the absolute term absorbs rounding when a certain value has zero standard errors
-    slack = 3.0 * math.sqrt(se**2 + lb_se**2) + 1e-9 * max(1.0, abs(lb))
-    if value < lb - slack:
+    slack = 3.0 * math.sqrt(lsmc.std_error**2 + lb_se**2) + 1e-9 * max(1.0, abs(lb))
+    if lsmc.value < lb - slack:
         raise PricingError(
-            f"swing value {value:.6g} breaches its American lower bound {lb:.6g}"
+            f"swing value {lsmc.value:.6g} breaches its American lower bound {lb:.6g}"
         )
-    return SwingValuation(PolicyValuation(value, se, fits), lb, lb_se, ub, ub_se, layers)
+    return SwingValuation(lsmc, lb, lb_se, ub, ub_se, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +821,7 @@ def price_storage(
     spot_paths: PathSet,
     fresh_paths: PathSet | None = None,
     rate: float = 0.0,
-    settings: LsmcSettings | None = None,
+    settings: LsmcSettings = LsmcSettings(),
     product: int = 0,
 ) -> StorageValuation:
     """Storage value by LSMC dynamic programming on a volume grid.
@@ -851,7 +834,6 @@ def price_storage(
     out of sample to expose look-ahead bias: the backward core runs on them
     with the fitted regressions held fixed.
     """
-    settings = settings or LsmcSettings()
     _require_finite_rate(rate)
     n = contract.n_days
     if spot_paths.time_grid.size < n + 1:
@@ -871,59 +853,31 @@ def price_storage(
                 "within the contract window"
             )
     grid, v0_idx, i_units, w_units, trunc_lo, trunc_hi = _storage_grid(contract)
-    n_v = grid.size
-    s = spot_paths.values[:, : n + 1, product]
+    state = np.arange(grid.size)
+    hold = (np.ones(grid.size, dtype=bool), state)
+    inject = (state + i_units < grid.size, np.minimum(state + i_units, grid.size - 1))
+    withdraw = (state >= w_units, np.maximum(state - w_units, 0))
+    moves = [[hold, inject, withdraw]] * n
     disc = np.exp(-rate * spot_paths.time_grid[: n + 1])
+    short = np.maximum(contract.v_target - grid, 0.0)
+    penalty = -contract.penalty_scale * disc[n]
 
-    state_idx = np.arange(n_v)
-    hold_target = state_idx
-    inj_valid = state_idx + i_units <= n_v - 1
-    inj_target = np.minimum(state_idx + i_units, n_v - 1)
-    wdr_valid = state_idx - w_units >= 0
-    wdr_target = np.maximum(state_idx - w_units, 0)
-    all_valid = np.ones(n_v, dtype=bool)
+    def cash(x, k):
+        up, down = -x * contract.inject_rate * disc[k], -x * contract.withdraw_rate * disc[k]
+        return np.zeros_like(x), up, down
 
-    def terminal_values(spot_col: np.ndarray, disc_term: float) -> np.ndarray:
-        short = np.maximum(contract.v_target - grid, 0.0)
-        return -contract.penalty_scale * disc_term * spot_col[:, None] * short[None, :]
-
-    def actions_for(spot: np.ndarray, dd: np.ndarray):
-        zero = np.zeros(spot.shape[0])
-
-        def actions(k):
-            yield zero, all_valid, hold_target
-            yield -spot[:, k] * contract.inject_rate * dd[k], inj_valid, inj_target
-            yield -spot[:, k] * contract.withdraw_rate * dd[k], wdr_valid, wdr_target
-
-        return actions
-
-    terminal = terminal_values(s[:, n], disc[n])
-    cf, fits = _backward_induction(s[:, :n], terminal, actions_for(s, disc), settings, False)
-    sample = cf[:, v0_idx]
-    value, se = _pair_stats(sample, spot_paths.config.antithetic)
-
-    cf_f, _ = _backward_induction(s[:, :n], terminal, actions_for(s, disc), settings, True)
-    det_sample = cf_f[:, v0_idx]
-    det, det_se = _pair_stats(det_sample, spot_paths.config.antithetic)
-    if np.any(det_sample < sample - 1e-7):
-        raise PricingError("internal check failed: foresight value below policy value")
+    s = spot_paths.values[:, : n + 1, product]
+    terminal = penalty * s[:, n, None] * short
+    anti = spot_paths.config.antithetic
+    sample, sdp = _policy_value(s[:, :n], terminal, moves, cash, v0_idx, anti, settings, False)
+    det_sample, det = _policy_value(s[:, :n], terminal, moves, cash, v0_idx, anti, settings, True)
+    _require_dominance(det_sample, sample, "foresight value below policy value")
 
     out = None
     if fresh_paths is not None:
         sf = fresh_paths.values[:, : n + 1, product]
-        terminal_f = terminal_values(sf[:, n], disc[n])
-        cf_o, _ = _backward_induction(
-            sf[:, :n], terminal_f, actions_for(sf, disc), settings, False, fits
-        )
-        o_val, o_se = _pair_stats(cf_o[:, v0_idx], fresh_paths.config.antithetic)
-        out = PolicyValuation(o_val, o_se, fits)
-
-    return StorageValuation(
-        PolicyValuation(value, se, fits),
-        det,
-        det_se,
-        out,
-        grid,
-        trunc_lo,
-        trunc_hi,
-    )
+        terminal = penalty * sf[:, n, None] * short
+        anti = fresh_paths.config.antithetic
+        fits = sdp.fits
+        _, out = _policy_value(sf[:, :n], terminal, moves, cash, v0_idx, anti, settings, False, fits)
+    return StorageValuation(sdp, det.value, det.std_error, out, grid, trunc_lo, trunc_hi)

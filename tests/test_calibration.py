@@ -42,7 +42,7 @@ def returns_of(values, keys=None):
 def cov_of(matrix, keys=None):
     matrix = np.asarray(matrix, dtype=float)
     keys = keys or [("DE", f"M{j + 1}") for j in range(matrix.shape[0])]
-    return CovarianceEstimate(matrix, keys, n_obs=100, dt=DT, demeaned=True)
+    return CovarianceEstimate(matrix, keys, n_obs=100, dt=DT)
 
 
 def corr(m):
@@ -58,7 +58,7 @@ def corr(m):
 def test_identical_rows_give_zero_covariance():
     est = estimate_covariance(returns_of([[0.01, 0.02], [0.01, 0.02]]))
     np.testing.assert_array_equal(est.matrix, np.zeros((2, 2)))
-    assert est.n_obs == 2 and est.demeaned
+    assert est.n_obs == 2
 
 
 def test_two_row_hand_value():
@@ -76,20 +76,11 @@ def test_incomplete_rows_dropped():
         estimate_covariance(returns_of([[0.1, np.nan], [np.nan, 0.2], [0.1, 0.2]]))
 
 
-def test_raw_method_is_plain_cross_product():
-    X = np.array([[0.01, 0.02], [0.03, -0.01], [0.0, 0.015]])
-    est = estimate_covariance(returns_of(X), method="raw")
-    np.testing.assert_allclose(est.matrix, X.T @ X, atol=1e-18)
-    assert not est.demeaned
-    with pytest.raises(ValidationError):
-        estimate_covariance(returns_of(X), method="shrunk")
-
-
 def test_covariance_estimate_validation():
     with pytest.raises(ValidationError):
         cov_of(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
     with pytest.raises(ValidationError):
-        CovarianceEstimate(np.eye(2), [("DE", "M1")], 10, DT, True)
+        CovarianceEstimate(np.eye(2), [("DE", "M1")], 10, DT)
 
 
 # ---------------------------------------------------------------------------

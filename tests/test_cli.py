@@ -512,8 +512,10 @@ def test_price_rejects_missing_required_contract_key(tmp_path, pipeline_out, cap
     ],
 )
 def test_price_rejects_bad_contract_value(tmp_path, pipeline_out, capsys, kind, key, value):
-    rc, _ = _price_contract(tmp_path, pipeline_out, kind, {**TINY_CONTRACTS[kind], key: value})
-    _assert_clean_validation_exit(rc, capsys)
+    rc, spec = _price_contract(tmp_path, pipeline_out, kind, {**TINY_CONTRACTS[kind], key: value})
+    # an unparseable value names the contract file and the key
+    needles = [f"{spec}: contract key {key!r}: cannot parse"] if value in ("x", "2.5") else []
+    _assert_clean_validation_exit(rc, capsys, *needles)
 
 
 @pytest.mark.parametrize(

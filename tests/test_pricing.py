@@ -10,6 +10,7 @@ reproduce the true optimum to rounding error.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1023,3 +1024,210 @@ def test_storage_replay_on_fitting_paths_is_in_sample_value(case):
     same = make_paths(vals, step=1 / 12, seed=2)
     got = price_storage(contract, ps, fresh_paths=same, rate=rate)
     assert got.out_of_sample.value == pytest.approx(got.sdp.value, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Per-step cash against the paths x steps cash matrices it replaced
+# ---------------------------------------------------------------------------
+
+
+def _pair_mean(sample, antithetic):
+    return float((sample.reshape(-1, 2).mean(axis=1) if antithetic else sample).mean())
+
+
+def side_matrix_vpp(contract, ps, rate):
+    """Test-only copy of price_vpp's former arithmetic: a paths x hours cash
+    matrix read column by column through a closure over the commitment
+    tables. Returns the LSMC value, the foresight value and the strip, and
+    the LSMC fits."""
+    n, n_on, n_off = contract.n_hours, contract.t_on, contract.t_off
+    spread = ps.values[:, :n, 0] - contract.heat_rate * ps.values[:, :n, 1]
+    disc = np.exp(-rate * ps.time_grid[:n])
+    dispatch = (
+        contract.q_max * np.maximum(spread, 0.0) + contract.q_min * np.minimum(spread, 0.0)
+    ) * disc[None, :]
+    state = np.arange(n_on + n_off)
+    stay = np.concatenate(
+        [np.maximum(np.arange(n_on) - 1, 0), n_on + np.maximum(np.arange(n_off) - 1, 0)]
+    )
+    is_on = state < n_on
+    switch = np.zeros(state.size, dtype=int)
+    switch[0], switch[n_on] = state.size - 1, n_on - 1
+    zero = np.zeros(ps.n_paths)
+
+    def actions(k):
+        d_k = dispatch[:, k]
+        yield d_k, is_on, stay
+        yield zero, ~is_on, stay
+        yield -contract.start_cost * disc[k] + d_k, state == n_on, switch
+        yield np.full_like(d_k, -contract.stop_cost * disc[k]), state == 0, switch
+
+    terminal = np.zeros((ps.n_paths, state.size))
+    cf, fits = _backward_induction(spread, terminal, actions, LsmcSettings(), foresight=False)
+    cf_f, _ = _backward_induction(spread, terminal, actions, LsmcSettings(), foresight=True)
+    strip = (contract.q_max * np.maximum(spread, 0.0) * disc[None, :]).sum(axis=1)
+    anti = ps.config.antithetic
+    values = (cf[:, n_on], cf_f[:, n_on], strip)
+    return tuple(_pair_mean(v, anti) for v in values), fits
+
+
+def side_matrix_swing(contract, ps, rate):
+    """Test-only copy of price_swing's former arithmetic: up and down cash
+    matrices and 5-tuple successor tables over the clamped layers. Returns
+    the LSMC value and the straddle strip, and the LSMC fits."""
+    n, q, strike = contract.n_days, contract.quantity, contract.strike
+    s = ps.values[:, :n, 0]
+    disc = np.exp(-rate * ps.time_grid[:n])
+    up_cash = q * np.maximum(s - strike, 0.0) * disc[None, :]
+    down_cash = q * np.maximum(strike - s, 0.0) * disc[None, :]
+    layer, tables = [(contract.u_max, contract.d_max)], []
+    for k in range(n):
+        r = n - k - 1
+        hold = [(min(u, r), min(d, r)) for u, d in layer]
+        up = [(min(u - 1, r), min(d, r)) if u else None for u, d in layer]
+        down = [(min(u, r), min(d - 1, r)) if d else None for u, d in layer]
+        layer = sorted({x for x in hold + up + down if x is not None})
+        pos = {x: i for i, x in enumerate(layer)}
+        tables.append(
+            (
+                np.array([pos[x] for x in hold]),
+                np.array([x is not None for x in up]),
+                np.array([pos.get(x, 0) for x in up]),
+                np.array([x is not None for x in down]),
+                np.array([pos.get(x, 0) for x in down]),
+            )
+        )
+    zero = np.zeros(ps.n_paths)
+
+    def actions(k):
+        hold_target, up_valid, up_target, down_valid, down_target = tables[k]
+        yield zero, np.ones(hold_target.size, dtype=bool), hold_target
+        yield up_cash[:, k], up_valid, up_target
+        yield down_cash[:, k], down_valid, down_target
+
+    terminal = np.zeros((ps.n_paths, len(layer)))
+    cf, fits = _backward_induction(s, terminal, actions, LsmcSettings(), foresight=False)
+    anti = ps.config.antithetic
+    return (_pair_mean(cf[:, 0], anti), _pair_mean((up_cash + down_cash).sum(axis=1), anti)), fits
+
+
+def side_matrix_storage(contract, ps, fresh, rate):
+    """Test-only copy of price_storage's former arithmetic: terminal-value
+    and action factories per path set. Returns the LSMC value, the
+    foresight value and the out-of-sample value on ``fresh``, and the
+    LSMC fits."""
+    grid, v0_idx, i_units, w_units, _, _ = _storage_grid(contract)
+    n, n_v = contract.n_days, grid.size
+    disc = np.exp(-rate * ps.time_grid[: n + 1])
+    state = np.arange(n_v)
+
+    def terminal_values(spot_col):
+        short = np.maximum(contract.v_target - grid, 0.0)
+        return -contract.penalty_scale * disc[n] * spot_col[:, None] * short[None, :]
+
+    def actions_for(spot):
+        zero = np.zeros(spot.shape[0])
+
+        def actions(k):
+            yield zero, np.ones(n_v, dtype=bool), state
+            yield (
+                -spot[:, k] * contract.inject_rate * disc[k],
+                state + i_units <= n_v - 1,
+                np.minimum(state + i_units, n_v - 1),
+            )
+            yield (
+                -spot[:, k] * contract.withdraw_rate * disc[k],
+                state - w_units >= 0,
+                np.maximum(state - w_units, 0),
+            )
+
+        return actions
+
+    s, sf = ps.values[:, : n + 1, 0], fresh.values[:, : n + 1, 0]
+    args = (s[:, :n], terminal_values(s[:, n]), actions_for(s), LsmcSettings())
+    cf, fits = _backward_induction(*args, foresight=False)
+    cf_f, _ = _backward_induction(*args, foresight=True)
+    cf_o, _ = _backward_induction(
+        sf[:, :n], terminal_values(sf[:, n]), actions_for(sf), LsmcSettings(), False, fits
+    )
+    anti = ps.config.antithetic
+    values = (
+        _pair_mean(cf[:, v0_idx], anti),
+        _pair_mean(cf_f[:, v0_idx], anti),
+        _pair_mean(cf_o[:, v0_idx], fresh.config.antithetic),
+    )
+    return values, fits
+
+
+@st.composite
+def vpp_contracts(draw):
+    q_min = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return VppContract(
+        n_hours=draw(st.integers(2, 8)),
+        t_on=draw(st.integers(1, 3)),
+        t_off=draw(st.integers(1, 3)),
+        q_min=q_min,
+        q_max=q_min + draw(st.sampled_from([0.5, 2.0])),
+        start_cost=draw(st.sampled_from([0.0, 5.0])),
+        stop_cost=draw(st.sampled_from([0.0, 3.0])),
+        heat_rate=draw(st.sampled_from([0.0, 1.0, 2.0])),
+    )
+
+
+@st.composite
+def swing_contracts(draw):
+    n_days = draw(st.integers(2, 6))
+    return SwingContract(
+        n_days,
+        draw(st.integers(0, n_days)),
+        draw(st.integers(0, n_days)),
+        draw(st.sampled_from([92.0, 100.0, 108.0])),
+        quantity=draw(st.sampled_from([1.0, 2.5])),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    vpp=vpp_contracts(), swing=swing_contracts(), storage=storage_cases(), antithetic=st.booleans()
+)
+def test_pricers_match_side_matrix_reference_bit_for_bit(vpp, swing, storage, antithetic):
+    """Per-step cash from the price column gives the same bits as the paths
+    x steps cash matrices the pricers used to build: every value is
+    compared with ==, not approx. The fitted coefficients are compared
+    too, since a mean can absorb a one-ulp change in a few paths' cash
+    that a regression on those paths does not."""
+    contract, seed, rate = storage
+    # volumes off the powers of two, so that reordering a product of a rate,
+    # a price and a discount factor changes bits
+    volumes = ("v_min", "v_max", "v_start", "v_target", "withdraw_rate", "inject_rate")
+    contract = replace(contract, **{f: 0.7 * getattr(contract, f) for f in volumes})
+    rng = np.random.default_rng(seed)
+
+    def paths(n_days, n_paths=240, path_seed=1, anti=antithetic):
+        vals = _gbm_values(rng, n_paths, n_days, anti)
+        return make_paths(vals, step=1 / 12, seed=path_seed, antithetic=anti)
+
+    def same_fits(got, want):
+        return len(got) == len(want) and all(
+            np.array_equal(g.coefficients, w.coefficients) for g, w in zip(got, want)
+        )
+
+    n = vpp.n_hours
+    power, fuel = _gbm_values(rng, 240, n, antithetic), 0.5 * _gbm_values(rng, 240, n, antithetic)
+    ps = make_paths(np.stack([power, fuel], axis=2), step=1 / 12, seed=1, antithetic=antithetic)
+    got = price_vpp(vpp, ps, ps, rate, power_product=0, fuel_product=1)
+    want, fits = side_matrix_vpp(vpp, ps, rate)
+    assert (got.lsmc.value, got.naive, got.upper_bound) == want
+    assert same_fits(got.lsmc.fits, fits)
+
+    ps = paths(swing.n_days)
+    got = price_swing(swing, ps, rate)
+    want, fits = side_matrix_swing(swing, ps, rate)
+    assert (got.lsmc.value, got.upper_bound) == want
+    assert same_fits(got.lsmc.fits, fits)
+
+    ps, fresh = paths(contract.n_days), paths(contract.n_days, 300, 2, not antithetic)
+    got = price_storage(contract, ps, fresh_paths=fresh, rate=rate)
+    want, fits = side_matrix_storage(contract, ps, fresh, rate)
+    assert (got.sdp.value, got.deterministic, got.out_of_sample.value) == want
+    assert same_fits(got.sdp.fits, fits)

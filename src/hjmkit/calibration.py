@@ -173,8 +173,12 @@ class FactorModel:
             )
         if not 1 <= self.n_factors <= rows:
             raise ValidationError("n_factors must lie in 1..total rows")
-        if self.dt <= 0 or self.bucket_width <= 0:
-            raise ValidationError("dt and bucket_width must be positive")
+        for name, value in (("dt", self.dt), ("bucket_width", self.bucket_width)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be positive and finite")
+        for name in ("eigenvalues", "sigma_star"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"{name} must be finite")
         if np.any(self.eigenvalues < 0) or np.any(np.diff(self.eigenvalues) > 0):
             raise ValidationError("eigenvalues must be non-negative and descending")
 
@@ -202,9 +206,8 @@ class FactorModel:
         return self.sigma_star[self.row_index(market, bucket)]
 
     def market_block(self, market: str) -> np.ndarray:
-        k = self.markets.index(market)
-        m = self.buckets_per_market
-        return self.sigma_star[k * m : (k + 1) * m]
+        start = self.row_index(market, 1)
+        return self.sigma_star[start : start + self.buckets_per_market]
 
     def covariance(self) -> np.ndarray:
         """Model-implied return covariance dt * sigma* sigma*^T."""
@@ -256,7 +259,7 @@ class FactorModel:
                 sigma_star=np.asarray(doc["sigma_star"], dtype=float),
                 bucket_width=float(doc.get("bucket_width", DEFAULT_BUCKET_WIDTH)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}: malformed model field ({exc})") from exc
 
 

@@ -8,7 +8,9 @@ size only matters through how bucket boundaries are rounded inside a step
 (a step straddling a boundary splits its variance proportionally to the
 time spent in each bucket).
 
-Four generators cover the product families:
+Four public generators cover the product families. The first three run
+one lognormal engine, fed each product's live time per step (or a swap's
+step variance, from the same log-variance law ``sanity_check`` uses):
 
 * simulate_fixed_delivery: products with a frozen volatility row for their
   whole life, stopping at their own delivery.
@@ -17,11 +19,11 @@ Four generators cover the product families:
 * simulate_swap: one traded swap whose active row is the bucket containing
   its current time to delivery; also accepts a parametric term-structure
   volatility with closed-form step integrals.
-* simulate_spot: the delivery-time limit of the surface, where each past
-  shock is re-weighted by the bucket its age has grown into. The lag
-  volatility changes only at lags that touch a bucket boundary, so spot is
-  a sum of cumulative shocks over those few lags: exact, and linear in the
-  step count.
+* simulate_spot, with its own kernel: the delivery-time limit of the
+  surface, where each past shock is re-weighted by the bucket its age has
+  grown into. The lag volatility changes only at lags that touch a bucket
+  boundary, so spot is a sum of cumulative shocks over those few lags:
+  exact, and linear in the step count.
 
 Determinism: the seed fully determines every path. Draws come from one
 seeded generator consumed path-major, then step, then factor; the
@@ -198,29 +200,29 @@ class ExponentialVol:
     """
 
     def __init__(self, gamma: float, k: float, constant: float = 0.0):
-        if gamma < 0 or constant < 0 or k < 0:
-            raise ValidationError("volatility parameters must be non-negative")
+        for name, value in (("gamma", gamma), ("k", k), ("constant", constant)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be non-negative and finite")
         if gamma == 0 and constant == 0:
             raise ValidationError("volatility is identically zero")
         self.gamma = float(gamma)
         self.k = float(k)
         self.constant = float(constant)
 
-    def variance_between(self, tau: float, s0: float, s1: float) -> float:
-        """Integrated squared volatility of a swap maturing at tau over [s0, s1]."""
-        s1 = min(s1, tau)
-        s0 = min(s0, tau)
-        if s1 <= s0:
-            return 0.0
-        base = self.constant**2 * (s1 - s0)
-        if self.gamma == 0:
-            return base
-        if self.k == 0:
-            return base + self.gamma**2 * (s1 - s0)
-        g, k = self.gamma, self.k
-        return base + g * g / (4 * k) * (
-            math.exp(-4 * k * (tau - s1)) - math.exp(-4 * k * (tau - s0))
-        )
+    def variance_between(self, tau: float, s0, s1):
+        """Integrated squared volatility of a swap maturing at tau over [s0, s1].
+
+        ``s0`` and ``s1`` may be arrays; scalar bounds give a scalar.
+        """
+        s1 = np.minimum(s1, tau)
+        s0 = np.minimum(s0, tau)
+        var = self.constant**2 * (s1 - s0)
+        if self.gamma != 0 and self.k == 0:
+            var += self.gamma**2 * (s1 - s0)
+        elif self.gamma != 0:
+            g, k = self.gamma, self.k
+            var += g * g / (4 * k) * (np.exp(-4 * k * (tau - s1)) - np.exp(-4 * k * (tau - s0)))
+        return np.where(s1 > s0, var, 0.0)[()]
 
 
 def _rows_for(model: FactorModel, products: Sequence[tuple[str, int]]) -> np.ndarray:
@@ -236,23 +238,16 @@ def _check_initial(initial, n: int) -> np.ndarray:
     return arr
 
 
-def _constant_row_paths(
+def _lognormal_paths(
     rows: np.ndarray,
+    live: np.ndarray,
     initial: np.ndarray,
     cfg: SimConfig,
-    stops: np.ndarray | None,
     keys: list[ContractDescriptor],
 ) -> PathSet:
-    """Shared engine for products whose volatility row never changes."""
-    grid = cfg.time_grid
+    """Every non-spot path set: product n diffuses with its frozen row for
+    live[k, n] years of step k (a unit row takes the step variance as live)."""
     n_steps, n_prod = cfg.n_steps, rows.shape[0]
-    # live[k, n]: time product n actually diffuses during step k
-    if stops is None:
-        live = np.tile(np.diff(grid)[:, None], (1, n_prod))
-    else:
-        lo = np.minimum(grid[:-1, None], stops[None, :])
-        hi = np.minimum(grid[1:, None], stops[None, :])
-        live = np.maximum(hi - lo, 0.0)
     values = np.empty((cfg.n_paths, n_steps + 1, n_prod))
     values[:, 0, :] = initial[None, :]
     x = values[:, 1:, :]  # the log path, built in place
@@ -264,7 +259,21 @@ def _constant_row_paths(
     np.cumsum(x, axis=1, out=x)
     np.exp(x, out=x)
     x *= initial
-    return PathSet(values, grid, keys, cfg)
+    return PathSet(values, cfg.time_grid, keys, cfg)
+
+
+def _fixed_delivery_paths(model: FactorModel, products, initial, cfg: SimConfig) -> PathSet:
+    """Frozen-row products, each diffusing until its own delivery."""
+    rows = _rows_for(model, products)
+    initial = _check_initial(initial, len(products))
+    stops = np.array([b * model.bucket_width for _, b in products])
+    grid = cfg.time_grid
+    # live[k, n]: time product n actually diffuses during step k
+    lo = np.minimum(grid[:-1, None], stops[None, :])
+    hi = np.minimum(grid[1:, None], stops[None, :])
+    live = np.maximum(hi - lo, 0.0)
+    keys = [ContractDescriptor("fixed_delivery", mk, bucket=b) for mk, b in products]
+    return _lognormal_paths(rows, live, initial, cfg, keys)
 
 
 def simulate_fixed_delivery(
@@ -286,12 +295,7 @@ def simulate_fixed_delivery(
             for mk in model.markets
             for b in range(1, model.buckets_per_market + 1)
         ]
-    products = list(products)
-    rows = _rows_for(model, products)
-    initial = _check_initial(initial, len(products))
-    stops = np.array([b * model.bucket_width for _, b in products])
-    keys = [ContractDescriptor("fixed_delivery", mk, bucket=b) for mk, b in products]
-    return _constant_row_paths(rows, initial, cfg, stops, keys)
+    return _fixed_delivery_paths(model, list(products), initial, cfg)
 
 
 def simulate_short_horizon(
@@ -300,7 +304,8 @@ def simulate_short_horizon(
     """Whole-curve shock: all buckets of one market over a short horizon.
 
     Every bucket evolves with its own frozen row. The horizon must stay
-    inside the front bucket so no product reaches its own delivery.
+    inside the front bucket; a grid whose last step overshoots it leaves the
+    front bucket flat after its delivery, as in simulate_fixed_delivery.
     """
     if cfg.horizon > model.bucket_width + 1e-12:
         raise ValidationError(
@@ -308,24 +313,7 @@ def simulate_short_horizon(
             "use simulate_fixed_delivery for longer runs"
         )
     products = [(market, b) for b in range(1, model.buckets_per_market + 1)]
-    rows = _rows_for(model, products)
-    initial = _check_initial(initial, len(products))
-    keys = [ContractDescriptor("fixed_delivery", market, bucket=b) for _, b in products]
-    return _constant_row_paths(rows, initial, cfg, None, keys)
-
-
-def _swap_step_variances(model, contract: ContractDescriptor, grid: np.ndarray) -> np.ndarray:
-    tau = contract.tau_start
-    if isinstance(model, FactorModel):
-        norms2 = (model.market_block(contract.market) ** 2).sum(axis=1)
-        occ = bucket_occupancy(
-            tau - grid[1:], tau - grid[:-1], model.buckets_per_market, model.bucket_width
-        )
-        return occ @ norms2
-    out = np.empty(grid.size - 1)
-    for k in range(out.size):
-        out[k] = model.variance_between(tau, grid[k], grid[k + 1])
-    return out
+    return _fixed_delivery_paths(model, products, initial, cfg)
 
 
 def simulate_swap(
@@ -345,17 +333,9 @@ def simulate_swap(
         raise ValidationError("simulate_swap expects a swap descriptor")
     initial = _check_initial(initial, 1)
     grid = cfg.time_grid
-    v = _swap_step_variances(model, contract, grid)
-    z = normals(cfg, cfg.n_steps, 1)[:, :, 0]  # the increments, built in place
-    z *= np.sqrt(v)
-    z += -0.5 * v
-    values = np.empty((cfg.n_paths, grid.size, 1))
-    values[:, 0, 0] = initial[0]
-    x = values[:, 1:, 0]
-    np.cumsum(z, axis=1, out=x)
-    np.exp(x, out=x)
-    x *= initial[0]
-    return PathSet(values, grid, [contract], cfg)
+    v = _log_variance(model, contract, grid[1:], grid[:-1])
+    # a unit row carries each step's variance as its live time
+    return _lognormal_paths(np.ones((1, 1)), v[:, None], initial, cfg, [contract])
 
 
 def _spot_lag_vols(model: FactorModel, market: str, n_steps: int, step: float) -> np.ndarray:
@@ -445,15 +425,15 @@ def theoretical_log_variance(
     """
     if t < t0:
         raise ValidationError("t must not precede t0")
+    return float(_log_variance(model, contract, t, t0))
+
+
+def _log_variance(model: FactorModel | ExponentialVol, contract: ContractDescriptor, t, t0=0.0):
+    """Var[ln F(t)] - Var[ln F(t0)] of one product, 0 where t <= t0; both may be arrays."""
     if not isinstance(model, FactorModel):
         if contract.kind != "swap":
             raise ValidationError("parametric volatility prices swaps only")
         return model.variance_between(contract.tau_start, t0, t)
-    return float(_factor_log_variance(model, contract, t, t0))
-
-
-def _factor_log_variance(model: FactorModel, contract: ContractDescriptor, t, t0: float = 0.0):
-    """theoretical_log_variance of a FactorModel; ``t`` may be an array of times."""
     if contract.kind == "fixed_delivery":
         row = model.row(contract.market, contract.bucket)
         t_eff = np.minimum(t, contract.bucket * model.bucket_width)
@@ -564,13 +544,7 @@ def sanity_check(
     times = paths.time_grid[1:]
     emp_var, emp_mean, mean_se = _path_moments(vals)
     initial = vals[0, 0, :].copy()
-    if isinstance(model, FactorModel):
-        theo = np.column_stack([_factor_log_variance(model, d, times) for d in paths.product_keys])
-    else:
-        theo = np.array(
-            [[theoretical_log_variance(model, d, float(t)) for d in paths.product_keys]
-             for t in times]
-        )
+    theo = np.column_stack([_log_variance(model, d, times) for d in paths.product_keys])
 
     failures: list[str] = []
     # an antithetic pair shares (x - mean)^2, so only n/2 squares are independent
@@ -614,7 +588,7 @@ def sanity_check(
             np.log(rets, out=rets)
             flat = rets.reshape(-1, rets.shape[2])
             emp_corr = np.corrcoef(flat.T)
-            rows = np.vstack([model.row(d.market, d.bucket) for d in paths.product_keys])
+            rows = _rows_for(model, [(d.market, d.bucket) for d in paths.product_keys])
             cov = rows @ rows.T
             dd = np.sqrt(np.diag(cov))
             model_corr = cov / np.outer(dd, dd)

@@ -362,6 +362,22 @@ def test_factor_model_validation():
         FactorModel(**{**ok, "eigenvalues": -TOY_LAMBDA})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["dt", "bucket_width", "eigenvalues", "sigma_star"])
+def test_factor_model_rejects_non_finite_field(field, bad):
+    fields = dict(
+        markets=["DE"], buckets_per_market=4, n_factors=2, dt=TOY_DT,
+        eigenvalues=np.array(TOY_LAMBDA, dtype=float), sigma_star=np.zeros((4, 2)),
+        bucket_width=1 / 12,
+    )
+    if np.ndim(fields[field]):
+        fields[field].flat[0] = bad  # the leading eigenvalue stays the largest
+    else:
+        fields[field] = bad
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        FactorModel(**fields)
+
+
 # ---------------------------------------------------------------------------
 # Correlation surfaces
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,34 @@ def test_exit_code_malformed_model_file(pipeline_out, tmp_path, capsys):
     model = _corrupt_copy(pipeline_out / "model.json", tmp_path / "model.json", lambda ls: ls[:-3])
     rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out, model_file=model))])
     _assert_clean_validation_exit(rc, capsys, str(model))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_exit_code_non_finite_model_field(pipeline_out, tmp_path, capsys, value):
+    model = _corrupt_copy(
+        pipeline_out / "model.json",
+        tmp_path / "model.json",
+        lambda ls: [f'  "dt": {value},\n' if '"dt":' in line else line for line in ls],
+    )
+    rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out, model_file=model))])
+    _assert_clean_validation_exit(rc, capsys, str(model), "dt must be positive and finite")
+
+
+def test_exit_code_market_missing_from_model(pipeline_out, tmp_path, capsys):
+    # the curve file covers TTF, but the model holds only DE
+    full = FactorModel.load(pipeline_out / "model.json")
+    model = tmp_path / "model.json"
+    replace(full, markets=["DE"], sigma_star=full.market_block("DE")).save(model)
+    swing = tmp_path / "swing.conf"
+    entries = {**TINY_CONTRACTS["swing"], "market": "TTF"}
+    swing.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {model}\ncurve_file = {pipeline_out / 'curves.csv'}\n"
+        f"seed = 3\nn_paths = 32\nswing = {swing}\n"
+    )
+    rc = main(["price", "--config", str(conf), "--out", str(tmp_path / "out")])
+    _assert_clean_validation_exit(rc, capsys, "unknown market 'TTF'")
 
 
 def test_exit_code_malformed_panel_cell(pipeline_out, tmp_path, capsys):

@@ -242,7 +242,11 @@ def test_occupancy_conserves_time(lo, span, n, w):
 
 
 @pytest.mark.parametrize(
-    "gamma,k,c", [(-0.1, 1.0, 0.0), (0.5, -1.0, 0.0), (0.5, 1.0, -0.1), (0.0, 1.0, 0.0)]
+    "gamma,k,c",
+    [(-0.1, 1.0, 0.0), (0.5, -1.0, 0.0), (0.5, 1.0, -0.1), (0.0, 1.0, 0.0)]
+    + [(bad, 1.0, 0.0) for bad in (math.nan, math.inf)]
+    + [(0.5, bad, 0.0) for bad in (math.nan, math.inf)]
+    + [(0.5, 1.0, bad) for bad in (math.nan, math.inf)],
 )
 def test_expvol_rejects(gamma, k, c):
     with pytest.raises(ValidationError):
@@ -391,6 +395,28 @@ def test_short_horizon_means_track_curve():
     np.testing.assert_array_less(
         np.abs(ps.values[:, -1, :].mean(axis=0) - initial), 3 * se
     )
+
+
+def test_short_horizon_freezes_front_bucket_at_its_delivery():
+    # a 0.03 step over a 0.08 horizon ends at 0.09, past M1's delivery at 1/12
+    model = model_of([[0.4], [0.3]])
+    cfg = SimConfig(seed=15, n_paths=20_000, step=0.03, horizon=0.08)
+    initial = [30.0, 31.0]
+    ps = simulate_short_horizon(model, "X", initial, cfg)
+    np.testing.assert_allclose(ps.time_grid, [0.0, 0.03, 0.06, 0.09], rtol=0, atol=1e-15)
+    # the same paths as fixed delivery, which holds each product flat after its delivery
+    np.testing.assert_array_equal(ps.values, simulate_fixed_delivery(model, initial, cfg).values)
+    m1 = ps.product("X:M1")
+    rel_tol = 4 * math.sqrt(2 / (cfg.n_paths - 1))
+    # M1 diffuses only the part of the last step before its delivery
+    last_step = np.log(m1[:, 3] / m1[:, 2]).var(ddof=1)
+    assert last_step == pytest.approx(0.16 * (1 / 12 - 0.06), rel=rel_tol)
+    # ... so its log variance at t=0.09 is the frozen theory 0.16 / 12
+    frozen = theoretical_log_variance(model, ps.product_keys[0], 0.09)
+    assert frozen == pytest.approx(0.16 / 12, rel=1e-12)
+    assert np.log(m1[:, -1] / 30.0).var(ddof=1) == pytest.approx(frozen, rel=rel_tol)
+    report = sanity_check(ps, model)
+    assert report.passed, report.failures
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +898,7 @@ def test_swap_matches_whole_array_reference():
     contract = ContractDescriptor("swap", "X", tau_start=0.2)
     cfg = SimConfig(seed=21, n_paths=30, step=1 / 52, horizon=0.3, antithetic=True)
     ps = simulate_swap(model, contract, 25.0, cfg)
-    v = simulation._swap_step_variances(model, contract, cfg.time_grid)
+    v = simulation._log_variance(model, contract, cfg.time_grid[1:], cfg.time_grid[:-1])
     z = normals(cfg, cfg.n_steps, 1)[:, :, 0]
     increments = -0.5 * v[None, :] + np.sqrt(v)[None, :] * z
     want = 25.0 * np.exp(np.cumsum(increments, axis=1))
@@ -887,12 +913,17 @@ def test_swap_matches_whole_array_reference():
         ContractDescriptor("swap", "A", tau_start=0.13),
         ContractDescriptor("swap", "B", tau_start=0.6),
         ContractDescriptor("spot", "B"),
+        ContractDescriptor("swap", "parametric", tau_start=0.3),
     ],
 )
 def test_theoretical_variances_on_a_grid_match_scalar_calls(contract):
-    model = _two_market_model()
+    # the "parametric" market runs on a parametric volatility, the others on a factor model
+    if contract.market == "parametric":
+        model = ExponentialVol(0.8, 1.0, 0.2)
+    else:
+        model = _two_market_model()
     times = np.linspace(0.0, 0.45, 118)
-    grid = simulation._factor_log_variance(model, contract, times)
+    grid = simulation._log_variance(model, contract, times)
     scalar = [theoretical_log_variance(model, contract, float(t)) for t in times]
     assert grid.shape == times.shape
     np.testing.assert_allclose(grid, scalar, rtol=1e-14, atol=0.0)

@@ -252,8 +252,8 @@ class FactorModel:
         try:
             return cls(
                 markets=list(doc["markets"]),
-                buckets_per_market=int(doc["buckets_per_market"]),
-                n_factors=int(doc["n_factors"]),
+                buckets_per_market=_count(doc, "buckets_per_market"),
+                n_factors=_count(doc, "n_factors"),
                 dt=float(doc["dt"]),
                 eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
                 sigma_star=np.asarray(doc["sigma_star"], dtype=float),
@@ -261,6 +261,14 @@ class FactorModel:
             )
         except (TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}: malformed model field ({exc})") from exc
+
+
+def _count(doc: dict, key: str) -> int:
+    """An integral count of a model document; int() alone truncates 2.9 to 2."""
+    value = doc[key]
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _grid_from_keys(column_keys) -> tuple[list[str], int]:

@@ -61,9 +61,11 @@ from .marketdata import (
     write_panel_csv,
 )
 from .pricing import (
+    LsmcSettings,
     StorageContract,
     SwingContract,
     VppContract,
+    _RegressionPlan,
     price_storage,
     price_swing,
     price_vpp,
@@ -663,11 +665,7 @@ def _spot_paths(cfg: RunConfig, model, curves, markets, sim_cfg):
     return simulate_spot(model, _curve_means(cfg, curves, markets, sim_cfg.time_grid), sim_cfg, markets)
 
 
-def _price_swing(cfg: RunConfig, model, curves) -> None:
-    spec = _read_contract(cfg, "swing", model)
-    if spec["n_days"] < 2:
-        raise ValidationError("swing window needs at least 2 days")
-    contract = _contract(SwingContract, "swing", spec)
+def _price_swing(cfg: RunConfig, model, curves, spec: dict, contract: SwingContract) -> None:
     sim_cfg = SimConfig(
         cfg.need_seed(),
         cfg.n_paths,
@@ -676,9 +674,10 @@ def _price_swing(cfg: RunConfig, model, curves) -> None:
         cfg.antithetic,
     )
     paths = _spot_paths(cfg, model, curves, [spec["market"]], sim_cfg)
+    plan = _RegressionPlan()  # the sweep prices one spot window
 
     def price(c):
-        return price_swing(c, paths, cfg.rate)
+        return price_swing(c, paths, cfg.rate, plan=plan)
 
     res = price(contract)
     pairs = _report_head(cfg, "swing", spec) + [
@@ -703,11 +702,7 @@ def _price_swing(cfg: RunConfig, model, curves) -> None:
     print(f"swing value {res.lsmc.value:.6g} (se {res.lsmc.std_error:.3g})")
 
 
-def _price_vpp(cfg: RunConfig, model, curves) -> None:
-    spec = _read_contract(cfg, "vpp", model)
-    if spec["n_hours"] < 2:
-        raise ValidationError("VPP window needs at least 2 hours")
-    contract = _contract(VppContract, "vpp", spec)
+def _price_vpp(cfg: RunConfig, model, curves, spec: dict, contract: VppContract) -> None:
     sim_cfg = SimConfig(
         cfg.need_seed(),
         cfg.n_paths,
@@ -718,9 +713,12 @@ def _price_vpp(cfg: RunConfig, model, curves) -> None:
     power, fuel = spec["power_market"], spec["fuel_market"]
     markets = [power] if power == fuel else [power, fuel]
     paths = _spot_paths(cfg, model, curves, markets, sim_cfg)
+    plan = _RegressionPlan()  # the sweep prices one spread
 
     def price(c):
-        return price_vpp(c, paths, paths, cfg.rate, power_product=0, fuel_product=len(markets) - 1)
+        return price_vpp(
+            c, paths, paths, cfg.rate, power_product=0, fuel_product=len(markets) - 1, plan=plan
+        )
 
     res = price(contract)
     pairs = _report_head(cfg, "vpp", spec) + [
@@ -745,9 +743,7 @@ def _price_vpp(cfg: RunConfig, model, curves) -> None:
     print(f"vpp value {res.lsmc.value:.6g} (se {res.lsmc.std_error:.3g})")
 
 
-def _price_storage(cfg: RunConfig, model, curves) -> None:
-    spec = _read_contract(cfg, "storage", model)
-    contract = _contract(StorageContract, "storage", spec)
+def _price_storage(cfg: RunConfig, model, curves, spec: dict, contract: StorageContract) -> None:
     seed = cfg.need_seed()
     sim_cfg = SimConfig(
         seed, cfg.n_paths, 1.0 / _DAYS_PER_YEAR, contract.n_days / _DAYS_PER_YEAR, cfg.antithetic
@@ -776,6 +772,53 @@ def _price_storage(cfg: RunConfig, model, curves) -> None:
     )
 
 
+# each contract's class, the key of its window, the shortest window it
+# prices, and its price stage
+_CONTRACT_STAGES = {
+    "swing": (SwingContract, "n_days", 2, _price_swing),
+    "vpp": (VppContract, "n_hours", 2, _price_vpp),
+    "storage": (StorageContract, "n_days", 1, _price_storage),
+}
+
+
+def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
+    """(price stage, file values, contract) of each configured contract,
+    checked before any path is drawn: its keys and fields, its markets
+    against the model, and the path count against its regressions.
+
+    The path rule is lsmc_continuation's: at least min_samples_per_dim
+    samples per basis function. It assumes simulated prices are
+    continuous, so distinct across paths at every step after step 0,
+    where all paths start from one price: every regression past step 0
+    then uses the full basis. A 1-day storage contract regresses only at
+    step 0, and a VPP whose fuel is its power market at H = 1 only on a
+    zero spread; both need one basis function only.
+    """
+    lsmc = LsmcSettings()
+    contracts = []
+    for name, (cls, window, shortest, price) in _CONTRACT_STAGES.items():
+        if not getattr(cfg, name):
+            continue
+        spec = _read_contract(cfg, name, model)
+        if spec[window] < shortest:
+            raise ValidationError(f"{name} contract: {window} must be at least {shortest}")
+        contract = _contract(cls, name, spec)
+        for key, f, _, _ in _CONTRACT_KEYS[name]:
+            if f is None:
+                model.row_index(spec[key], 1)  # an unknown market raises here
+        constant = (name == "storage" and spec["n_days"] == 1) or (
+            name == "vpp" and spec["power_market"] == spec["fuel_market"] and spec["H"] == 1.0
+        )
+        need = lsmc.min_samples_per_dim * (1 if constant else lsmc.degree + 1)
+        if cfg.n_paths < need:
+            raise ValidationError(
+                f"n_paths = {cfg.n_paths} is too few for the {name} contract: "
+                f"its continuation regressions need at least {need} paths"
+            )
+        contracts.append((price, spec, contract))
+    return contracts
+
+
 def _pricing_inputs(cfg: RunConfig):
     """The calibrated model and curves, once some contract file is configured."""
     if not (cfg.vpp or cfg.swing or cfg.storage):
@@ -784,14 +827,11 @@ def _pricing_inputs(cfg: RunConfig):
 
 
 def cmd_price(cfg: RunConfig, calibrated) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     model, curves = calibrated
-    if cfg.swing:
-        _price_swing(cfg, model, curves)
-    if cfg.vpp:
-        _price_vpp(cfg, model, curves)
-    if cfg.storage:
-        _price_storage(cfg, model, curves)
+    contracts = _configured_contracts(cfg, model)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    for price, spec, contract in contracts:
+        price(cfg, model, curves, spec, contract)
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
@@ -800,6 +840,7 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     cmd_curve(cfg, loaded)
     cmd_calibrate(cfg)
     calibrated = _load_model_and_curves(cfg)  # one read of model.json and curves.csv
+    _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn
     cmd_simulate(cfg, calibrated)
     if cfg.vpp or cfg.swing or cfg.storage:
         cmd_price(cfg, calibrated)

@@ -9,8 +9,16 @@ each move; no paths x steps cash matrix is built. In the core:
 
 * the continuation value of every resource state is regressed on a
   polynomial basis of the observed price; all states share one design
-  matrix and one thin SVD of it per step, whose U(U'y) gives the core its
+  matrix per step, and U(U'y) from its thin SVD gives the core its
   in-sample continuation values without a second pass over the design;
+* the design side of each regression (centre, scale, basis size, SVD)
+  depends on the prices alone, so a regression plan sets it up once per
+  price array, for stacked blocks of steps at a time, and every core call
+  on those prices solves against it: a VPP lock sweep or a swing rights
+  sweep shares one plan, and each call computes only its own U'y;
+* each distinct list of move tables is split once per call into the
+  cells every move sets fresh and the cells it contests, with their
+  successor indices;
 * values are carried state-major, one row of paths per resource state,
   so moving to a successor state copies whole rows, and each action
   touches only the states it is valid in;
@@ -164,21 +172,27 @@ class ContinuationFit:
     fitted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def design(self, x: np.ndarray) -> np.ndarray:
-        """Vandermonde matrix [1, z, z^2, ...] of the standardized state.
-
-        Each column is the previous one times z, the same products (and so
-        the same bits) as np.vander, without its call overhead.
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.ones((x.size, self.dim))
-        if self.dim > 1:
-            z = (x - self.center) / self.scale
-            for j in range(1, self.dim):
-                np.multiply(out[:, j - 1], z, out=out[:, j])
-        return out
+        """Vandermonde matrix [1, z, z^2, ...] of the standardized state."""
+        return _design(np.asarray(x, dtype=float).ravel(), self.center, self.scale, self.dim)
 
     def evaluate(self, x) -> np.ndarray:
         return self.design(x) @ self.coefficients
+
+
+def _design(x: np.ndarray, center, scale, dim: int) -> np.ndarray:
+    """[1, z, z^2, ...] of z = (x - center) / scale along a new last axis.
+
+    Each column is the previous one times z, the same products (and so
+    the same bits) as np.vander, without its call overhead. ``x`` may be
+    one step's samples or a (steps, samples) stack, with per-row centres
+    and scales.
+    """
+    out = np.ones(x.shape + (dim,))
+    if dim > 1:
+        z = (x - center) / scale
+        for j in range(1, dim):
+            np.multiply(out[..., j - 1], z, out=out[..., j])
+    return out
 
 
 def _basis_size(x: np.ndarray, degree: int) -> int:
@@ -188,6 +202,79 @@ def _basis_size(x: np.ndarray, degree: int) -> int:
     xs = np.sort(x)
     distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
     return max(1, min(degree + 1, distinct))
+
+
+def _rank(sv, n_samples: int, dim: int):
+    """np.linalg.lstsq's rank rule over the last axis of singular values."""
+    return np.count_nonzero(sv > np.finfo(float).eps * max(n_samples, dim) * sv[..., :1], axis=-1)
+
+
+@dataclass
+class _Setup:
+    """The price-only half of a continuation regression: the standardized
+    basis and the thin SVD of its design. ``design`` is kept only when the
+    rank falls below the basis size, for the ridge fallback."""
+
+    center: float
+    scale: float
+    dim: int
+    u: np.ndarray
+    sv: np.ndarray
+    vt: np.ndarray
+    design: np.ndarray | None = None
+
+
+def _setup(states, degree: int, min_samples_per_dim: int) -> _Setup:
+    """Check the states, then standardize, size the basis and factor the design."""
+    x = np.asarray(states, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError("states and values must align on the sample axis")
+    if not np.isfinite(x).all():
+        raise ValidationError("regression inputs must be finite")
+    if degree < 0:
+        raise ValidationError("degree must be non-negative")
+    dim = _basis_size(x, degree)
+    if x.size < min_samples_per_dim * dim:
+        raise PricingError(
+            f"continuation regression needs at least {min_samples_per_dim * dim} "
+            f"samples for {dim} basis functions, got {x.size}"
+        )
+    center = float(x.mean())
+    scale = float(x.std())
+    if scale == 0.0:
+        dim, scale = 1, 1.0
+    design = _design(x, center, scale, dim)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    deficient = _rank(sv, x.size, dim) < dim
+    return _Setup(center, scale, dim, u, sv, vt, design if deficient else None)
+
+
+def _solve(setup: _Setup, values) -> ContinuationFit:
+    """Check the values, then fit them through the set-up's SVD (or ridge)."""
+    y = np.asarray(values, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.shape[0] != setup.u.shape[0]:
+        raise ValidationError("states and values must align on the sample axis")
+    if not np.isfinite(y).all():
+        raise ValidationError("regression inputs must be finite")
+    fit = ContinuationFit(setup.center, setup.scale, setup.dim, None)
+    design = setup.design
+    if design is not None:
+        warnings.warn(
+            "rank-deficient continuation design; using ridge fallback",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        gram = design.T @ design + _RIDGE * np.eye(setup.dim)
+        fit.coefficients = np.linalg.solve(gram, design.T @ y)
+        fit.fitted = fit.coefficients.T @ design.T
+        fit.ridge_used = True
+    else:
+        uty = setup.u.T @ y
+        fit.coefficients = (setup.vt.T / setup.sv) @ uty
+        fit.fitted = uty.T @ setup.u.T
+    return fit
 
 
 def lsmc_continuation(
@@ -203,45 +290,7 @@ def lsmc_continuation(
     keeps the design from being singular by construction; a residual rank
     deficiency falls back to ridge regression with a warning.
     """
-    x = np.asarray(states, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if x.ndim != 1 or y.shape[0] != x.size:
-        raise ValidationError("states and values must align on the sample axis")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValidationError("regression inputs must be finite")
-    if degree < 0:
-        raise ValidationError("degree must be non-negative")
-    dim = _basis_size(x, degree)
-    if x.size < min_samples_per_dim * dim:
-        raise PricingError(
-            f"continuation regression needs at least {min_samples_per_dim * dim} "
-            f"samples for {dim} basis functions, got {x.size}"
-        )
-    center = float(x.mean())
-    scale = float(x.std())
-    if scale == 0.0:
-        dim, scale = 1, 1.0
-    fit = ContinuationFit(center, scale, dim, np.zeros((dim, y.shape[1])))
-    design = fit.design(x)
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(x.size, dim) * sv[0]))
-    if rank < dim:
-        warnings.warn(
-            "rank-deficient continuation design; using ridge fallback",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        gram = design.T @ design + _RIDGE * np.eye(dim)
-        fit.coefficients = np.linalg.solve(gram, design.T @ y)
-        fit.fitted = fit.coefficients.T @ design.T
-        fit.ridge_used = True
-    else:
-        uty = u.T @ y
-        fit.coefficients = (vt.T / sv) @ uty
-        fit.fitted = uty.T @ u.T
-    return fit
+    return _solve(_setup(states, degree, min_samples_per_dim), values)
 
 
 @dataclass(frozen=True)
@@ -253,6 +302,85 @@ class LsmcSettings:
 
     def fit(self, states, values) -> ContinuationFit:
         return lsmc_continuation(states, values, self.degree, self.min_samples_per_dim)
+
+
+_PLAN_VALUES = 2**18  # design values in one stacked block of a regression plan
+_PLAN_KEEP_VALUES = 2**22  # U values a shared plan may keep (32 MB)
+
+
+class _RegressionPlan:
+    """The regression set-up of every step of one price array, shared by
+    the core calls on it.
+
+    The first use binds the plan to its prices (paths x steps) and
+    settings; a later use with other prices or settings raises. Steps are
+    set up lazily, as the backward loop reaches them, in stacked blocks of
+    consecutive steps: one contiguous copy, sort, mean, std, design and
+    batched SVD per block, each row computed with the same float
+    operations as _setup on that step alone. A step whose basis is
+    reduced, whose scale is zero or non-finite, or whose design is rank
+    deficient is set up alone when reached, so it keeps _setup's path and
+    messages. A plan with keep=False, local to one call, drops each step
+    once used; so does a shared plan whose U matrices would exceed
+    _PLAN_KEEP_VALUES, which bounds its memory at year scale, where every
+    call then sets its steps up again. ``legs`` caches the American bounds
+    of price_swing, which depend on the same prices.
+    """
+
+    def __init__(self, keep: bool = True):
+        self.keep = keep
+        self.prices: np.ndarray | None = None
+        self.settings: LsmcSettings | None = None
+        self.legs: dict = {}
+        self._steps: dict[int, _Setup | None] = {}
+
+    def bind(self, prices: np.ndarray, settings: LsmcSettings) -> _RegressionPlan:
+        if self.prices is None:
+            self.prices, self.settings = prices, settings
+            self.keep &= prices.size * (settings.degree + 1) <= _PLAN_KEEP_VALUES
+        elif settings != self.settings or not np.array_equal(prices, self.prices):
+            raise ValidationError("a regression plan serves one price array and one LsmcSettings")
+        return self
+
+    def fit(self, k: int, values) -> ContinuationFit:
+        """The continuation fit of values on step k's prices."""
+        if k not in self._steps:
+            self._build(k)
+        setup = self._steps[k] if self.keep else self._steps.pop(k)
+        if setup is None:
+            s = self.settings
+            setup = _setup(self.prices[:, k], s.degree, s.min_samples_per_dim)
+            if self.keep:
+                self._steps[k] = setup
+        return _solve(setup, values)
+
+    def _build(self, k: int) -> None:
+        """Set up the block of steps that ends at step k."""
+        n, degree = self.prices.shape[0], self.settings.degree
+        dim = degree + 1
+        lo = max(0, k + 1 - max(1, _PLAN_VALUES // (n * max(dim, 1))))
+        self._steps.update(dict.fromkeys(range(lo, k + 1)))  # None: set up alone
+        if degree < 0 or n < self.settings.min_samples_per_dim * dim:
+            return
+        blk = np.ascontiguousarray(self.prices[:, lo : k + 1].T)  # one row per step
+        xs = np.sort(blk, axis=1)
+        distinct = 1 + np.count_nonzero(xs[:, 1:] != xs[:, :-1], axis=1)
+        del xs
+        center, scale = blk.mean(axis=1), blk.std(axis=1)
+        # a finite mean implies finite samples
+        regular = (distinct >= dim) & np.isfinite(center) & np.isfinite(scale) & (scale != 0.0)
+        rows = np.flatnonzero(regular)
+        if rows.size == 0:
+            return
+        design = _design(blk[rows], center[rows, None], scale[rows, None], dim)
+        del blk
+        u, sv, vt = np.linalg.svd(design, full_matrices=False)
+        del design
+        full = _rank(sv, n, dim) == dim
+        for i, j in enumerate(rows):
+            if full[i]:
+                c, s = float(center[j]), float(scale[j])
+                self._steps[lo + j] = _Setup(c, s, dim, u[i], sv[i], vt[i])
 
 
 @dataclass
@@ -466,6 +594,39 @@ def _shifted(values: np.ndarray, target: np.ndarray, immediate: np.ndarray) -> n
     return out
 
 
+def _put(out: np.ndarray, rows, values: np.ndarray, target: np.ndarray, immediate) -> None:
+    """out[rows] = values[target] + immediate; a slice of rows is written in place."""
+    if isinstance(rows, slice):
+        view = out[rows]
+        np.take(values, target, axis=0, out=view, mode="clip")  # targets are in range
+        view += immediate
+    else:
+        out[rows] = _shifted(values, target, immediate)
+
+
+def _cell_plan(tables) -> tuple[int, list, object]:
+    """Split a step's (valid, target) tables into the cells each one sets.
+
+    Returns the state count; per table, its fresh cells (valid there and
+    in no earlier table) and contested cells, each with their targets;
+    and the cells no table is valid in.
+    """
+    seen = np.zeros(tables[0][0].size, dtype=bool)
+    cells = []
+    for valid, target in tables:
+        fresh, contested = _cells(valid & ~seen), _cells(valid & seen)
+        seen |= valid
+        cells.append(
+            (
+                fresh,
+                None if fresh is None else target[fresh],
+                contested,
+                None if contested is None else target[contested],
+            )
+        )
+    return seen.size, cells, _cells(~seen)
+
+
 def _backward_induction(
     price_state: np.ndarray,
     terminal: np.ndarray,
@@ -473,6 +634,7 @@ def _backward_induction(
     settings: LsmcSettings,
     foresight: bool,
     fits: list[ContinuationFit] | None = None,
+    plan: _RegressionPlan | None = None,
 ) -> tuple[np.ndarray, list[ContinuationFit] | None]:
     """Generic realized-cash-flow recursion over (step, resource state).
 
@@ -487,16 +649,22 @@ def _backward_induction(
     ``fits`` from an earlier call, no regression runs: step k's continuation
     is fits[k] evaluated on price_state[:, k], so on fresh paths the result
     is the realized cash of that fixed policy, its out-of-sample value.
+    Otherwise the regressions solve through ``plan``, bound to price_state,
+    or through a plan local to this call.
 
     Values are carried state-major, (n_states, n_paths), so a successor
     gather copies whole rows; the result is returned as the transposed
     (n_paths, n_states) view. Each action reads and writes only the
     states it is valid in: the first valid action of a state sets it, a
     later one replaces it only when its score beats the best so far by
-    more than _TIE_TOL. A state with no valid action is worth -inf.
+    more than _TIE_TOL. A state with no valid action is worth -inf. The
+    cells of each distinct table list are worked out once per call.
     """
+    if not foresight and fits is None:
+        plan = (_RegressionPlan(keep=False) if plan is None else plan).bind(price_state, settings)
     cf = np.ascontiguousarray(terminal.T)
     fitted: list[ContinuationFit] = []
+    cell_plans: dict = {}
     n_steps = price_state.shape[1]
     for k in range(n_steps - 1, -1, -1):
         if foresight:
@@ -504,31 +672,32 @@ def _backward_induction(
         elif fits is not None:
             cont = fits[k].evaluate(price_state[:, k]).T
         else:
-            fit = settings.fit(price_state[:, k], cf.T)
+            fit = plan.fit(k, cf.T)
             cont, fit.fitted = fit.fitted, None
             fitted.append(fit)
         actions = list(step_actions(k))
-        new_cf = np.empty((actions[0][1].size, cf.shape[1]))
+        key = tuple((valid.tobytes(), target.tobytes()) for _, valid, target in actions)
+        if key not in cell_plans:
+            cell_plans[key] = _cell_plan([(valid, target) for _, valid, target in actions])
+        n_states, cells, unseen = cell_plans[key]
+        new_cf = np.empty((n_states, cf.shape[1]))
         # with foresight the score is the realized value, so best is new_cf
         best = new_cf if foresight else np.empty_like(new_cf)
-        seen = np.zeros(new_cf.shape[0], dtype=bool)
-        for i, (immediate, valid, target) in enumerate(actions):
-            fresh, contested = _cells(valid & ~seen), _cells(valid & seen)
-            seen |= valid
+        for i, ((immediate, _, _), cell) in enumerate(zip(actions, cells)):
+            fresh, t_fresh, contested, t = cell
             if fresh is not None:
-                t = target[fresh]
-                new_cf[fresh] = _shifted(cf, t, immediate)
+                _put(new_cf, fresh, cf, t_fresh, immediate)
                 if not foresight:
-                    best[fresh] = _shifted(cont, t, immediate)
+                    _put(best, fresh, cont, t_fresh, immediate)
             if contested is not None:
-                t = target[contested]
                 realized = _shifted(cf, t, immediate)
                 score = realized if foresight else _shifted(cont, t, immediate)
                 better = score > best[contested] + _TIE_TOL
                 new_cf[contested] = np.where(better, realized, new_cf[contested])
                 if not foresight and i < len(actions) - 1:
                     best[contested] = np.where(better, score, best[contested])
-        new_cf[~seen] = -np.inf
+        if unseen is not None:
+            new_cf[unseen] = -np.inf
         cf = new_cf
     if foresight:
         return cf.T, None
@@ -545,6 +714,7 @@ def _policy_value(
     settings: LsmcSettings,
     foresight: bool,
     fits: list[ContinuationFit] | None = None,
+    plan: _RegressionPlan | None = None,
 ) -> tuple[np.ndarray, PolicyValuation]:
     """Run the core on a pricer's tables and cash; return the start state's
     per-path cash and its valuation.
@@ -558,7 +728,9 @@ def _policy_value(
         immediate = cash(price_state[:, k], k)
         return ((c, valid, target) for c, (valid, target) in zip(immediate, moves[k]))
 
-    cf, fits = _backward_induction(price_state, terminal, step_actions, settings, foresight, fits)
+    cf, fits = _backward_induction(
+        price_state, terminal, step_actions, settings, foresight, fits, plan
+    )
     sample = cf[:, start]
     return sample, PolicyValuation(*_pair_stats(sample, antithetic), fits)
 
@@ -609,6 +781,8 @@ def price_vpp(
     settings: LsmcSettings = LsmcSettings(),
     power_product: int = 0,
     fuel_product: int = 0,
+    *,
+    plan: _RegressionPlan | None = None,
 ) -> VppValuation:
     """LSMC value of the plant plus perfect-foresight and strip benchmarks.
 
@@ -616,7 +790,9 @@ def price_vpp(
     paths and grid). The regression state is the spark spread. The strip
     bound values every hour as an unconstrained spark-spread call at
     q_max; perfect foresight optimizes each path in hindsight. Both
-    dominate the LSMC value path by path, which is asserted.
+    dominate the LSMC value path by path, which is asserted. Calls that
+    share a ``plan`` must see the same spread and settings, as in a lock
+    sweep; they then set up each hour's regression once.
     """
     _require_finite_rate(rate)
     if power_paths.config != fuel_paths.config or power_paths.time_grid.size != fuel_paths.time_grid.size:
@@ -640,7 +816,9 @@ def price_vpp(
     terminal = np.zeros((power_paths.n_paths, contract.t_on + contract.t_off))
     start = contract.t_on  # the window opens with the unit off and free
     anti = power_paths.config.antithetic
-    sample, lsmc = _policy_value(spread, terminal, moves, cash, start, anti, settings, False)
+    sample, lsmc = _policy_value(
+        spread, terminal, moves, cash, start, anti, settings, False, plan=plan
+    )
     naive_sample, naive = _policy_value(spread, terminal, moves, cash, start, anti, settings, True)
     strip_sample = (contract.q_max * np.maximum(spread, 0.0) * disc[None, :]).sum(axis=1)
     strip, strip_se = _pair_stats(strip_sample, anti)
@@ -706,6 +884,8 @@ def price_swing(
     rate: float = 0.0,
     settings: LsmcSettings = LsmcSettings(),
     product: int = 0,
+    *,
+    plan: _RegressionPlan | None = None,
 ) -> SwingValuation:
     """LSMC swing value with its American lower and European upper bounds.
 
@@ -720,7 +900,9 @@ def price_swing(
     The lower bound is an American call plus an American put priced on the
     same paths; the upper bound is the strip of daily European calls and
     puts, which dominates path by path. A bound breach beyond three
-    combined standard errors raises.
+    combined standard errors raises. Calls that share a ``plan`` must see
+    the same spot window and settings, as in a rights sweep; they then set
+    up each day's regression once and share the American legs.
     """
     _require_finite_rate(rate)
     n = contract.n_days
@@ -737,20 +919,23 @@ def price_swing(
     layers, moves = _swing_layers(contract)
     terminal = np.zeros((spot_paths.n_paths, len(layers[n])))
     anti = spot_paths.config.antithetic
-    sample, lsmc = _policy_value(s, terminal, moves, cash, 0, anti, settings, foresight=False)
+    sample, lsmc = _policy_value(s, terminal, moves, cash, 0, anti, settings, False, plan=plan)
     # one of the two legs is exactly 0, so this is the call plus the put strip
     ub_sample = (q * np.abs(s - strike) * disc).sum(axis=1)
     ub, ub_se = _pair_stats(ub_sample, anti)
 
-    lb = lb_se = 0.0
-    if contract.u_max > 0 or contract.d_max > 0:
-        parts = [
-            american_option(spot_paths, strike, rate, kind, settings, product, n - 1)
-            for kind, rights in (("call", contract.u_max), ("put", contract.d_max))
-            if rights > 0
-        ]
-        lb = q * sum(p.value for p in parts)
-        lb_se = q * math.sqrt(sum(p.std_error**2 for p in parts))
+    # a shared plan has checked that s and settings match its first call
+    legs = {} if plan is None else plan.legs
+    parts = []
+    for kind, rights in (("call", contract.u_max), ("put", contract.d_max)):
+        if rights == 0:
+            continue
+        key = (kind, strike, n - 1, rate, product, anti)
+        if key not in legs:
+            legs[key] = american_option(spot_paths, strike, rate, kind, settings, product, n - 1)
+        parts.append(legs[key])
+    lb = q * sum(p.value for p in parts)
+    lb_se = q * math.sqrt(sum(p.std_error**2 for p in parts))
 
     _require_dominance(ub_sample, sample, "straddle strip below swing value")
     # the absolute term absorbs rounding when a certain value has zero standard errors

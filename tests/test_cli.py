@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -217,6 +218,17 @@ def test_exit_code_non_finite_model_field(pipeline_out, tmp_path, capsys, value)
     )
     rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out, model_file=model))])
     _assert_clean_validation_exit(rc, capsys, str(model), "dt must be positive and finite")
+
+
+@pytest.mark.parametrize("key,value", [("n_factors", "2.9"), ("buckets_per_market", "3.5")])
+def test_exit_code_non_integral_model_count(pipeline_out, tmp_path, capsys, key, value):
+    model = _corrupt_copy(
+        pipeline_out / "model.json",
+        tmp_path / "model.json",
+        lambda ls: [f'  "{key}": {value},\n' if f'"{key}":' in line else line for line in ls],
+    )
+    rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out, model_file=model))])
+    _assert_clean_validation_exit(rc, capsys, str(model), f"{key} must be an integer, got {value}")
 
 
 def test_exit_code_market_missing_from_model(pipeline_out, tmp_path, capsys):
@@ -514,6 +526,57 @@ def test_price_tiny_contract_takes_dynamic_defaults(tmp_path, pipeline_out, kind
             assert report[key] == (markets[-1] if key == "fuel_market" else markets[0])
     if kind == "storage":
         assert report["v_target"] == report["v_0"] == "10"
+
+
+def _fixture_price(pipeline_out, tmp_path, command, n_paths, monkeypatch) -> tuple[int, Path, list]:
+    """Run the fixture config's price (on the shared model) or pipeline
+    command at n_paths, counting the spot path sets drawn."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("model.json", "curves.csv"):
+        shutil.copy(pipeline_out / name, out / name)
+    drawn = []
+    simulate = hjmkit.cli.simulate_spot
+    monkeypatch.setattr(
+        hjmkit.cli, "simulate_spot", lambda *args: drawn.append(1) or simulate(*args)
+    )
+    argv = [command, "--config", str(PIPELINE_CONF), "--out", str(out), "--paths", str(n_paths)]
+    return main(argv), out, drawn
+
+
+@pytest.mark.parametrize("command", ["price", "pipeline"])
+def test_too_few_paths_rejected_before_any_path_is_drawn(
+    pipeline_out, tmp_path, capsys, monkeypatch, command
+):
+    rc, out, drawn = _fixture_price(pipeline_out, tmp_path, command, 39, monkeypatch)
+    _assert_clean_validation_exit(
+        rc, capsys, "n_paths = 39 is too few for the swing contract", "at least 40 paths"
+    )
+    assert drawn == [] and not (out / "paths.csv").exists()
+
+
+def test_fixture_contracts_price_at_forty_paths(pipeline_out, tmp_path, monkeypatch):
+    rc, out, drawn = _fixture_price(pipeline_out, tmp_path, "price", 40, monkeypatch)
+    assert rc == 0 and len(drawn) == 4  # swing, VPP, storage and its fresh paths
+    assert read_report(out / "price_storage.txt")["n_paths"] == "40"
+
+
+@pytest.mark.parametrize(
+    "kind,entries",
+    [
+        ("storage", {"n_days": "1"}),  # one regression, at step 0's constant price
+        ("vpp", {"power_market": "DE", "fuel_market": "DE", "H": "1"}),  # a zero spread
+    ],
+    ids=["one-day-storage", "zero-spread-vpp"],
+)
+def test_contracts_regressing_on_constant_prices_need_ten_paths(
+    pipeline_out, tmp_path, capsys, kind, entries
+):
+    entries = {**TINY_CONTRACTS[kind], **entries}
+    rc, _ = _price_contract(tmp_path, pipeline_out, kind, entries, n_paths=12)
+    assert rc == 0
+    rc, _ = _price_contract(tmp_path, pipeline_out, kind, entries, n_paths=9)
+    _assert_clean_validation_exit(rc, capsys, "n_paths = 9", "at least 10 paths")
 
 
 @pytest.mark.parametrize(

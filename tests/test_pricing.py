@@ -10,6 +10,7 @@ reproduce the true optimum to rounding error.
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hjmkit.pricing
 from hjmkit.errors import PricingError, ValidationError
 from hjmkit.pricing import (
     _TIE_TOL,
@@ -26,6 +28,7 @@ from hjmkit.pricing import (
     SwingContract,
     VppContract,
     _backward_induction,
+    _RegressionPlan,
     _storage_grid,
     american_option,
     black_price,
@@ -1231,3 +1234,154 @@ def test_pricers_match_side_matrix_reference_bit_for_bit(vpp, swing, storage, an
     want, fits = side_matrix_storage(contract, ps, fresh, rate)
     assert (got.sdp.value, got.deterministic, got.out_of_sample.value) == want
     assert same_fits(got.sdp.fits, fits)
+
+
+# ---------------------------------------------------------------------------
+# Regression plans: stacked set-up and sharing across a sweep, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _plan_prices(n_paths=200):
+    """Seeded prices whose steps take every set-up path: a constant step, a
+    step with two distinct prices (reduced basis), a rank-deficient step
+    (two abscissae collide after standardization) and lognormal steps."""
+    rng = np.random.default_rng(23)
+    prices = 50.0 * np.exp(0.3 * rng.standard_normal((n_paths, 7)))
+    prices[:, 0] = 50.0
+    prices[:, 2] = np.where(rng.random(n_paths) < 0.5, 40.0, 60.0)
+    prices[:, 4] = np.resize([0.0, 5e-17, 1.0, 2.0], n_paths)
+    return prices
+
+
+def _same_fit(got, want):
+    return (
+        (got.center, got.scale, got.dim, got.ridge_used)
+        == (want.center, want.scale, want.dim, want.ridge_used)
+        and np.array_equal(got.coefficients, want.coefficients)
+        and np.array_equal(got.fitted, want.fitted)
+    )
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("block_steps", [1, 3, 100])
+def test_regression_plan_matches_lsmc_continuation(monkeypatch, keep, block_steps):
+    """Every step's fit through a plan equals lsmc_continuation's under ==,
+    in blocks of one step, of three, and of the whole array."""
+    prices = _plan_prices()
+    n_paths, n_steps = prices.shape
+    monkeypatch.setattr(hjmkit.pricing, "_PLAN_VALUES", block_steps * n_paths * 4)
+    rng = np.random.default_rng(5)
+    plan = _RegressionPlan(keep=keep).bind(prices, LsmcSettings())
+    for k in range(n_steps - 1, -1, -1):
+        y = rng.standard_normal((n_paths, 3))
+        with warnings.catch_warnings(record=True) as caught_plan:
+            warnings.simplefilter("always")
+            got = plan.fit(k, y)
+        with warnings.catch_warnings(record=True) as caught_ref:
+            warnings.simplefilter("always")
+            want = lsmc_continuation(prices[:, k], y)
+        assert _same_fit(got, want), k
+        assert [str(w.message) for w in caught_plan] == [str(w.message) for w in caught_ref]
+        assert (got.dim, got.ridge_used) == {0: (1, False), 2: (2, False), 4: (4, True)}.get(
+            k, (4, False)
+        )
+
+
+def test_regression_plan_keeps_lsmc_continuation_errors():
+    prices = _plan_prices()
+    prices[:, 3] = np.nan
+    plan = _RegressionPlan().bind(prices, LsmcSettings())
+    y = np.ones(prices.shape[0])
+    plan.fit(6, y)  # the non-finite step raises only when it is reached
+    with pytest.raises(ValidationError, match="regression inputs must be finite"):
+        plan.fit(3, y)
+    with pytest.raises(ValidationError, match="regression inputs must be finite"):
+        plan.fit(5, np.full(prices.shape[0], np.inf))
+    few = _RegressionPlan().bind(_plan_prices(39), LsmcSettings())
+    with pytest.raises(PricingError) as got:
+        few.fit(6, np.ones(39))
+    with pytest.raises(PricingError) as want:
+        lsmc_continuation(_plan_prices(39)[:, 6], np.ones(39))
+    assert str(got.value) == str(want.value) == (
+        "continuation regression needs at least 40 samples for 4 basis functions, got 39"
+    )
+
+
+def _live_spread_paths(n_hours=72, n_paths=600, seed=31):
+    """Power and fuel whose spread at H = 2.3 changes sign on most hours."""
+    rng = np.random.default_rng(seed)
+    power = _gbm_values(rng, n_paths, n_hours, False) * 0.5
+    fuel = _gbm_values(rng, n_paths, n_hours, False) * 0.2
+    return make_paths(np.stack([power, fuel], axis=2), step=1 / 8760, seed=seed)
+
+
+@pytest.mark.parametrize("keep_values", [None, 0])
+def test_shared_plan_vpp_lock_sweep_equals_independent_calls(monkeypatch, keep_values):
+    """Also with a plan over its memory budget, which keeps no step."""
+    if keep_values is not None:
+        monkeypatch.setattr(hjmkit.pricing, "_PLAN_KEEP_VALUES", keep_values)
+    ps = _live_spread_paths()
+    spread = ps.values[:, :, 0] - 2.3 * ps.values[:, :, 1]
+    assert 0.2 < (spread < 0).mean() < 0.8
+    plan = _RegressionPlan()
+    for lock in (2, 1, 8):
+        c = VppContract(72, lock, lock, 10.0, 50.0, 100.0, 50.0, 2.3)
+        got = price_vpp(c, ps, ps, 0.01, power_product=0, fuel_product=1, plan=plan)
+        assert len(plan._steps) == (72 if keep_values is None else 0)
+        want = price_vpp(c, ps, ps, 0.01, power_product=0, fuel_product=1)
+        assert (got.lsmc.value, got.lsmc.std_error) == (want.lsmc.value, want.lsmc.std_error)
+        assert (got.naive, got.naive_std_error, got.upper_bound, got.upper_bound_std_error) == (
+            want.naive, want.naive_std_error, want.upper_bound, want.upper_bound_std_error
+        )
+        assert all(
+            np.array_equal(g.coefficients, w.coefficients)
+            for g, w in zip(got.lsmc.fits, want.lsmc.fits, strict=True)
+        )
+
+
+def test_shared_plan_swing_rights_sweep_equals_independent_calls(monkeypatch):
+    ps = gbm_paths(n_paths=600, n_times=30, dt=1 / 365, seed=41)
+    legs = Counter()
+    american = hjmkit.pricing.american_option
+
+    def counting(*args, **kwargs):
+        legs[args[3]] += 1
+        return american(*args, **kwargs)
+
+    plan = _RegressionPlan()
+    for rights in (5, 1, 10, 30):
+        c = SwingContract(30, rights, rights, 100.0)
+        monkeypatch.setattr(hjmkit.pricing, "american_option", counting)
+        got = price_swing(c, ps, 0.02, plan=plan)
+        monkeypatch.setattr(hjmkit.pricing, "american_option", american)
+        want = price_swing(c, ps, 0.02)
+        assert (got.lsmc.value, got.lsmc.std_error) == (want.lsmc.value, want.lsmc.std_error)
+        assert (got.lower_bound, got.lower_bound_std_error) == (
+            want.lower_bound, want.lower_bound_std_error
+        )
+        assert (got.upper_bound, got.upper_bound_std_error) == (
+            want.upper_bound, want.upper_bound_std_error
+        )
+        assert all(
+            np.array_equal(g.coefficients, w.coefficients)
+            for g, w in zip(got.lsmc.fits, want.lsmc.fits, strict=True)
+        )
+    assert legs == {"call": 1, "put": 1}  # the sweep's American legs, priced once
+
+
+def test_shared_plan_rejects_other_prices_or_settings():
+    ps = gbm_paths(n_paths=200, n_times=6, seed=3)
+    other = gbm_paths(n_paths=200, n_times=6, seed=4)
+    c = SwingContract(6, 2, 2, 100.0)
+    plan = _RegressionPlan()
+    price_swing(c, ps, plan=plan)
+    with pytest.raises(ValidationError, match="regression plan"):
+        price_swing(c, other, plan=plan)
+    with pytest.raises(ValidationError, match="regression plan"):
+        price_swing(c, ps, settings=LsmcSettings(degree=2), plan=plan)
+    vpp_plan = _RegressionPlan()
+    vpp_paths = _live_spread_paths(n_hours=6, n_paths=200)
+    vpp = VppContract(6, 1, 1, 0.0, 1.0, 0.0, 0.0, 2.3)
+    price_vpp(vpp, vpp_paths, vpp_paths, fuel_product=1, plan=vpp_plan)
+    with pytest.raises(ValidationError, match="regression plan"):
+        price_vpp(replace(vpp, heat_rate=2.0), vpp_paths, vpp_paths, fuel_product=1, plan=vpp_plan)

@@ -72,14 +72,15 @@ from .pricing import (
 )
 from .simulation import (
     ContractDescriptor,
+    SanityReport,
     SimConfig,
-    sanity_check,
-    simulate_fixed_delivery,
-    simulate_short_horizon,
+    _fixed_delivery_law,
+    _lognormal_blocks,
+    _path_blocks,
+    _short_horizon_law,
+    _simulate_stage,
+    _swap_law,
     simulate_spot,
-    simulate_swap,
-    write_paths_csv,
-    write_summary_csv,
 )
 from .errors import SimulationError
 
@@ -101,7 +102,12 @@ def _fmt(x) -> str:
 
 @dataclass
 class RunConfig:
-    """All tunables of a pipeline run; flat key=value config file."""
+    """All tunables of a pipeline run; flat key=value config file.
+
+    ``export_paths`` is how many paths paths.csv holds. 0 writes every path,
+    and is the one value for which the streamed simulate stage keeps every
+    path in memory.
+    """
 
     quotes: str = ""
     out: str = "out"
@@ -514,6 +520,13 @@ def _load_model_and_curves(cfg: RunConfig):
 
 
 def cmd_simulate(cfg: RunConfig, calibrated) -> None:
+    """Simulate, reduce and sanity-check the configured paths in one pass.
+
+    The forward modes stream their paths in blocks of grid times and never
+    hold the whole path array; spot draws its path set whole and is reduced
+    the same way. Nothing is written until every block has passed the value
+    check.
+    """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     model, curves = calibrated
     sim_cfg = SimConfig(
@@ -522,34 +535,49 @@ def cmd_simulate(cfg: RunConfig, calibrated) -> None:
 
     mode = cfg.sim_mode
     expected = None  # spot means track the curve, not the t=0 value
-    if mode == "fixed_delivery":
-        products = [
-            (mk, b) for mk in model.markets for b in range(1, model.buckets_per_market + 1)
-        ]
-        initial = [extract_fixed_delivery(_curve_for(cfg, curves, mk), b) for mk, b in products]
-        paths = simulate_fixed_delivery(model, initial, sim_cfg, products)
-    elif mode == "short_horizon":
-        market = cfg.sim_market or model.markets[0]
-        initial = [
-            extract_fixed_delivery(_curve_for(cfg, curves, market), b)
-            for b in range(1, model.buckets_per_market + 1)
-        ]
-        paths = simulate_short_horizon(model, market, initial, sim_cfg)
-    elif mode == "swap":
-        market = cfg.sim_market or model.markets[0]
-        contract = ContractDescriptor("swap", market, tau_start=cfg.swap_tau)
-        initial = extract_fixed_delivery(
-            _curve_for(cfg, curves, market), max(1, round(cfg.swap_tau * 12))
-        )
-        paths = simulate_swap(model, contract, initial, sim_cfg)
-    else:  # spot
+    if mode == "spot":
         fns = _curve_means(cfg, curves, model.markets, sim_cfg.time_grid)
         paths = simulate_spot(model, fns, sim_cfg)
         expected = np.column_stack([fns[mk] for mk in model.markets])
+        keys, blocks = paths.product_keys, _path_blocks(paths)
+    else:
+        if mode == "fixed_delivery":
+            products = [
+                (mk, b) for mk in model.markets for b in range(1, model.buckets_per_market + 1)
+            ]
+            initial = [extract_fixed_delivery(_curve_for(cfg, curves, mk), b) for mk, b in products]
+            law = _fixed_delivery_law(model, products, initial, sim_cfg)
+        elif mode == "short_horizon":
+            market = cfg.sim_market or model.markets[0]
+            initial = [
+                extract_fixed_delivery(_curve_for(cfg, curves, market), b)
+                for b in range(1, model.buckets_per_market + 1)
+            ]
+            law = _short_horizon_law(model, market, initial, sim_cfg)
+        else:  # swap
+            market = cfg.sim_market or model.markets[0]
+            contract = ContractDescriptor("swap", market, tau_start=cfg.swap_tau)
+            initial = extract_fixed_delivery(
+                _curve_for(cfg, curves, market), max(1, round(cfg.swap_tau * 12))
+            )
+            law = _swap_law(model, contract, initial, sim_cfg)
+        keys, blocks = law.keys, _lognormal_blocks(law.rows, law.live, law.initial, sim_cfg)
 
-    write_paths_csv(paths, cfg.out_dir / "paths.csv", cfg.export_paths or None)
-    write_summary_csv(paths, cfg.out_dir / "summary.csv")
-    report = sanity_check(paths, model, expected_mean=expected)
+    # export_paths = 0 exports, and so keeps, every path
+    export = cfg.export_paths or sim_cfg.n_paths
+    stats, report = _simulate_stage(blocks, keys, sim_cfg, model, export, expected)
+    stats.write_paths(cfg.out_dir / "paths.csv")
+    stats.write_summary(cfg.out_dir / "summary.csv")
+    _write_sanity(cfg.out_dir / "sanity.txt", mode, sim_cfg, report)
+    print(f"wrote {cfg.out_dir / 'paths.csv'}, summary.csv, sanity.txt")
+    if not report.passed:
+        raise SimulationError(
+            "sanity check failed: " + "; ".join(report.failures[:3])
+        )
+
+
+def _write_sanity(path: Path, mode: str, sim_cfg: SimConfig, report: SanityReport) -> None:
+    """sanity.txt: the run's mode, seed and path count, then the report's verdicts."""
     lines = [("mode", mode), ("seed", sim_cfg.seed), ("n_paths", sim_cfg.n_paths)]
     lines.append(("status", "passed" if report.passed else "failed"))
     for f in report.failures:
@@ -559,12 +587,7 @@ def cmd_simulate(cfg: RunConfig, calibrated) -> None:
         / np.maximum(report.theoretical_variance, 1e-300)
     )
     lines.append(("worst_variance_rel_error", _fmt(worst)))
-    _write_report(cfg.out_dir / "sanity.txt", lines)
-    print(f"wrote {cfg.out_dir / 'paths.csv'}, summary.csv, sanity.txt")
-    if not report.passed:
-        raise SimulationError(
-            "sanity check failed: " + "; ".join(report.failures[:3])
-        )
+    _write_report(path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -29,17 +29,23 @@ Determinism: the seed fully determines every path. Draws come from one
 seeded generator consumed path-major, then step, then factor; the
 antithetic flag pairs each even path with an odd path using negated draws.
 
-Memory: each generator holds one path array plus its normal draws, building
-the log path in place inside the array it returns. ``sanity_check`` and
-``write_summary_csv`` reduce the paths in blocks of grid times, so their
-temporaries stay near _BLOCK_VALUES values whatever the run's size.
+Memory: the lognormal engine runs over blocks of grid times of about
+_BLOCK_VALUES values each. The normals are drawn once; each block carries
+the log level the block before it ended on into its cumulative sum, so the
+blocks give the same bits as one whole-grid pass. The public generators
+write the blocks into the one path array they return. The command line's
+simulate stage consumes the blocks instead, in one pass that reduces each
+block to the summary rows, the sanity moments, the exported paths and the
+pooled returns of the correlation check, so it never holds the path array.
+``sanity_check`` and ``write_summary_csv`` run the same reductions over a
+path set's blocks. Spot keeps its whole-array kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from .marketdata import LogReturnMatrix, _csv_field
 
 _U64_MAX = 2**64 - 1
 # values per block of grid times in the path-wise reductions (at least one time)
-_BLOCK_VALUES = 2**20
+_BLOCK_VALUES = 2**19
 
 
 @dataclass(frozen=True)
@@ -141,8 +147,7 @@ class PathSet:
             raise ValidationError(f"path array {self.values.shape} != {expect}")
         if self.time_grid[0] != 0.0 or np.any(np.diff(self.time_grid) <= 0):
             raise ValidationError("time grid must start at 0 and increase")
-        if not np.isfinite(self.values).all() or np.any(self.values <= 0):
-            raise ValidationError("path values must be positive and finite")
+        _check_values(self.values)
 
     @property
     def n_paths(self) -> int:
@@ -153,6 +158,16 @@ class PathSet:
             if key.label == label:
                 return self.values[:, :, i]
         raise ValidationError(f"no product labelled {label!r}")
+
+
+def _check_values(values: np.ndarray) -> None:
+    """PathSet's value rule: every value positive and finite.
+
+    Two reductions and no temporary the size of the values: a NaN fails
+    both comparisons, so it is caught as well.
+    """
+    if values.size and not (values.min() > 0 and values.max() < math.inf):
+        raise ValidationError("path values must be positive and finite")
 
 
 def normals(cfg: SimConfig, n_steps: int, n_factors: int) -> np.ndarray:
@@ -238,31 +253,65 @@ def _check_initial(initial, n: int) -> np.ndarray:
     return arr
 
 
-def _lognormal_paths(
+class _LognormalLaw(NamedTuple):
+    """What the lognormal engine diffuses: product n with its frozen row for
+    live[k, n] years of step k (a unit row takes the step variance as live)."""
+
+    rows: np.ndarray
+    live: np.ndarray
+    initial: np.ndarray
+    keys: list[ContractDescriptor]
+
+
+def _lognormal_blocks(
     rows: np.ndarray,
     live: np.ndarray,
     initial: np.ndarray,
     cfg: SimConfig,
-    keys: list[ContractDescriptor],
-) -> PathSet:
-    """Every non-spot path set: product n diffuses with its frozen row for
-    live[k, n] years of step k (a unit row takes the step variance as live)."""
-    n_steps, n_prod = cfg.n_steps, rows.shape[0]
-    values = np.empty((cfg.n_paths, n_steps + 1, n_prod))
-    values[:, 0, :] = initial[None, :]
-    x = values[:, 1:, :]  # the log path, built in place
-    z = normals(cfg, n_steps, rows.shape[1])
-    np.einsum("pkj,nj->pkn", z, rows, out=x)
-    del z
-    x *= np.sqrt(live)
-    x += -0.5 * (rows**2).sum(axis=1)[None, :] * live
-    np.cumsum(x, axis=1, out=x)
-    np.exp(x, out=x)
-    x *= initial
-    return PathSet(values, cfg.time_grid, keys, cfg)
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The lognormal paths as blocks of grid times: (slice of the grid, values).
+
+    The normals are drawn once. Each block runs the whole-grid steps on its
+    own steps: shocks, scale, drift, then the cumulative sum, its first step
+    carrying the log level the previous block ended on, so the sums run left
+    to right as over the whole grid and give the same bits. Blocks are fresh
+    arrays, or with ``out`` views of the (paths, times, products) array.
+    """
+    n_paths, n_prod = cfg.n_paths, rows.shape[0]
+    z = normals(cfg, cfg.n_steps, rows.shape[1])
+    scale = np.sqrt(live)
+    drift = -0.5 * (rows**2).sum(axis=1)[None, :] * live
+    carry = None  # log level at the end of the previous block
+    for s in _time_slices((n_paths, cfg.n_steps + 1, n_prod)):
+        blk = np.empty((n_paths, s.stop - s.start, n_prod)) if out is None else out[:, s]
+        x = blk  # the log path, built in place
+        if s.start == 0:
+            blk[:, 0, :] = initial
+            x = blk[:, 1:, :]
+        steps = slice(max(s.start - 1, 0), s.stop - 1)  # step k ends at time k + 1
+        if x.shape[1]:
+            np.einsum("pkj,nj->pkn", z[:, steps], rows, out=x)
+            x *= scale[steps]
+            x += drift[steps]
+            if carry is not None:
+                x[:, 0, :] += carry
+            np.cumsum(x, axis=1, out=x)
+            carry = x[:, -1, :].copy()
+            np.exp(x, out=x)
+            x *= initial
+        yield s, blk
 
 
-def _fixed_delivery_paths(model: FactorModel, products, initial, cfg: SimConfig) -> PathSet:
+def _lognormal_paths(law: _LognormalLaw, cfg: SimConfig) -> PathSet:
+    """Every non-spot path set: the lognormal blocks written into one array."""
+    values = np.empty((cfg.n_paths, cfg.n_steps + 1, law.rows.shape[0]))
+    for _ in _lognormal_blocks(law.rows, law.live, law.initial, cfg, out=values):
+        pass
+    return PathSet(values, cfg.time_grid, law.keys, cfg)
+
+
+def _fixed_delivery_law(model: FactorModel, products, initial, cfg: SimConfig) -> _LognormalLaw:
     """Frozen-row products, each diffusing until its own delivery."""
     rows = _rows_for(model, products)
     initial = _check_initial(initial, len(products))
@@ -273,7 +322,7 @@ def _fixed_delivery_paths(model: FactorModel, products, initial, cfg: SimConfig)
     hi = np.minimum(grid[1:, None], stops[None, :])
     live = np.maximum(hi - lo, 0.0)
     keys = [ContractDescriptor("fixed_delivery", mk, bucket=b) for mk, b in products]
-    return _lognormal_paths(rows, live, initial, cfg, keys)
+    return _LognormalLaw(rows, live, initial, keys)
 
 
 def simulate_fixed_delivery(
@@ -295,7 +344,18 @@ def simulate_fixed_delivery(
             for mk in model.markets
             for b in range(1, model.buckets_per_market + 1)
         ]
-    return _fixed_delivery_paths(model, list(products), initial, cfg)
+    return _lognormal_paths(_fixed_delivery_law(model, list(products), initial, cfg), cfg)
+
+
+def _short_horizon_law(model: FactorModel, market: str, initial, cfg: SimConfig) -> _LognormalLaw:
+    """Every bucket of one market, over a horizon inside the front bucket."""
+    if cfg.horizon > model.bucket_width + 1e-12:
+        raise ValidationError(
+            "short-horizon simulation requires horizon <= one bucket width; "
+            "use simulate_fixed_delivery for longer runs"
+        )
+    products = [(market, b) for b in range(1, model.buckets_per_market + 1)]
+    return _fixed_delivery_law(model, products, initial, cfg)
 
 
 def simulate_short_horizon(
@@ -307,13 +367,19 @@ def simulate_short_horizon(
     inside the front bucket; a grid whose last step overshoots it leaves the
     front bucket flat after its delivery, as in simulate_fixed_delivery.
     """
-    if cfg.horizon > model.bucket_width + 1e-12:
-        raise ValidationError(
-            "short-horizon simulation requires horizon <= one bucket width; "
-            "use simulate_fixed_delivery for longer runs"
-        )
-    products = [(market, b) for b in range(1, model.buckets_per_market + 1)]
-    return _fixed_delivery_paths(model, products, initial, cfg)
+    return _lognormal_paths(_short_horizon_law(model, market, initial, cfg), cfg)
+
+
+def _swap_law(
+    model: FactorModel | ExponentialVol, contract: ContractDescriptor, initial, cfg: SimConfig
+) -> _LognormalLaw:
+    """One swap, its step variances carried by a unit row."""
+    if contract.kind != "swap":
+        raise ValidationError("simulate_swap expects a swap descriptor")
+    initial = _check_initial(initial, 1)
+    grid = cfg.time_grid
+    v = _log_variance(model, contract, grid[1:], grid[:-1])
+    return _LognormalLaw(np.ones((1, 1)), v[:, None], initial, [contract])
 
 
 def simulate_swap(
@@ -329,13 +395,7 @@ def simulate_swap(
     splits its variance proportionally. With a parametric volatility the
     step variance is its exact integral. The path freezes at tau_start.
     """
-    if contract.kind != "swap":
-        raise ValidationError("simulate_swap expects a swap descriptor")
-    initial = _check_initial(initial, 1)
-    grid = cfg.time_grid
-    v = _log_variance(model, contract, grid[1:], grid[:-1])
-    # a unit row carries each step's variance as its live time
-    return _lognormal_paths(np.ones((1, 1)), v[:, None], initial, cfg, [contract])
+    return _lognormal_paths(_swap_law(model, contract, initial, cfg), cfg)
 
 
 def _spot_lag_vols(model: FactorModel, market: str, n_steps: int, step: float) -> np.ndarray:
@@ -466,177 +526,26 @@ def path_log_returns(paths: PathSet) -> LogReturnMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Sanity checking
+# Path-wise reductions
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SanityReport:
-    """Empirical-versus-theoretical comparison of a path set."""
-
-    times: np.ndarray
-    empirical_variance: np.ndarray  # (n_times, n_products)
-    theoretical_variance: np.ndarray
-    empirical_mean: np.ndarray
-    initial: np.ndarray
-    mean_se: np.ndarray
-    empirical_correlation: np.ndarray | None
-    model_correlation: np.ndarray | None
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def _time_slices(values: np.ndarray) -> list[slice]:
+def _time_slices(shape: tuple[int, int, int]) -> list[slice]:
     """Consecutive slices of the time axis of a (path, time, product) array.
 
     Each slice selects about _BLOCK_VALUES values, and at least one time.
     Reductions over paths treat every (time, product) column on its own,
     so blocking them gives the same bits as one whole-array call.
     """
-    n_paths, n_times, n_prod = values.shape
+    n_paths, n_times, n_prod = shape
     width = max(1, _BLOCK_VALUES // (n_paths * n_prod))
     return [slice(a, min(a + width, n_times)) for a in range(0, n_times, width)]
 
 
-def _path_moments(vals: np.ndarray):
-    """Per (time, product) after t=0: log-ratio variance, mean and mean SE.
-
-    Reduced in blocks of grid times, so the temporaries stay block-sized.
-    """
-    later = vals[:, 1:, :]
-    emp_var = np.empty(later.shape[1:])
-    emp_mean = np.empty_like(emp_var)
-    mean_se = np.empty_like(emp_var)
-    for s in _time_slices(later):
-        blk = later[:, s]
-        logs = blk / vals[:, :1, :]
-        np.log(logs, out=logs)
-        emp_var[s] = logs.var(axis=0, ddof=1)
-        emp_mean[s] = blk.mean(axis=0)
-        mean_se[s] = blk.std(axis=0, ddof=1)
-    mean_se /= math.sqrt(vals.shape[0])
-    return emp_var, emp_mean, mean_se
-
-
-def sanity_check(
-    paths: PathSet,
-    model: FactorModel | ExponentialVol,
-    z_tol: float = 4.0,
-    expected_mean: np.ndarray | None = None,
-) -> SanityReport:
-    """Check martingale means, log variances and return correlations.
-
-    Variance and mean comparisons run per product and grid time with a
-    z_tol-standard-error tolerance. The correlation check compares pooled
-    step log returns against the model-implied correlation and runs only
-    when every product carries a constant row (fixed-delivery sets).
-
-    Forwards and swaps are martingales, so means default to the initial
-    value. Spot paths are not: their mean follows the initial curve, which
-    the caller must supply as ``expected_mean`` over the full time grid,
-    shaped (grid size, n_products).
-    """
-    vals = paths.values
-    n_paths = paths.n_paths
-    times = paths.time_grid[1:]
-    emp_var, emp_mean, mean_se = _path_moments(vals)
-    initial = vals[0, 0, :].copy()
-    theo = np.column_stack([_log_variance(model, d, times) for d in paths.product_keys])
-
-    failures: list[str] = []
-    # an antithetic pair shares (x - mean)^2, so only n/2 squares are independent
-    n_var = n_paths // 2 if paths.config.antithetic else n_paths
-    var_se = theo * math.sqrt(2.0 / max(n_var - 1, 1))
-    bad = np.abs(emp_var - theo) > z_tol * var_se + 1e-14
-    for i, j in zip(*np.nonzero(bad)):
-        failures.append(
-            f"variance breach {paths.product_keys[j].label} at t={times[i]:.6g}: "
-            f"empirical {emp_var[i, j]:.6g} vs theoretical {theo[i, j]:.6g}"
-        )
-    if expected_mean is None:
-        target = np.broadcast_to(initial[None, :], emp_mean.shape)
-        kind = "martingale breach"
-    else:
-        target = np.asarray(expected_mean, dtype=float)
-        if target.shape != vals.shape[1:]:
-            raise ValidationError(
-                f"expected_mean shape {target.shape} != {vals.shape[1:]}"
-            )
-        target = target[1:]
-        kind = "mean breach"
-    bad = np.abs(emp_mean - target) > z_tol * mean_se + 1e-12
-    for i, j in zip(*np.nonzero(bad)):
-        failures.append(
-            f"{kind} {paths.product_keys[j].label} at t={times[i]:.6g}: "
-            f"mean {emp_mean[i, j]:.6g} vs expected {target[i, j]:.6g}"
-        )
-
-    emp_corr = model_corr = None
-    if (
-        isinstance(model, FactorModel)
-        and len(paths.product_keys) > 1
-        and all(d.kind == "fixed_delivery" for d in paths.product_keys)
-    ):
-        stops = np.array([d.bucket * model.bucket_width for d in paths.product_keys])
-        # steps before the first delivery: a prefix of the grid
-        m = int((paths.time_grid[1:] <= stops.min() + 1e-12).sum())
-        if m >= 1:
-            rets = vals[:, 1 : m + 1, :] / vals[:, :m, :]
-            np.log(rets, out=rets)
-            flat = rets.reshape(-1, rets.shape[2])
-            emp_corr = np.corrcoef(flat.T)
-            rows = _rows_for(model, [(d.market, d.bucket) for d in paths.product_keys])
-            cov = rows @ rows.T
-            dd = np.sqrt(np.diag(cov))
-            model_corr = cov / np.outer(dd, dd)
-            n_samp = flat.shape[0]
-            tol = np.maximum(z_tol * (1 - model_corr**2) / math.sqrt(n_samp), 1e-3)
-            bad = np.abs(emp_corr - model_corr) > tol
-            for a, b in zip(*np.nonzero(np.triu(bad, 1))):
-                failures.append(
-                    f"correlation breach {paths.product_keys[a].label} vs "
-                    f"{paths.product_keys[b].label}: empirical {emp_corr[a, b]:.4f} "
-                    f"vs model {model_corr[a, b]:.4f}"
-                )
-
-    return SanityReport(
-        times,
-        emp_var,
-        theo,
-        emp_mean,
-        initial,
-        mean_se,
-        emp_corr,
-        model_corr,
-        failures,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:
-    """Long format, one row per (path, time, product)."""
-    limit = paths.n_paths if max_paths is None else min(max_paths, paths.n_paths)
-    labels = [_csv_field(key.label) for key in paths.product_keys]
-    # "time,label," of each (time, product) cell, in the C order of a path's values
-    cells = [f"{t:.10g},{label}," for t in paths.time_grid.tolist() for label in labels]
-    with open(path, "w", newline="") as fh:
-        fh.write("path_id,time,product_key,value\n")
-        for p in range(limit):
-            fh.write(
-                "".join(
-                    [
-                        f"{p},{cell}{v:.10g}\n"
-                        for cell, v in zip(cells, paths.values[p].ravel().tolist())
-                    ]
-                )
-            )
+def _path_blocks(paths: PathSet) -> Iterator[tuple[slice, np.ndarray]]:
+    """A path set's values as blocks of grid times: (slice of the grid, view)."""
+    for s in _time_slices(paths.values.shape):
+        yield s, paths.values[:, s]
 
 
 def _quantiles_of_sorted(ordered: np.ndarray, q: float) -> np.ndarray:
@@ -661,30 +570,325 @@ def _quantiles_of_sorted(ordered: np.ndarray, q: float) -> np.ndarray:
     return a + diff * g
 
 
+class _BlockStats:
+    """The path-wise outputs of one pass over blocks of grid times.
+
+    ``add`` takes the blocks in time order, each holding every path at its
+    grid times. Each output treats every (time, product) column on its own,
+    so any blocking gives the bits of one whole-array call. The parts asked
+    for are built as the blocks arrive:
+
+    * ``summary``: the rows of summary.csv, the mean and the 5 and 95
+      percent quantiles per grid time and product, from one sort per block;
+    * ``moments``: per grid time after 0 and product, the variance of the
+      log ratio to the path's t=0 value, the mean and the mean's standard
+      error;
+    * ``export``: the first ``export`` paths, whole;
+    * ``returns``: the pooled log returns of the first ``returns`` steps,
+      path-major, one carried row spanning each block seam.
+    """
+
+    def __init__(
+        self,
+        n_paths: int,
+        time_grid: np.ndarray,
+        keys: list[ContractDescriptor],
+        *,
+        summary: bool = False,
+        moments: bool = False,
+        export: int = 0,
+        returns: int = 0,
+    ):
+        n_times, n_prod = time_grid.size, len(keys)
+        self.n_paths = n_paths
+        self.time_grid = time_grid
+        self.keys = keys
+        self._labels = [_csv_field(key.label) for key in keys]
+        self._times = [f"{t:.10g}" for t in time_grid.tolist()]
+        self.summary_rows: list[str] | None = [] if summary else None
+        self.log_variance = self.mean = self.mean_se = None
+        if moments:
+            self.log_variance = np.empty((n_times - 1, n_prod))
+            self.mean = np.empty_like(self.log_variance)
+            self.mean_se = np.empty_like(self.log_variance)
+        self.export = np.empty((min(export, n_paths), n_times, n_prod))
+        self.returns = np.empty((n_paths, returns, n_prod)) if returns else None
+        self.start: np.ndarray | None = None  # every path's values at t=0
+        self._last: np.ndarray | None = None  # every path's values at the last time seen
+
+    def add(self, s: slice, blk: np.ndarray) -> None:
+        if s.start == 0:
+            self.start = blk[:, 0, :].copy()
+        if self.summary_rows is not None:
+            self._add_summary(s, blk)
+        if self.mean is not None:
+            self._add_moments(s, blk)
+        self.export[:, s] = blk[: len(self.export)]
+        if self.returns is not None:
+            self._add_returns(s, blk)
+            self._last = blk[:, -1, :].copy()
+
+    def _add_summary(self, s: slice, blk: np.ndarray) -> None:
+        ordered = np.sort(blk, axis=0)
+        stats = zip(
+            blk.mean(axis=0).tolist(),
+            _quantiles_of_sorted(ordered, 0.05).tolist(),
+            _quantiles_of_sorted(ordered, 0.95).tolist(),
+        )
+        self.summary_rows.append(
+            "".join(
+                [
+                    f"{t},{label},{m:.10g},{q05:.10g},{q95:.10g}\n"
+                    for t, row in zip(self._times[s], stats)
+                    for label, (m, q05, q95) in zip(self._labels, zip(*row))
+                ]
+            )
+        )
+
+    def _add_moments(self, s: slice, blk: np.ndarray) -> None:
+        later = blk[:, 1:, :] if s.start == 0 else blk
+        if not later.shape[1]:
+            return
+        rows = slice(max(s.start - 1, 0), s.stop - 1)  # row i holds time i + 1
+        logs = later / self.start[:, None, :]
+        np.log(logs, out=logs)
+        self.log_variance[rows] = logs.var(axis=0, ddof=1)
+        del logs
+        self.mean[rows] = later.mean(axis=0)
+        self.mean_se[rows] = later.std(axis=0, ddof=1) / math.sqrt(self.n_paths)
+
+    def _add_returns(self, s: slice, blk: np.ndarray) -> None:
+        # return k is the log of the value at time k + 1 over the value at time k
+        n = min(s.stop, self.returns.shape[1] + 1) - s.start  # block times up to the last return's end
+        if n <= 0:
+            return
+        seam = int(s.start > 0)  # a later block's first return starts at the carried row
+        rets = self.returns[:, s.start - seam : s.start + n - 1]
+        if seam:
+            np.divide(blk[:, 0], self._last, out=rets[:, 0])
+        np.divide(blk[:, 1:n], blk[:, : n - 1], out=rets[:, seam:])
+        np.log(rets, out=rets)
+
+    def write_summary(self, path) -> None:
+        with open(path, "w", newline="") as fh:
+            fh.write("time,product_key,mean,q05,q95\n")
+            fh.writelines(self.summary_rows)
+
+    def write_paths(self, path) -> None:
+        _write_path_rows(self.export, self.time_grid, self.keys, path)
+
+
+# ---------------------------------------------------------------------------
+# Sanity checking
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SanityReport:
+    """Empirical-versus-theoretical comparison of a path set."""
+
+    times: np.ndarray
+    empirical_variance: np.ndarray  # (n_times, n_products)
+    theoretical_variance: np.ndarray
+    empirical_mean: np.ndarray
+    initial: np.ndarray
+    mean_se: np.ndarray
+    empirical_correlation: np.ndarray | None
+    model_correlation: np.ndarray | None
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def _correlation_steps(
+    model: FactorModel | ExponentialVol, keys: list[ContractDescriptor], time_grid: np.ndarray
+) -> int:
+    """Steps whose pooled log returns the correlation check reads; 0 for no check.
+
+    Only several fixed-delivery products on a factor model carry constant
+    rows, and only until the first delivery: the steps before it are a
+    prefix of the grid.
+    """
+    if not (
+        isinstance(model, FactorModel)
+        and len(keys) > 1
+        and all(d.kind == "fixed_delivery" for d in keys)
+    ):
+        return 0
+    stops = np.array([d.bucket * model.bucket_width for d in keys])
+    return int((time_grid[1:] <= stops.min() + 1e-12).sum())
+
+
+def sanity_check(
+    paths: PathSet,
+    model: FactorModel | ExponentialVol,
+    z_tol: float = 4.0,
+    expected_mean: np.ndarray | None = None,
+) -> SanityReport:
+    """Check martingale means, log variances and return correlations.
+
+    Variance and mean comparisons run per product and grid time with a
+    z_tol-standard-error tolerance. The correlation check compares pooled
+    step log returns against the model-implied correlation and runs only
+    when every product carries a constant row (fixed-delivery sets).
+
+    Forwards and swaps are martingales, so means default to the initial
+    value. Spot paths are not: their mean follows the initial curve, which
+    the caller must supply as ``expected_mean`` over the full time grid,
+    shaped (grid size, n_products).
+    """
+    keys = paths.product_keys
+    stats = _BlockStats(
+        paths.n_paths,
+        paths.time_grid,
+        keys,
+        moments=True,
+        returns=_correlation_steps(model, keys, paths.time_grid),
+    )
+    for s, blk in _path_blocks(paths):
+        stats.add(s, blk)
+    return _sanity_report(stats, model, paths.config, z_tol, expected_mean)
+
+
+def _sanity_report(
+    stats: _BlockStats,
+    model: FactorModel | ExponentialVol,
+    cfg: SimConfig,
+    z_tol: float = 4.0,
+    expected_mean: np.ndarray | None = None,
+) -> SanityReport:
+    """sanity_check's verdicts on the moments and returns of a block pass."""
+    keys = stats.keys
+    times = stats.time_grid[1:]
+    emp_var, emp_mean, mean_se = stats.log_variance, stats.mean, stats.mean_se
+    initial = stats.start[0].copy()
+    theo = np.column_stack([_log_variance(model, d, times) for d in keys])
+
+    failures: list[str] = []
+    # an antithetic pair shares (x - mean)^2, so only n/2 squares are independent
+    n_var = stats.n_paths // 2 if cfg.antithetic else stats.n_paths
+    var_se = theo * math.sqrt(2.0 / max(n_var - 1, 1))
+    bad = np.abs(emp_var - theo) > z_tol * var_se + 1e-14
+    for i, j in zip(*np.nonzero(bad)):
+        failures.append(
+            f"variance breach {keys[j].label} at t={times[i]:.6g}: "
+            f"empirical {emp_var[i, j]:.6g} vs theoretical {theo[i, j]:.6g}"
+        )
+    if expected_mean is None:
+        target = np.broadcast_to(initial[None, :], emp_mean.shape)
+        kind = "martingale breach"
+    else:
+        target = np.asarray(expected_mean, dtype=float)
+        grid_shape = (stats.time_grid.size, len(keys))
+        if target.shape != grid_shape:
+            raise ValidationError(f"expected_mean shape {target.shape} != {grid_shape}")
+        target = target[1:]
+        kind = "mean breach"
+    bad = np.abs(emp_mean - target) > z_tol * mean_se + 1e-12
+    for i, j in zip(*np.nonzero(bad)):
+        failures.append(
+            f"{kind} {keys[j].label} at t={times[i]:.6g}: "
+            f"mean {emp_mean[i, j]:.6g} vs expected {target[i, j]:.6g}"
+        )
+
+    emp_corr = model_corr = None
+    if stats.returns is not None:
+        flat = stats.returns.reshape(-1, len(keys))
+        emp_corr = np.corrcoef(flat.T)
+        rows = _rows_for(model, [(d.market, d.bucket) for d in keys])
+        cov = rows @ rows.T
+        dd = np.sqrt(np.diag(cov))
+        model_corr = cov / np.outer(dd, dd)
+        n_samp = flat.shape[0]
+        tol = np.maximum(z_tol * (1 - model_corr**2) / math.sqrt(n_samp), 1e-3)
+        bad = np.abs(emp_corr - model_corr) > tol
+        for a, b in zip(*np.nonzero(np.triu(bad, 1))):
+            failures.append(
+                f"correlation breach {keys[a].label} vs "
+                f"{keys[b].label}: empirical {emp_corr[a, b]:.4f} "
+                f"vs model {model_corr[a, b]:.4f}"
+            )
+
+    return SanityReport(
+        times,
+        emp_var,
+        theo,
+        emp_mean,
+        initial,
+        mean_se,
+        emp_corr,
+        model_corr,
+        failures,
+    )
+
+
+def _simulate_stage(
+    blocks: Iterator[tuple[slice, np.ndarray]],
+    keys: list[ContractDescriptor],
+    cfg: SimConfig,
+    model: FactorModel | ExponentialVol,
+    export: int,
+    expected_mean: np.ndarray | None = None,
+) -> tuple[_BlockStats, SanityReport]:
+    """The simulate stage in one pass over blocks of grid times.
+
+    Each block must pass PathSet's value rule before it is reduced to the
+    summary rows, the sanity moments, the first ``export`` paths and the
+    correlation returns; nothing path-sized outlives its block but those.
+    """
+    stats = _BlockStats(
+        cfg.n_paths,
+        cfg.time_grid,
+        keys,
+        summary=True,
+        moments=True,
+        export=export,
+        returns=_correlation_steps(model, keys, cfg.time_grid),
+    )
+    for s, blk in blocks:
+        _check_values(blk)
+        stats.add(s, blk)
+    return stats, _sanity_report(stats, model, cfg, expected_mean=expected_mean)
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
+
+
+def _write_path_rows(values: np.ndarray, time_grid: np.ndarray, keys, path) -> None:
+    """paths.csv of every path in ``values``, path x time x product."""
+    labels = [_csv_field(key.label) for key in keys]
+    # "time,label," of each (time, product) cell, in the C order of a path's values
+    cells = [f"{t:.10g},{label}," for t in time_grid.tolist() for label in labels]
+    with open(path, "w", newline="") as fh:
+        fh.write("path_id,time,product_key,value\n")
+        for p in range(values.shape[0]):
+            fh.write(
+                "".join(
+                    [
+                        f"{p},{cell}{v:.10g}\n"
+                        for cell, v in zip(cells, values[p].ravel().tolist())
+                    ]
+                )
+            )
+
+
+def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:
+    """Long format, one row per (path, time, product)."""
+    limit = paths.n_paths if max_paths is None else min(max_paths, paths.n_paths)
+    _write_path_rows(paths.values[:limit], paths.time_grid, paths.product_keys, path)
+
+
 def write_summary_csv(paths: PathSet, path) -> None:
     """Mean and 5/95 percent quantiles per product and grid time.
 
     Each block of grid times is sorted once along the paths; both
     quantiles are read from that sort.
     """
-    labels = [_csv_field(key.label) for key in paths.product_keys]
-    times = [f"{t:.10g}" for t in paths.time_grid.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("time,product_key,mean,q05,q95\n")
-        for s in _time_slices(paths.values):
-            blk = paths.values[:, s]
-            ordered = np.sort(blk, axis=0)
-            stats = zip(
-                blk.mean(axis=0).tolist(),
-                _quantiles_of_sorted(ordered, 0.05).tolist(),
-                _quantiles_of_sorted(ordered, 0.95).tolist(),
-            )
-            fh.write(
-                "".join(
-                    [
-                        f"{t},{label},{m:.10g},{q05:.10g},{q95:.10g}\n"
-                        for t, row in zip(times[s], stats)
-                        for label, (m, q05, q95) in zip(labels, zip(*row))
-                    ]
-                )
-            )
+    stats = _BlockStats(paths.n_paths, paths.time_grid, paths.product_keys, summary=True)
+    for s, blk in _path_blocks(paths):
+        stats.add(s, blk)
+    stats.write_summary(path)

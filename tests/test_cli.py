@@ -6,18 +6,33 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hjmkit.cli
+from hjmkit import simulation
 from hjmkit.calibration import FactorModel
 from hjmkit.cli import RunConfig, load_run_config, main
-from hjmkit.curve import read_curve_csv
+from hjmkit.curve import StepwiseCurve, read_curve_csv, write_curve_csv
+from hjmkit.dates import add_months
 from hjmkit.errors import ValidationError
 from hjmkit.marketdata import read_panel_csv
+from hjmkit.simulation import (
+    ContractDescriptor,
+    SanityReport,
+    sanity_check,
+    simulate_fixed_delivery,
+    simulate_short_horizon,
+    simulate_swap,
+    write_paths_csv,
+    write_summary_csv,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PIPELINE_CONF = ROOT / "fixtures" / "pipeline.conf"
@@ -407,6 +422,156 @@ def test_simulate_is_deterministic(tmp_path, pipeline_out):
         ["simulate", "--config", str(conf), "--out", str(tmp_path / "c"), "--seed", "8"]
     ) == 0
     assert a != (tmp_path / "c" / "paths.csv").read_bytes()
+
+
+def test_export_paths_zero_writes_every_path(tmp_path, pipeline_out):
+    conf = simulate_conf(tmp_path, pipeline_out)
+    conf.write_text(conf.read_text().replace("export_paths = 64", "export_paths = 0"))
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 0
+    ids = [row["path_id"] for row in read_rows(tmp_path / "out" / "paths.csv")]
+    assert sorted(set(ids), key=int) == [str(p) for p in range(64)]
+
+
+# ---------------------------------------------------------------------------
+# The streamed simulate stage
+# ---------------------------------------------------------------------------
+
+# each mode's lines of the run file; a horizon of 0.12 runs 31 steps past
+# the first delivery, after 21 steps
+_STREAM_MODES = {
+    "fixed_delivery": "horizon = 0.12\n",
+    "short_horizon": "sim_mode = short_horizon\nhorizon = 0.05\n",
+    "swap": "sim_mode = swap\nhorizon = 0.12\n",
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+# blocks of 1, 2 and 10 grid times (10 splits the 21 correlation steps), and
+# the whole grid in one block; export 45 asks for more than the 40 paths
+@pytest.mark.parametrize("width, export", [(1, 1), (2, 25), (10, 45), (None, 25)])
+@pytest.mark.parametrize("mode", sorted(_STREAM_MODES))
+def test_streamed_simulate_stage_matches_path_set_functions(
+    pipeline_out, tmp_path, monkeypatch, mode, width, export, antithetic
+):
+    n_paths = 40
+    model = FactorModel.load(pipeline_out / "model.json")
+    n_prod = {
+        "fixed_delivery": len(model.markets) * model.buckets_per_market,
+        "short_horizon": model.buckets_per_market,
+        "swap": 1,
+    }[mode]
+    if width is not None:
+        monkeypatch.setattr(simulation, "_BLOCK_VALUES", width * n_paths * n_prod)
+    seen = {}
+    lognormal_blocks, simulate_stage = hjmkit.cli._lognormal_blocks, hjmkit.cli._simulate_stage
+
+    def blocks(rows, live, initial, cfg):
+        seen["initial"], seen["cfg"] = initial, cfg
+        return lognormal_blocks(rows, live, initial, cfg)
+
+    def stage(*args):
+        seen["stats"], seen["report"] = simulate_stage(*args)
+        return seen["stats"], seen["report"]
+
+    monkeypatch.setattr(hjmkit.cli, "_lognormal_blocks", blocks)
+    monkeypatch.setattr(hjmkit.cli, "_simulate_stage", stage)
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"model_file = {pipeline_out / 'model.json'}\n"
+        f"curve_file = {pipeline_out / 'curves.csv'}\n"
+        f"out = {tmp_path / 'out'}\nseed = 11\nn_paths = {n_paths}\n"
+        f"step = 0.003968253968253968\nantithetic = {antithetic}\n"
+        f"export_paths = {export}\n" + _STREAM_MODES[mode]
+    )
+    rc = main(["simulate", "--config", str(conf)])
+    if width == 10 and mode == "fixed_delivery":
+        assert len(simulation._time_slices((n_paths, 32, n_prod))) == 4
+        assert seen["stats"].returns.shape[1] == 21
+
+    # the same paths, whole, through the PathSet functions
+    cfg, initial, market = seen["cfg"], seen["initial"], model.markets[0]
+    if mode == "fixed_delivery":
+        ps = simulate_fixed_delivery(model, initial, cfg)
+    elif mode == "short_horizon":
+        ps = simulate_short_horizon(model, market, initial, cfg)
+    else:
+        ps = simulate_swap(model, ContractDescriptor("swap", market, tau_start=0.25), initial, cfg)
+    report = sanity_check(ps, model)
+    assert rc == (0 if report.passed else 2)
+    for f in fields(SanityReport):
+        np.testing.assert_array_equal(getattr(seen["report"], f.name), getattr(report, f.name))
+    want = tmp_path / "want"
+    want.mkdir()
+    write_paths_csv(ps, want / "paths.csv", export)
+    write_summary_csv(ps, want / "summary.csv")
+    hjmkit.cli._write_sanity(want / "sanity.txt", mode, cfg, report)
+    for name in ("paths.csv", "summary.csv", "sanity.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_streamed_simulate_stage_peaks_below_half_the_path_array(tmp_path):
+    """Nightly size: 2,500 paths x 253 times x 18 products, in 23 blocks."""
+    markets = ["DE", "TTF", "NBP"]
+    model = FactorModel(
+        markets=markets,
+        buckets_per_market=6,
+        n_factors=2,
+        dt=1 / 252,
+        eigenvalues=np.array([2.0, 1.0]),
+        sigma_star=np.vstack([[0.3 * 0.9**b, 0.05 * (b - 3)] for b in range(18)]),
+        bucket_width=1 / 12,
+    )
+    months = [add_months(date(2021, 1, 1), h) for h in range(8)]
+    curves = {
+        mk: StepwiseCurve(mk, date(2021, 1, 4), months, np.linspace(30.0, 40.0, 8) + i, np.full(8, 30.0))
+        for i, mk in enumerate(markets)
+    }
+    cfg = RunConfig(out=str(tmp_path), seed=3001, n_paths=2500, step=1 / 252, horizon=1.0)
+    path_bytes = 2500 * 253 * 18 * 8
+    assert len(simulation._time_slices((2500, 253, 18))) >= 20
+    tracemalloc.start()
+    try:
+        hjmkit.cli.cmd_simulate(cfg, (model, curves))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path_bytes
+    assert read_report(tmp_path / "sanity.txt")["status"] == "passed"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "vol_scale, curve_top", [(1e4, None), (1.0, 1.5e308)], ids=["underflow-to-zero", "overflow-to-inf"]
+)
+def test_simulated_values_outside_the_float_range_exit_1_and_write_nothing(
+    pipeline_out, tmp_path, capsys, vol_scale, curve_top
+):
+    full = FactorModel.load(pipeline_out / "model.json")
+    model = tmp_path / "model.json"
+    replace(full, sigma_star=full.sigma_star * vol_scale).save(model)
+    # a flat curve at curve_top: a rise of a fifth overflows it
+    read = list(read_curve_csv(pipeline_out / "curves.csv").values())
+    if curve_top is not None:
+        read = [replace(c, values=np.full_like(c.values, curve_top)) for c in read]
+    curves = tmp_path / "curves.csv"
+    write_curve_csv(read, curves)
+    conf = _simulate_on(tmp_path, pipeline_out, curve_file=curves, model_file=model)
+    rc = main(["simulate", "--config", str(conf)])
+    _assert_clean_validation_exit(rc, capsys, "error: path values must be positive and finite")
+    for name in ("paths.csv", "summary.csv", "sanity.txt"):
+        assert not (tmp_path / "out" / name).exists()
+
+
+def test_sanity_failure_writes_all_three_files_and_exits_2(pipeline_out, tmp_path, capsys, monkeypatch):
+    # a model law with no variance at all: every simulated variance breaches it
+    monkeypatch.setattr(simulation, "_log_variance", lambda model, contract, t, t0=0.0: np.zeros_like(t))
+    rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out))])
+    assert rc == 2
+    assert "error: sanity check failed: variance breach" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert read_report(out / "sanity.txt")["status"] == "failed"
+    assert len(read_rows(out / "summary.csv")) == 253 * 6
+    assert len(read_rows(out / "paths.csv")) == 8 * 253 * 6
 
 
 def test_price_rejects_unknown_contract_key(tmp_path, pipeline_out):

@@ -139,6 +139,31 @@ def test_pathset_validation():
         PathSet(bad, cfg.time_grid, keys, cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_pathset_rejects_each_bad_value_at_an_interior_position(bad):
+    cfg = SimConfig(seed=1, n_paths=3, step=0.25, horizon=1.0)
+    keys = [ContractDescriptor("spot", "X"), ContractDescriptor("spot", "Y")]
+    values = np.full((3, 5, 2), 10.0)
+    values[1, 2, 1] = bad
+    with pytest.raises(ValidationError) as err:
+        PathSet(values, cfg.time_grid, keys, cfg)
+    assert str(err.value) == "path values must be positive and finite"
+
+
+def test_pathset_value_check_allocates_nothing_path_sized():
+    cfg = SimConfig(seed=1, n_paths=2**16, step=0.25, horizon=1.0)
+    keys = [ContractDescriptor("spot", "X"), ContractDescriptor("spot", "Y")]
+    values = np.full((cfg.n_paths, 5, 2), 10.0)
+    # a boolean mask of the values would take values.nbytes / 8
+    assert _traced_peak(PathSet, values, cfg.time_grid, keys, cfg) < values.nbytes / 32
+
+
+def test_pathset_accepts_an_empty_product_axis():
+    cfg = SimConfig(seed=1, n_paths=2, step=0.5, horizon=1.0)
+    ps = PathSet(np.empty((2, 3, 0)), cfg.time_grid, [], cfg)
+    assert ps.values.shape == (2, 3, 0)
+
+
 def test_pathset_product_lookup():
     cfg = SimConfig(seed=1, n_paths=1, step=0.5, horizon=1.0)
     keys = [
@@ -867,7 +892,7 @@ def test_blocked_statistics_match_whole_array_reference(antithetic, tmp_path, mo
 
     # 5 grid times per block: 27 grid times leave a short last block
     monkeypatch.setattr(simulation, "_BLOCK_VALUES", 5 * 60 * 6)
-    assert [s.stop - s.start for s in _time_slices(ps.values)] == [5] * 5 + [2]
+    assert [s.stop - s.start for s in _time_slices(ps.values.shape)] == [5] * 5 + [2]
     report = sanity_check(ps, model)
     var, mean, se, corr = _reference_sanity_stats(ps)
     np.testing.assert_array_equal(report.empirical_variance, var)
@@ -878,6 +903,61 @@ def test_blocked_statistics_match_whole_array_reference(antithetic, tmp_path, mo
     write_summary_csv(ps, tmp_path / "blocked.csv")
     _reference_summary_csv(ps, tmp_path / "whole.csv")
     assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 3, 27])  # 27: the whole grid in one block
+def test_streamed_stage_matches_whole_array_references(antithetic, width, tmp_path, monkeypatch):
+    """Blocks of 1, 2 or 3 grid times split the 4 correlation steps at their seams."""
+    model = _two_market_model()
+    cfg = SimConfig(seed=31, n_paths=60, step=1 / 52, horizon=0.5, antithetic=antithetic)
+    initial = [30.0, 31.0, 32.0, 20.0, 21.0, 22.0]
+    products = [(mk, b) for mk in model.markets for b in (1, 2, 3)]
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", width * 60 * 6)
+    law = simulation._fixed_delivery_law(model, products, initial, cfg)
+    assert simulation._correlation_steps(model, law.keys, cfg.time_grid) == 4
+    seen = []
+
+    def recorded():
+        for s, blk in simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg):
+            seen.append((s, blk.copy()))
+            yield s, blk
+
+    stats, report = simulation._simulate_stage(recorded(), law.keys, cfg, model, export=7)
+    assert [s.start for s, _ in seen] == list(range(0, 27, width))
+    want = _reference_fixed_delivery(model, initial, cfg)
+    np.testing.assert_array_equal(np.concatenate([blk for _, blk in seen], axis=1), want)
+
+    ps = PathSet(want, cfg.time_grid, law.keys, cfg)
+    var, mean, se, corr = _reference_sanity_stats(ps)
+    np.testing.assert_array_equal(report.empirical_variance, var)
+    np.testing.assert_array_equal(report.empirical_mean, mean)
+    np.testing.assert_array_equal(report.mean_se, se)
+    np.testing.assert_array_equal(report.empirical_correlation, corr)
+    np.testing.assert_array_equal(stats.export, want[:7])
+    stats.write_summary(tmp_path / "streamed.csv")
+    _reference_summary_csv(ps, tmp_path / "whole.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_streamed_stage_stops_at_the_first_bad_block(monkeypatch):
+    """A block that fails the value rule stops the pass before later blocks are drawn."""
+    model = _two_market_model()
+    cfg = SimConfig(seed=5, n_paths=10, step=1 / 52, horizon=0.5)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 5 * 10 * 6)
+    law = simulation._fixed_delivery_law(model, [(mk, b) for mk in "AB" for b in (1, 2, 3)], [1.0] * 6, cfg)
+    drawn = []
+
+    def poisoned():
+        for s, blk in simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg):
+            drawn.append(s.start)
+            if s.start == 10:
+                blk[3, 1, 4] = math.nan
+            yield s, blk
+
+    with pytest.raises(ValidationError, match="path values must be positive and finite"):
+        simulation._simulate_stage(poisoned(), law.keys, cfg, model, export=1)
+    assert drawn == [0, 5, 10]
 
 
 def test_blocked_spot_statistics_match_whole_array_reference(monkeypatch):
@@ -948,7 +1028,7 @@ def test_write_summary_csv_matches_np_quantile_reference(n_paths, tmp_path, monk
     ps = make_paths(vals, step=0.25, market='Hub "A", peak')
     # 4 grid times per block: 9 grid times leave a short last block
     monkeypatch.setattr(simulation, "_BLOCK_VALUES", 4 * n_paths * 2)
-    assert [s.stop - s.start for s in _time_slices(ps.values)] == [4, 4, 1]
+    assert [s.stop - s.start for s in _time_slices(ps.values.shape)] == [4, 4, 1]
     write_summary_csv(ps, tmp_path / "fast.csv")
     _reference_summary_csv(ps, tmp_path / "slow.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()

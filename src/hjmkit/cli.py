@@ -661,16 +661,6 @@ def _contract(cls, name: str, values: dict):
     return cls(**{f: values[key] for key, f, _, _ in _CONTRACT_KEYS[name] if isinstance(f, str)})
 
 
-def _report_head(cfg: RunConfig, name: str, values: dict) -> list:
-    """A price report's opening lines: the contract's file keys in declaration
-    order, sweeps left out, then the run's sampling settings."""
-    pairs = [("contract", name)]
-    for key, f, kind, _ in _CONTRACT_KEYS[name]:
-        if not isinstance(f, tuple):
-            pairs.append((key, _fmt(values[key]) if kind == "float" else values[key]))
-    return pairs + [("seed", cfg.seed), ("n_paths", cfg.n_paths), ("rate", _fmt(cfg.rate))]
-
-
 def _sweep(name: str, values: dict, contract, headline, price):
     """(entry, result) for each entry of the contract's sweep keys.
 
@@ -684,26 +674,44 @@ def _sweep(name: str, values: dict, contract, headline, price):
                 yield entry, headline if varied == contract else price(varied)
 
 
-def _spot_paths(cfg: RunConfig, model, curves, markets, sim_cfg):
-    return simulate_spot(model, _curve_means(cfg, curves, markets, sim_cfg.time_grid), sim_cfg, markets)
+def _contract_markets(name: str, values: dict) -> list[str]:
+    """The contract's markets, in declaration order, each once."""
+    return list(dict.fromkeys(values[key] for key, f, _, _ in _CONTRACT_KEYS[name] if f is None))
+
+
+def _contract_paths(cfg: RunConfig, model, curves, name, spec, points, per_year, seed):
+    """Spot paths of the contract's markets: ``points`` grid times 1/per_year
+    apart, drawn at ``seed``; product i is market i of _contract_markets."""
+    markets = _contract_markets(name, spec)
+    sim_cfg = SimConfig(seed, cfg.n_paths, 1.0 / per_year, (points - 1) / per_year, cfg.antithetic)
+    means = _curve_means(cfg, curves, markets, sim_cfg.time_grid)
+    return simulate_spot(model, means, sim_cfg, markets)
+
+
+def _write_price(cfg: RunConfig, name, spec, lines, sweep_header=(), sweep_rows=()) -> None:
+    """price_<name>.txt: the contract's file keys in declaration order, sweeps
+    left out, the run's sampling settings, then the result lines; and
+    price_<name>_sweep.csv when the contract has sweep rows."""
+    head = [("contract", name)]
+    for key, f, kind, _ in _CONTRACT_KEYS[name]:
+        if not isinstance(f, tuple):
+            head.append((key, _fmt(spec[key]) if kind == "float" else spec[key]))
+    head += [("seed", cfg.seed), ("n_paths", cfg.n_paths), ("rate", _fmt(cfg.rate))]
+    _write_report(cfg.out_dir / f"price_{name}.txt", head + lines)
+    if sweep_rows:
+        _write_csv(cfg.out_dir / f"price_{name}_sweep.csv", sweep_header, sweep_rows)
 
 
 def _price_swing(cfg: RunConfig, model, curves, spec: dict, contract: SwingContract) -> None:
-    sim_cfg = SimConfig(
-        cfg.need_seed(),
-        cfg.n_paths,
-        1.0 / _DAYS_PER_YEAR,
-        (contract.n_days - 1) / _DAYS_PER_YEAR,
-        cfg.antithetic,
-    )
-    paths = _spot_paths(cfg, model, curves, [spec["market"]], sim_cfg)
+    seed = cfg.need_seed()
+    paths = _contract_paths(cfg, model, curves, "swing", spec, contract.n_days, _DAYS_PER_YEAR, seed)
     plan = _RegressionPlan()  # the sweep prices one spot window
 
     def price(c):
         return price_swing(c, paths, cfg.rate, plan=plan)
 
     res = price(contract)
-    pairs = _report_head(cfg, "swing", spec) + [
+    lines = [
         ("value", _fmt(res.lsmc.value)),
         ("std_error", _fmt(res.lsmc.std_error)),
         ("lower_bound", _fmt(res.lower_bound)),
@@ -711,40 +719,26 @@ def _price_swing(cfg: RunConfig, model, curves, spec: dict, contract: SwingContr
         ("upper_bound", _fmt(res.upper_bound)),
         ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
     ]
-    _write_report(cfg.out_dir / "price_swing.txt", pairs)
     rows = [
         [rights, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.lower_bound), _fmt(r.upper_bound)]
         for rights, r in _sweep("swing", spec, contract, res, price)
     ]
-    if rows:
-        _write_csv(
-            cfg.out_dir / "price_swing_sweep.csv",
-            ["rights", "value", "std_error", "lower_bound", "upper_bound"],
-            rows,
-        )
+    header = ["rights", "value", "std_error", "lower_bound", "upper_bound"]
+    _write_price(cfg, "swing", spec, lines, header, rows)
     print(f"swing value {res.lsmc.value:.6g} (se {res.lsmc.std_error:.3g})")
 
 
 def _price_vpp(cfg: RunConfig, model, curves, spec: dict, contract: VppContract) -> None:
-    sim_cfg = SimConfig(
-        cfg.need_seed(),
-        cfg.n_paths,
-        1.0 / _HOURS_PER_YEAR,
-        (contract.n_hours - 1) / _HOURS_PER_YEAR,
-        cfg.antithetic,
-    )
-    power, fuel = spec["power_market"], spec["fuel_market"]
-    markets = [power] if power == fuel else [power, fuel]
-    paths = _spot_paths(cfg, model, curves, markets, sim_cfg)
+    seed = cfg.need_seed()
+    paths = _contract_paths(cfg, model, curves, "vpp", spec, contract.n_hours, _HOURS_PER_YEAR, seed)
+    fuel = len(paths.product_keys) - 1  # one market when fuel is the power market
     plan = _RegressionPlan()  # the sweep prices one spread
 
     def price(c):
-        return price_vpp(
-            c, paths, paths, cfg.rate, power_product=0, fuel_product=len(markets) - 1, plan=plan
-        )
+        return price_vpp(c, paths, paths, cfg.rate, power_product=0, fuel_product=fuel, plan=plan)
 
     res = price(contract)
-    pairs = _report_head(cfg, "vpp", spec) + [
+    lines = [
         ("value", _fmt(res.lsmc.value)),
         ("std_error", _fmt(res.lsmc.std_error)),
         ("naive", _fmt(res.naive)),
@@ -752,30 +746,22 @@ def _price_vpp(cfg: RunConfig, model, curves, spec: dict, contract: VppContract)
         ("upper_bound", _fmt(res.upper_bound)),
         ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
     ]
-    _write_report(cfg.out_dir / "price_vpp.txt", pairs)
     rows = [
         [lock, lock, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.naive), _fmt(r.upper_bound)]
         for lock, r in _sweep("vpp", spec, contract, res, price)
     ]
-    if rows:
-        _write_csv(
-            cfg.out_dir / "price_vpp_sweep.csv",
-            ["t_on", "t_off", "value", "std_error", "naive", "upper_bound"],
-            rows,
-        )
+    header = ["t_on", "t_off", "value", "std_error", "naive", "upper_bound"]
+    _write_price(cfg, "vpp", spec, lines, header, rows)
     print(f"vpp value {res.lsmc.value:.6g} (se {res.lsmc.std_error:.3g})")
 
 
 def _price_storage(cfg: RunConfig, model, curves, spec: dict, contract: StorageContract) -> None:
-    seed = cfg.need_seed()
-    sim_cfg = SimConfig(
-        seed, cfg.n_paths, 1.0 / _DAYS_PER_YEAR, contract.n_days / _DAYS_PER_YEAR, cfg.antithetic
-    )
-    markets = [spec["market"]]
-    paths = _spot_paths(cfg, model, curves, markets, sim_cfg)
-    fresh = _spot_paths(cfg, model, curves, markets, replace(sim_cfg, seed=(seed + 1) % 2**64))
+    seed, points = cfg.need_seed(), contract.n_days + 1
+    paths = _contract_paths(cfg, model, curves, "storage", spec, points, _DAYS_PER_YEAR, seed)
+    fresh_seed = (seed + 1) % 2**64
+    fresh = _contract_paths(cfg, model, curves, "storage", spec, points, _DAYS_PER_YEAR, fresh_seed)
     res = price_storage(contract, paths, fresh, cfg.rate)
-    pairs = _report_head(cfg, "storage", spec) + [
+    lines = [
         ("deterministic", _fmt(res.deterministic)),
         ("deterministic_std_error", _fmt(res.deterministic_std_error)),
         ("sdp_value", _fmt(res.sdp.value)),
@@ -788,7 +774,7 @@ def _price_storage(cfg: RunConfig, model, curves, spec: dict, contract: StorageC
         ("grid_truncated_low", str(res.truncated_low).lower()),
         ("grid_truncated_high", str(res.truncated_high).lower()),
     ]
-    _write_report(cfg.out_dir / "price_storage.txt", pairs)
+    _write_price(cfg, "storage", spec, lines)
     print(
         f"storage sdp {res.sdp.value:.6g}, deterministic {res.deterministic:.6g}, "
         f"out-of-sample {res.out_of_sample.value:.6g}"
@@ -826,9 +812,8 @@ def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
         if spec[window] < shortest:
             raise ValidationError(f"{name} contract: {window} must be at least {shortest}")
         contract = _contract(cls, name, spec)
-        for key, f, _, _ in _CONTRACT_KEYS[name]:
-            if f is None:
-                model.row_index(spec[key], 1)  # an unknown market raises here
+        for market in _contract_markets(name, spec):
+            model.row_index(market, 1)  # an unknown market raises here
         constant = (name == "storage" and spec["n_days"] == 1) or (
             name == "vpp" and spec["power_market"] == spec["fuel_market"] and spec["H"] == 1.0
         )
@@ -843,15 +828,17 @@ def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
 
 
 def _pricing_inputs(cfg: RunConfig):
-    """The calibrated model and curves, once some contract file is configured."""
+    """The calibrated model and curves, and the checked configured contracts,
+    once some contract file is configured."""
     if not (cfg.vpp or cfg.swing or cfg.storage):
         raise ValidationError("no contract files configured (vpp/swing/storage)")
-    return _load_model_and_curves(cfg)
+    model, curves = _load_model_and_curves(cfg)
+    return model, curves, _configured_contracts(cfg, model)
 
 
-def cmd_price(cfg: RunConfig, calibrated) -> None:
-    model, curves = calibrated
-    contracts = _configured_contracts(cfg, model)
+def cmd_price(cfg: RunConfig, inputs) -> None:
+    """Price each contract of _configured_contracts on the calibrated model and curves."""
+    model, curves, contracts = inputs
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for price, spec, contract in contracts:
         price(cfg, model, curves, spec, contract)
@@ -863,10 +850,10 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     cmd_curve(cfg, loaded)
     cmd_calibrate(cfg)
     calibrated = _load_model_and_curves(cfg)  # one read of model.json and curves.csv
-    _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn
+    contracts = _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn
     cmd_simulate(cfg, calibrated)
-    if cfg.vpp or cfg.swing or cfg.storage:
-        cmd_price(cfg, calibrated)
+    if contracts:
+        cmd_price(cfg, (*calibrated, contracts))
 
 
 # ---------------------------------------------------------------------------

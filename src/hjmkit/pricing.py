@@ -5,7 +5,9 @@ backward-induction core over (time, resource state). Each pricer declares
 its moves once, as (valid, target) tables over the states of a step (a
 validity mask and the successor of every state), plus one cash(x, k)
 that turns step k's price column x into the per-path immediate cash of
-each move; no paths x steps cash matrix is built. In the core:
+each move. The core takes both as they are: moves[k] lists step k's
+tables, and the core calls cash on step k's price column as it reaches
+the step, so no paths x steps cash matrix is built. In the core:
 
 * the continuation value of every resource state is regressed on a
   polynomial basis of the observed price; all states share one design
@@ -16,7 +18,8 @@ each move; no paths x steps cash matrix is built. In the core:
   price array, for stacked blocks of steps at a time, and every core call
   on those prices solves against it: a VPP lock sweep or a swing rights
   sweep shares one plan, and each call computes only its own U'y;
-* each distinct list of move tables is split once per call into the
+* each distinct list of move tables (one list object: VPP and storage
+  pass the same one for every step) is split once per call into the
   cells every move sets fresh and the cells it contests, with their
   successor indices;
 * values are carried state-major, one row of paths per resource state,
@@ -630,7 +633,8 @@ def _cell_plan(tables) -> tuple[int, list, object]:
 def _backward_induction(
     price_state: np.ndarray,
     terminal: np.ndarray,
-    step_actions,
+    moves: Sequence[list[tuple[np.ndarray, np.ndarray]]],
+    cash,
     settings: LsmcSettings,
     foresight: bool,
     fits: list[ContinuationFit] | None = None,
@@ -640,31 +644,34 @@ def _backward_induction(
 
     price_state[:, k] is the regression state at step k; terminal is the
     value matrix (n_paths, n_states) of the last layer and seeds the
-    value-to-go. step_actions(k) yields tuples (immediate, valid, target):
-    per-path immediate cash, a validity mask over the states of step k and
-    their successor indices into the states of step k + 1, so the state
-    count may change from step to step. With foresight=True the
-    decision uses realized values directly (per-path optimum); otherwise
-    fitted continuations decide and realized values are carried. Given
-    ``fits`` from an earlier call, no regression runs: step k's continuation
-    is fits[k] evaluated on price_state[:, k], so on fresh paths the result
-    is the realized cash of that fixed policy, its out-of-sample value.
-    Otherwise the regressions solve through ``plan``, bound to price_state,
-    or through a plan local to this call.
+    value-to-go. moves[k] lists step k's (valid, target) tables: a
+    validity mask over the states of step k and their successor indices
+    into the states of step k + 1, so the state count may change from
+    step to step. cash(x, k) returns the per-path immediate cash of each
+    table, in the same order, from the price column x = price_state[:, k].
+    With foresight=True the decision uses realized values directly
+    (per-path optimum); otherwise fitted continuations decide and realized
+    values are carried. Given ``fits`` from an earlier call, no regression
+    runs: step k's continuation is fits[k] evaluated on price_state[:, k],
+    so on fresh paths the result is the realized cash of that fixed
+    policy, its out-of-sample value. Otherwise the regressions solve
+    through ``plan``, bound to price_state, or through a plan local to
+    this call.
 
     Values are carried state-major, (n_states, n_paths), so a successor
     gather copies whole rows; the result is returned as the transposed
-    (n_paths, n_states) view. Each action reads and writes only the
-    states it is valid in: the first valid action of a state sets it, a
+    (n_paths, n_states) view. Each table reads and writes only the
+    states it is valid in: the first valid table of a state sets it, a
     later one replaces it only when its score beats the best so far by
-    more than _TIE_TOL. A state with no valid action is worth -inf. The
-    cells of each distinct table list are worked out once per call.
+    more than _TIE_TOL. A state with no valid table is worth -inf. The
+    cells of each distinct table list (one list object, as when every
+    step shares one) are worked out once per call.
     """
     if not foresight and fits is None:
         plan = (_RegressionPlan(keep=False) if plan is None else plan).bind(price_state, settings)
     cf = np.ascontiguousarray(terminal.T)
     fitted: list[ContinuationFit] = []
-    cell_plans: dict = {}
+    cell_plans: dict[int, tuple] = {}  # moves holds every list, so no id is reused
     n_steps = price_state.shape[1]
     for k in range(n_steps - 1, -1, -1):
         if foresight:
@@ -675,26 +682,26 @@ def _backward_induction(
             fit = plan.fit(k, cf.T)
             cont, fit.fitted = fit.fitted, None
             fitted.append(fit)
-        actions = list(step_actions(k))
-        key = tuple((valid.tobytes(), target.tobytes()) for _, valid, target in actions)
-        if key not in cell_plans:
-            cell_plans[key] = _cell_plan([(valid, target) for _, valid, target in actions])
-        n_states, cells, unseen = cell_plans[key]
+        immediate = cash(price_state[:, k], k)
+        tables = moves[k]
+        if id(tables) not in cell_plans:
+            cell_plans[id(tables)] = _cell_plan(tables)
+        n_states, cells, unseen = cell_plans[id(tables)]
         new_cf = np.empty((n_states, cf.shape[1]))
         # with foresight the score is the realized value, so best is new_cf
         best = new_cf if foresight else np.empty_like(new_cf)
-        for i, ((immediate, _, _), cell) in enumerate(zip(actions, cells)):
+        for i, (c, cell) in enumerate(zip(immediate, cells)):
             fresh, t_fresh, contested, t = cell
             if fresh is not None:
-                _put(new_cf, fresh, cf, t_fresh, immediate)
+                _put(new_cf, fresh, cf, t_fresh, c)
                 if not foresight:
-                    _put(best, fresh, cont, t_fresh, immediate)
+                    _put(best, fresh, cont, t_fresh, c)
             if contested is not None:
-                realized = _shifted(cf, t, immediate)
-                score = realized if foresight else _shifted(cont, t, immediate)
+                realized = _shifted(cf, t, c)
+                score = realized if foresight else _shifted(cont, t, c)
                 better = score > best[contested] + _TIE_TOL
                 new_cf[contested] = np.where(better, realized, new_cf[contested])
-                if not foresight and i < len(actions) - 1:
+                if not foresight and i < len(cells) - 1:
                     best[contested] = np.where(better, score, best[contested])
         if unseen is not None:
             new_cf[unseen] = -np.inf
@@ -716,20 +723,9 @@ def _policy_value(
     fits: list[ContinuationFit] | None = None,
     plan: _RegressionPlan | None = None,
 ) -> tuple[np.ndarray, PolicyValuation]:
-    """Run the core on a pricer's tables and cash; return the start state's
-    per-path cash and its valuation.
-
-    moves[k] lists step k's (valid, target) tables, and cash(x, k) returns
-    the per-path immediate cash of each table, in the same order, from the
-    price column x = price_state[:, k].
-    """
-
-    def step_actions(k):
-        immediate = cash(price_state[:, k], k)
-        return ((c, valid, target) for c, (valid, target) in zip(immediate, moves[k]))
-
+    """Run the core; return the start state's per-path cash and its valuation."""
     cf, fits = _backward_induction(
-        price_state, terminal, step_actions, settings, foresight, fits, plan
+        price_state, terminal, moves, cash, settings, foresight, fits, plan
     )
     sample = cf[:, start]
     return sample, PolicyValuation(*_pair_stats(sample, antithetic), fits)

@@ -56,6 +56,8 @@ from .marketdata import LogReturnMatrix, _csv_field
 _U64_MAX = 2**64 - 1
 # values per block of grid times in the path-wise reductions (at least one time)
 _BLOCK_VALUES = 2**19
+# standard errors a sanity moment may stray from its model value
+_Z_TOL = 4.0
 
 
 @dataclass(frozen=True)
@@ -724,13 +726,14 @@ def _correlation_steps(
 def sanity_check(
     paths: PathSet,
     model: FactorModel | ExponentialVol,
-    z_tol: float = 4.0,
     expected_mean: np.ndarray | None = None,
 ) -> SanityReport:
     """Check martingale means, log variances and return correlations.
 
     Variance and mean comparisons run per product and grid time with a
-    z_tol-standard-error tolerance. The correlation check compares pooled
+    tolerance of _Z_TOL standard errors; a non-finite empirical mean, mean
+    standard error or log variance is a failure of its own, since no
+    tolerance can hold it. The correlation check compares pooled
     step log returns against the model-implied correlation and runs only
     when every product carries a constant row (fixed-delivery sets).
 
@@ -749,14 +752,13 @@ def sanity_check(
     )
     for s, blk in _path_blocks(paths):
         stats.add(s, blk)
-    return _sanity_report(stats, model, paths.config, z_tol, expected_mean)
+    return _sanity_report(stats, model, paths.config, expected_mean)
 
 
 def _sanity_report(
     stats: _BlockStats,
     model: FactorModel | ExponentialVol,
     cfg: SimConfig,
-    z_tol: float = 4.0,
     expected_mean: np.ndarray | None = None,
 ) -> SanityReport:
     """sanity_check's verdicts on the moments and returns of a block pass."""
@@ -767,10 +769,17 @@ def _sanity_report(
     theo = np.column_stack([_log_variance(model, d, times) for d in keys])
 
     failures: list[str] = []
+    # |x - target| > z * se is false for an infinite se or a NaN x
+    finite = np.isfinite(emp_mean) & np.isfinite(mean_se) & np.isfinite(emp_var)
+    for i, j in zip(*np.nonzero(~finite)):
+        failures.append(
+            f"non-finite moment {keys[j].label} at t={times[i]:.6g}: mean {emp_mean[i, j]:.6g}, "
+            f"mean standard error {mean_se[i, j]:.6g}, log variance {emp_var[i, j]:.6g}"
+        )
     # an antithetic pair shares (x - mean)^2, so only n/2 squares are independent
     n_var = stats.n_paths // 2 if cfg.antithetic else stats.n_paths
     var_se = theo * math.sqrt(2.0 / max(n_var - 1, 1))
-    bad = np.abs(emp_var - theo) > z_tol * var_se + 1e-14
+    bad = np.abs(emp_var - theo) > _Z_TOL * var_se + 1e-14
     for i, j in zip(*np.nonzero(bad)):
         failures.append(
             f"variance breach {keys[j].label} at t={times[i]:.6g}: "
@@ -786,7 +795,7 @@ def _sanity_report(
             raise ValidationError(f"expected_mean shape {target.shape} != {grid_shape}")
         target = target[1:]
         kind = "mean breach"
-    bad = np.abs(emp_mean - target) > z_tol * mean_se + 1e-12
+    bad = np.abs(emp_mean - target) > _Z_TOL * mean_se + 1e-12
     for i, j in zip(*np.nonzero(bad)):
         failures.append(
             f"{kind} {keys[j].label} at t={times[i]:.6g}: "
@@ -802,7 +811,7 @@ def _sanity_report(
         dd = np.sqrt(np.diag(cov))
         model_corr = cov / np.outer(dd, dd)
         n_samp = flat.shape[0]
-        tol = np.maximum(z_tol * (1 - model_corr**2) / math.sqrt(n_samp), 1e-3)
+        tol = np.maximum(_Z_TOL * (1 - model_corr**2) / math.sqrt(n_samp), 1e-3)
         bad = np.abs(emp_corr - model_corr) > tol
         for a, b in zip(*np.nonzero(np.triu(bad, 1))):
             failures.append(

@@ -9,7 +9,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +20,25 @@ from hjmkit import simulation
 from hjmkit.calibration import FactorModel
 from hjmkit.cli import RunConfig, load_run_config, main
 from hjmkit.curve import StepwiseCurve, read_curve_csv, write_curve_csv
-from hjmkit.dates import add_months
+from hjmkit.dates import add_months, month_start
 from hjmkit.errors import ValidationError
 from hjmkit.marketdata import read_panel_csv
+from hjmkit.pricing import (
+    StorageContract,
+    SwingContract,
+    VppContract,
+    price_storage,
+    price_swing,
+    price_vpp,
+)
 from hjmkit.simulation import (
     ContractDescriptor,
     SanityReport,
     sanity_check,
+    SimConfig,
     simulate_fixed_delivery,
     simulate_short_horizon,
+    simulate_spot,
     simulate_swap,
     write_paths_csv,
     write_summary_csv,
@@ -574,6 +584,23 @@ def test_sanity_failure_writes_all_three_files_and_exits_2(pipeline_out, tmp_pat
     assert len(read_rows(out / "paths.csv")) == 8 * 253 * 6
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_sanity_moments_write_all_three_files_and_exit_2(pipeline_out, tmp_path, capsys):
+    # finite paths near 1e306: their squared deviations overflow, so every
+    # mean standard error is infinite
+    read = list(read_curve_csv(pipeline_out / "curves.csv").values())
+    curves = tmp_path / "curves.csv"
+    write_curve_csv([replace(c, values=np.full_like(c.values, 1e306)) for c in read], curves)
+    rc = main(["simulate", "--config", str(_simulate_on(tmp_path, pipeline_out, curve_file=curves))])
+    assert rc == 2
+    assert "error: sanity check failed: non-finite moment" in capsys.readouterr().err
+    out = tmp_path / "out"
+    sanity = read_report(out / "sanity.txt")
+    assert sanity["status"] == "failed" and sanity["failure"].startswith("non-finite moment")
+    assert len(read_rows(out / "summary.csv")) == 253 * 6
+    assert len(read_rows(out / "paths.csv")) == 8 * 253 * 6
+
+
 def test_price_rejects_unknown_contract_key(tmp_path, pipeline_out):
     bad = tmp_path / "swing.conf"
     bad.write_text("K = 45\nwindow = 30\n")
@@ -853,6 +880,63 @@ def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, 
     assert main(argv) == 0
     # the sweep's lock-2 row is the headline contract (t_on = t_off = 2)
     assert calls == {"curves": 1, "model": 1, "vpp": 3}
+
+
+def test_pipeline_reads_each_contract_file_once(tmp_path, monkeypatch):
+    reads = Counter()
+    read = hjmkit.cli._read_flat_config
+
+    def counting(path):
+        reads[Path(path).name] += 1
+        return read(path)
+
+    monkeypatch.setattr(hjmkit.cli, "_read_flat_config", counting)
+    argv = ["pipeline", "--config", str(PIPELINE_CONF), "--out", str(tmp_path / "out"), "--paths", "40"]
+    assert main(argv) == 0
+    assert reads == {"pipeline.conf": 1, "swing.conf": 1, "vpp.conf": 1, "storage.conf": 1}
+
+
+def _fixture_spot(pipeline_out, markets, points, per_year, seed):
+    """Spot paths as the price stage draws them for a contract: points grid
+    times 1/per_year apart, at the run's path count, each market's spot
+    mean read off its latest curve by calendar month."""
+    model = FactorModel.load(pipeline_out / "model.json")
+    latest = {}
+    for (market, as_of), curve in sorted(read_curve_csv(pipeline_out / "curves.csv").items()):
+        latest[market] = curve
+
+    def mean(curve):
+        return lambda t: curve.value_at(
+            month_start(curve.as_of + timedelta(days=round(t * 365.0)))
+        )
+
+    cfg = SimConfig(seed, 300, 1.0 / per_year, (points - 1) / per_year)
+    paths = simulate_spot(model, {mk: mean(latest[mk]) for mk in markets}, cfg, markets)
+    assert paths.time_grid.size == points
+    return paths
+
+
+def test_price_reports_match_direct_pricer_calls(pipeline_out):
+    """The price stage hands each fixture contract, as fixtures/*.conf
+    declare it, the paths a direct call draws: the same seed, grid and
+    markets give the reported values to the last printed digit."""
+    seed, fmt = 20210701, hjmkit.cli._fmt
+    swing = SwingContract(30, 5, 5, 45.0, 1.0)
+    res = price_swing(swing, _fixture_spot(pipeline_out, ["DE"], 30, 365.0, seed))
+    assert read_report(pipeline_out / "price_swing.txt")["value"] == fmt(res.lsmc.value)
+
+    vpp = VppContract(72, 2, 2, 10.0, 50.0, 100.0, 50.0, 2.0)
+    paths = _fixture_spot(pipeline_out, ["DE", "TTF"], 72, 8760.0, seed)
+    res = price_vpp(vpp, paths, paths, power_product=0, fuel_product=1)
+    assert read_report(pipeline_out / "price_vpp.txt")["value"] == fmt(res.lsmc.value)
+
+    storage = StorageContract(90, 0.0, 30000.0, 0.0, 0.0, -10000.0, 10000.0, 2.0)
+    paths = _fixture_spot(pipeline_out, ["TTF"], 91, 365.0, seed)
+    fresh = _fixture_spot(pipeline_out, ["TTF"], 91, 365.0, seed + 1)
+    res = price_storage(storage, paths, fresh)
+    report = read_report(pipeline_out / "price_storage.txt")
+    assert report["sdp_value"] == fmt(res.sdp.value)
+    assert report["out_of_sample"] == fmt(res.out_of_sample.value)
 
 
 def test_pipeline_parses_once_and_bootstraps_each_board_once(tmp_path, monkeypatch):

@@ -459,6 +459,18 @@ def masked_backward_induction(price_state, terminal, step_actions, settings, for
     return cf
 
 
+def core_on_actions(price_state, terminal, actions, settings, foresight, fits=None):
+    """Test-side adapter: run the core on an actions(k) generator of
+    (immediate, valid, target) tuples, the form the references here are
+    written in. Each step's tuples become its move tables and its cash."""
+    steps = [list(actions(k)) for k in range(price_state.shape[1])]
+    moves = [[(valid, target) for _, valid, target in step] for step in steps]
+    cash = [[immediate for immediate, _, _ in step] for step in steps]
+    return _backward_induction(
+        price_state, terminal, moves, lambda x, k: cash[k], settings, foresight, fits
+    )
+
+
 @st.composite
 def action_tables(draw):
     """Per-step state counts and, per action, a validity mask, targets and zero-cash flag.
@@ -526,7 +538,7 @@ def test_core_matches_masked_reference(tables, foresight, seed):
         for a in range(len(valid)):
             yield cash[k][a], np.array(valid[a]), np.array(target[a])
 
-    got, fits = _backward_induction(price_state, terminal, actions, LsmcSettings(), foresight)
+    got, fits = core_on_actions(price_state, terminal, actions, LsmcSettings(), foresight)
     want = masked_backward_induction(price_state, terminal, actions, LsmcSettings(), foresight)
     np.testing.assert_array_equal(got, want)
     assert got.shape == (n_paths, sizes[0])
@@ -747,7 +759,7 @@ def full_grid_swing_value(contract, ps, rate, lsmc):
         yield down_cash[:, k], d > 0, np.where(d > 0, state - 1, state)
 
     terminal = np.zeros((ps.n_paths, state.size))
-    cf, _ = _backward_induction(s, terminal, actions, lsmc, foresight=False)
+    cf, _ = core_on_actions(s, terminal, actions, lsmc, foresight=False)
     return cf[:, state[-1]].mean()
 
 
@@ -1066,8 +1078,8 @@ def side_matrix_vpp(contract, ps, rate):
         yield np.full_like(d_k, -contract.stop_cost * disc[k]), state == 0, switch
 
     terminal = np.zeros((ps.n_paths, state.size))
-    cf, fits = _backward_induction(spread, terminal, actions, LsmcSettings(), foresight=False)
-    cf_f, _ = _backward_induction(spread, terminal, actions, LsmcSettings(), foresight=True)
+    cf, fits = core_on_actions(spread, terminal, actions, LsmcSettings(), foresight=False)
+    cf_f, _ = core_on_actions(spread, terminal, actions, LsmcSettings(), foresight=True)
     strip = (contract.q_max * np.maximum(spread, 0.0) * disc[None, :]).sum(axis=1)
     anti = ps.config.antithetic
     values = (cf[:, n_on], cf_f[:, n_on], strip)
@@ -1109,7 +1121,7 @@ def side_matrix_swing(contract, ps, rate):
         yield down_cash[:, k], down_valid, down_target
 
     terminal = np.zeros((ps.n_paths, len(layer)))
-    cf, fits = _backward_induction(s, terminal, actions, LsmcSettings(), foresight=False)
+    cf, fits = core_on_actions(s, terminal, actions, LsmcSettings(), foresight=False)
     anti = ps.config.antithetic
     return (_pair_mean(cf[:, 0], anti), _pair_mean((up_cash + down_cash).sum(axis=1), anti)), fits
 
@@ -1148,9 +1160,9 @@ def side_matrix_storage(contract, ps, fresh, rate):
 
     s, sf = ps.values[:, : n + 1, 0], fresh.values[:, : n + 1, 0]
     args = (s[:, :n], terminal_values(s[:, n]), actions_for(s), LsmcSettings())
-    cf, fits = _backward_induction(*args, foresight=False)
-    cf_f, _ = _backward_induction(*args, foresight=True)
-    cf_o, _ = _backward_induction(
+    cf, fits = core_on_actions(*args, foresight=False)
+    cf_f, _ = core_on_actions(*args, foresight=True)
+    cf_o, _ = core_on_actions(
         sf[:, :n], terminal_values(sf[:, n]), actions_for(sf), LsmcSettings(), False, fits
     )
     anti = ps.config.antithetic

@@ -767,6 +767,21 @@ def test_sanity_flags_wrong_correlation():
     assert report.model_correlation[0, 1] == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("top", [1e306, 1e308])
+def test_sanity_flags_non_finite_moments(top):
+    # finite paths whose sum of squares (1e306) or sum (1e308) overflows:
+    # an infinite standard error must not widen the tolerance to everything
+    model = model_of([[0.3, 0.0], [0.21, 0.21]], bucket_width=0.5)
+    cfg = SimConfig(seed=6, n_paths=8, step=1 / 52, horizon=4 / 52)
+    ps = simulate_fixed_delivery(model, [top, top], cfg)
+    assert np.isfinite(ps.values).all()
+    report = sanity_check(ps, model)
+    assert not report.passed
+    flagged = [f for f in report.failures if f.startswith("non-finite moment")]
+    assert len(flagged) == 4 * 2  # every (time, product) cell
+
+
 def test_sanity_skips_correlation_for_swaps():
     vol = ExponentialVol(0.5, 1.0)
     cfg = SimConfig(seed=4, n_paths=2_000, step=0.1, horizon=0.3)

@@ -312,7 +312,8 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(cfg: RunConfig, loaded) -> None:
+def cmd_ingest(cfg: RunConfig, loaded) -> list[str]:
+    """Write each market's panel and the return diagnostics; return the markets."""
     quotes, issues, boards = loaded
     markets = cfg.markets or sorted({q.market for q in quotes})
     labels = default_tenor_labels(cfg.n_month_tenors, cfg.n_quarter_tenors, cfg.n_year_tenors)
@@ -418,6 +419,7 @@ def cmd_ingest(cfg: RunConfig, loaded) -> None:
         report.append(("note", note))
     _write_report(cfg.out_dir / "ingest_report.txt", report)
     print(f"wrote {cfg.out_dir / 'ingest_report.txt'}")
+    return markets
 
 
 def cmd_curve(cfg: RunConfig, loaded) -> None:
@@ -448,15 +450,19 @@ def cmd_curve(cfg: RunConfig, loaded) -> None:
     print(f"wrote {cfg.path_curves()} ({len(curves)} curves, worst residual {worst:.3g})")
 
 
-def cmd_calibrate(cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    markets = cfg.markets
-    if not markets:
-        markets = sorted(
-            p.stem.removeprefix("panel_") for p in cfg.out_dir.glob("panel_*.csv")
-        )
+def _panel_markets(cfg: RunConfig) -> list[str]:
+    """The markets a standalone calibrate reads: the configured ones, else
+    every panel in the output directory."""
+    markets = cfg.markets or sorted(
+        p.stem.removeprefix("panel_") for p in cfg.out_dir.glob("panel_*.csv")
+    )
     if not markets:
         raise ValidationError("no panels found; run ingest first or set markets")
+    return markets
+
+
+def cmd_calibrate(cfg: RunConfig, markets: list[str]) -> None:
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     panels = [read_panel_csv(cfg.path_panel(m), m) for m in markets]
     rets = [log_returns(p, cfg.dt) for p in panels]
     combined = combine_log_returns(rets) if len(rets) > 1 else rets[0]
@@ -846,9 +852,9 @@ def cmd_price(cfg: RunConfig, inputs) -> None:
 
 def cmd_pipeline(cfg: RunConfig) -> None:
     loaded = _load_boards(cfg)  # one parse and one bootstrap per board
-    cmd_ingest(cfg, loaded)
+    markets = cmd_ingest(cfg, loaded)
     cmd_curve(cfg, loaded)
-    cmd_calibrate(cfg)
+    cmd_calibrate(cfg, markets)  # the panels this run wrote, not older ones beside them
     calibrated = _load_model_and_curves(cfg)  # one read of model.json and curves.csv
     contracts = _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn
     cmd_simulate(cfg, calibrated)
@@ -892,7 +898,7 @@ def main(argv=None) -> int:
         stage, load = {  # each command's stage and the loader of the inputs it is handed
             "ingest": (cmd_ingest, _load_boards),
             "curve": (cmd_curve, _load_boards),
-            "calibrate": (cmd_calibrate, None),
+            "calibrate": (cmd_calibrate, _panel_markets),
             "simulate": (cmd_simulate, _load_model_and_curves),
             "price": (cmd_price, _pricing_inputs),
             "pipeline": (cmd_pipeline, None),

@@ -161,10 +161,6 @@ class ContinuationFit:
 
     ``coefficients`` has one column per resource state, so evaluating on a
     vector of prices yields the whole continuation surface in one product.
-    ``fitted`` holds the in-sample values of the fit, state-major (one row
-    per value column), for the caller that ran the regression;
-    ``_backward_induction`` takes them and clears the field, so the fits
-    a policy keeps hold coefficients only.
     """
 
     center: float
@@ -172,7 +168,6 @@ class ContinuationFit:
     dim: int
     coefficients: np.ndarray
     ridge_used: bool = False
-    fitted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def design(self, x: np.ndarray) -> np.ndarray:
         """Vandermonde matrix [1, z, z^2, ...] of the standardized state."""
@@ -237,9 +232,10 @@ def _setup(states, degree: int, min_samples_per_dim: int) -> _Setup:
     if degree < 0:
         raise ValidationError("degree must be non-negative")
     dim = _basis_size(x, degree)
-    if x.size < min_samples_per_dim * dim:
+    need = max(1, min_samples_per_dim * dim)  # an empty sample has no mean to centre on
+    if x.size < need:
         raise PricingError(
-            f"continuation regression needs at least {min_samples_per_dim * dim} "
+            f"continuation regression needs at least {need} "
             f"samples for {dim} basis functions, got {x.size}"
         )
     center = float(x.mean())
@@ -252,8 +248,12 @@ def _setup(states, degree: int, min_samples_per_dim: int) -> _Setup:
     return _Setup(center, scale, dim, u, sv, vt, design if deficient else None)
 
 
-def _solve(setup: _Setup, values) -> ContinuationFit:
-    """Check the values, then fit them through the set-up's SVD (or ridge)."""
+def _solve(setup: _Setup, values) -> tuple[ContinuationFit, np.ndarray]:
+    """Check the values, then fit them through the set-up's SVD (or ridge).
+
+    Returns the fit and its in-sample values, state-major (one row per
+    value column); U(U'y) gives them without a second pass over the design.
+    """
     y = np.asarray(values, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
@@ -261,7 +261,6 @@ def _solve(setup: _Setup, values) -> ContinuationFit:
         raise ValidationError("states and values must align on the sample axis")
     if not np.isfinite(y).all():
         raise ValidationError("regression inputs must be finite")
-    fit = ContinuationFit(setup.center, setup.scale, setup.dim, None)
     design = setup.design
     if design is not None:
         warnings.warn(
@@ -270,14 +269,14 @@ def _solve(setup: _Setup, values) -> ContinuationFit:
             stacklevel=3,
         )
         gram = design.T @ design + _RIDGE * np.eye(setup.dim)
-        fit.coefficients = np.linalg.solve(gram, design.T @ y)
-        fit.fitted = fit.coefficients.T @ design.T
-        fit.ridge_used = True
+        coefficients = np.linalg.solve(gram, design.T @ y)
+        fitted = coefficients.T @ design.T
     else:
         uty = setup.u.T @ y
-        fit.coefficients = (setup.vt.T / setup.sv) @ uty
-        fit.fitted = uty.T @ setup.u.T
-    return fit
+        coefficients = (setup.vt.T / setup.sv) @ uty
+        fitted = uty.T @ setup.u.T
+    fit = ContinuationFit(setup.center, setup.scale, setup.dim, coefficients, design is not None)
+    return fit, fitted
 
 
 def lsmc_continuation(
@@ -293,7 +292,7 @@ def lsmc_continuation(
     keeps the design from being singular by construction; a residual rank
     deficiency falls back to ridge regression with a warning.
     """
-    return _solve(_setup(states, degree, min_samples_per_dim), values)
+    return _solve(_setup(states, degree, min_samples_per_dim), values)[0]
 
 
 @dataclass(frozen=True)
@@ -302,9 +301,6 @@ class LsmcSettings:
 
     degree: int = 3
     min_samples_per_dim: int = 10
-
-    def fit(self, states, values) -> ContinuationFit:
-        return lsmc_continuation(states, values, self.degree, self.min_samples_per_dim)
 
 
 _PLAN_VALUES = 2**18  # design values in one stacked block of a regression plan
@@ -345,8 +341,8 @@ class _RegressionPlan:
             raise ValidationError("a regression plan serves one price array and one LsmcSettings")
         return self
 
-    def fit(self, k: int, values) -> ContinuationFit:
-        """The continuation fit of values on step k's prices."""
+    def fit(self, k: int, values) -> tuple[ContinuationFit, np.ndarray]:
+        """The continuation fit of values on step k's prices, and its in-sample values."""
         if k not in self._steps:
             self._build(k)
         setup = self._steps[k] if self.keep else self._steps.pop(k)
@@ -416,9 +412,9 @@ def american_option(
 ) -> PolicyValuation:
     """Longstaff-Schwarz value with exercise on every grid date.
 
-    Regressions run on in-the-money paths only; a date with no in-the-money
-    path, or too few for lsmc_continuation's sample-size rule, is treated
-    as no-exercise.
+    Each date regresses on its in-the-money paths only, through the set-up
+    and solve of the backward core; a date with too few of them for the
+    set-up's sample-size rule (none included) is treated as no-exercise.
     ``last_exercise`` restricts the window to grid indices 0..last.
     """
     if kind not in ("call", "put"):
@@ -435,23 +431,17 @@ def american_option(
     disc = np.exp(-rate * grid)
     fits: list[ContinuationFit | None] = []
     cf = disc[last] * intrinsic[:, last]
-    full = settings.min_samples_per_dim * (settings.degree + 1)
     for k in range(last - 1, 0, -1):
-        itm = intrinsic[:, k] > 0
-        x = s[itm, k]
-        # lsmc_continuation's sample-size rule, checked without raising; the
-        # distinct-value count (a sort) matters only below the full basis
-        if x.size == 0 or (
-            x.size < full
-            and x.size < settings.min_samples_per_dim * _basis_size(x, settings.degree)
-        ):
+        itm = np.flatnonzero(intrinsic[:, k] > 0)
+        try:
+            setup = _setup(s[itm, k], settings.degree, settings.min_samples_per_dim)
+        except PricingError:  # too few in-the-money paths to regress on
             fits.append(None)
             continue
+        fit, cont = _solve(setup, cf[itm])
         ex = disc[k] * intrinsic[itm, k]
-        fit = settings.fit(x, cf[itm])
-        fit.fitted = None  # the policy keeps coefficients only
-        exercise_now = ex >= fit.evaluate(x)[:, 0] - _TIE_TOL
-        cf[np.flatnonzero(itm)[exercise_now]] = ex[exercise_now]
+        exercise_now = ex >= cont[0] - _TIE_TOL
+        cf[itm[exercise_now]] = ex[exercise_now]
         fits.append(fit)
     cont0, se = _pair_stats(cf, paths.config.antithetic)
     if intrinsic[0, 0] > cont0:
@@ -679,8 +669,7 @@ def _backward_induction(
         elif fits is not None:
             cont = fits[k].evaluate(price_state[:, k]).T
         else:
-            fit = plan.fit(k, cf.T)
-            cont, fit.fitted = fit.fitted, None
+            fit, cont = plan.fit(k, cf.T)
             fitted.append(fit)
         immediate = cash(price_state[:, k], k)
         tables = moves[k]
@@ -981,16 +970,13 @@ def _storage_grid(contract: StorageContract) -> tuple[np.ndarray, int, int, int,
     if abs(t_units - round(t_units)) > 1e-9:
         raise ValidationError("v_target is not on the volume grid spanned by the rates")
     t_units = int(round(t_units))
+    # a injections and b = (a * i_units - t_units) / w_units withdrawals; every
+    # a + b <= n_days has a <= n_days, so one search over a finds any solution
     reachable = any(
         a * i_units - t_units >= 0
         and (a * i_units - t_units) % w_units == 0
         and a + (a * i_units - t_units) // w_units <= contract.n_days
         for a in range(contract.n_days + 1)
-    ) or any(
-        b * w_units + t_units >= 0
-        and (b * w_units + t_units) % i_units == 0
-        and b + (b * w_units + t_units) // i_units <= contract.n_days
-        for b in range(contract.n_days + 1)
     )
     if not reachable:
         raise ValidationError("v_target is unreachable from v_start within the window")

@@ -858,6 +858,27 @@ def test_stages_one_by_one_match_pipeline(pipeline_out, tmp_path):
         assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
 
 
+def test_pipeline_calibrates_only_the_markets_ingest_built(tmp_path, capsys):
+    """With markets unset, a panel left in out/ by an earlier run is not calibrated."""
+    out = tmp_path / "out"
+    conf = tmp_path / "run.conf"
+    dropped = ("markets", "swing", "vpp", "storage", "quotes", "out", "n_paths")
+    lines = [
+        line
+        for line in PIPELINE_CONF.read_text().splitlines()
+        if line.partition("=")[0].strip() not in dropped
+    ]
+    lines += [f"quotes = {ROOT / 'fixtures' / 'quotes_synthetic.csv'}", f"out = {out}", "n_paths = 40"]
+    conf.write_text("\n".join(lines) + "\n")
+    assert main(["pipeline", "--config", str(conf)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.copy(out / "panel_TTF.csv", out / "panel_NBP.csv")
+    assert main(["pipeline", "--config", str(conf)]) == 0, capsys.readouterr().err
+    assert FactorModel.load(out / "model.json").markets == ["DE", "TTF"]
+    assert read_report(out / "calibration_report.txt")["markets"] == "DE,TTF"
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "panel_NBP.csv"} == first
+
+
 def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, monkeypatch):
     calls = Counter()
     read_curves, load_model, vpp = (

@@ -29,6 +29,8 @@ from hjmkit.pricing import (
     VppContract,
     _backward_induction,
     _RegressionPlan,
+    _setup,
+    _solve,
     _storage_grid,
     american_option,
     black_price,
@@ -233,6 +235,19 @@ def test_regression_sample_floor():
         lsmc_continuation(np.arange(5.0), np.arange(5.0), degree=3, min_samples_per_dim=10)
 
 
+def test_regression_rejects_an_empty_sample_without_a_floor():
+    """An empty sample has no mean to centre on, whatever the sample floor;
+    so an American date with no in-the-money path has no fit, even with
+    min_samples_per_dim = 0, and nothing warns."""
+    with pytest.raises(PricingError, match="at least 1 samples for 1 basis functions, got 0"):
+        lsmc_continuation(np.empty(0), np.empty(0), 3, 0)
+    vals = np.array([[100.0, 110.0, 90.0, 95.0]] * 8 + [[100.0, 120.0, 80.0, 85.0]] * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = american_option(make_paths(vals), 100.0, settings=LsmcSettings(min_samples_per_dim=0))
+    assert got.fits[0] is None and got.fits[1] is not None
+
+
 def test_regression_ridge_fallback_warns():
     """The SVD solve keeps lstsq's rank, coefficients and ridge fallback."""
     rng = np.random.default_rng(11)
@@ -264,7 +279,10 @@ def test_regression_ridge_fallback_warns():
         # near-zero coefficients carry no relative precision: scale by the largest
         tol = dict(rtol=1e-12, atol=1e-12 * np.abs(coef).max())
         np.testing.assert_allclose(fit.coefficients, coef, **tol)
-        np.testing.assert_allclose(fit.fitted, (design @ coef).T, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, fitted = _solve(_setup(x, 3, 1), y)
+        np.testing.assert_allclose(fitted, (design @ coef).T, rtol=1e-12, atol=1e-12 * np.abs(y).max())
 
 
 def test_regression_rejects_bad_inputs():
@@ -338,12 +356,16 @@ def test_american_rejects():
         american_option(ps, 100.0, last_exercise=99)
 
 
-def _reference_american(paths, strike, kind, settings, rate=0.0):
+def _reference_american(paths, strike, kind, settings, rate=0.0, last=None, fits=None):
     """The loop american_option had before its sample-size check moved into
-    lsmc_continuation's rule: a np.unique count of the in-the-money prices."""
+    lsmc_continuation's rule: a np.unique count of the in-the-money prices,
+    and each date's continuation rebuilt through fit.evaluate. ``fits``,
+    when given, collects each date's fit (None where it is skipped), latest
+    date first."""
+    fits = [] if fits is None else fits
     s = paths.values[:, :, 0]
     grid = paths.time_grid
-    last = grid.size - 1
+    last = grid.size - 1 if last is None else last
     intrinsic = np.maximum(s - strike, 0.0) if kind == "call" else np.maximum(strike - s, 0.0)
     disc = np.exp(-rate * grid)
     skipped = []
@@ -354,8 +376,10 @@ def _reference_american(paths, strike, kind, settings, rate=0.0):
         dim = max(1, min(settings.degree + 1, np.unique(s[itm, k]).size)) if n_itm else 1
         if n_itm < settings.min_samples_per_dim * dim or n_itm == 0:
             skipped.append(k)
+            fits.append(None)
             continue
-        fit = settings.fit(s[itm, k], cf[itm])
+        fit = lsmc_continuation(s[itm, k], cf[itm], settings.degree, settings.min_samples_per_dim)
+        fits.append(fit)
         cont = fit.evaluate(s[itm, k])[:, 0]
         exercise_now = disc[k] * intrinsic[itm, k] >= cont - _TIE_TOL
         cf[np.flatnonzero(itm)[exercise_now]] = disc[k] * intrinsic[itm, k][exercise_now]
@@ -387,6 +411,26 @@ def test_american_sample_rule_matches_unique_count_reference(
     cf, skipped = _reference_american(ps, 100.0, kind, lsmc)
     assert got.value == float(cf.mean())  # at the money at t=0: no immediate exercise
     assert [k for k, fit in enumerate(got.fits, start=1) if fit is None] == sorted(skipped)
+
+
+@pytest.mark.parametrize("last_exercise", [None, 8])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("rate", [0.0, 0.02])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_american_matches_evaluate_reference_bit_for_bit(kind, rate, antithetic, last_exercise):
+    """On seeded lognormal paths, deciding on the solve's in-sample values
+    gives the value, standard error and every date's coefficients of the
+    loop that rebuilt each continuation through fit.evaluate, under ==."""
+    rng = np.random.default_rng(20 + 2 * (kind == "put") + antithetic)
+    ps = make_paths(_gbm_values(rng, 2000, 12, antithetic), step=1 / 12, antithetic=antithetic)
+    got = american_option(ps, 100.0, rate, kind, last_exercise=last_exercise)
+    fits = []
+    cf, _ = _reference_american(ps, 100.0, kind, LsmcSettings(), rate, last_exercise, fits)
+    x = cf.reshape(-1, 2).mean(axis=1) if antithetic else cf  # at the money at t=0
+    assert (got.value, got.std_error) == (float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)))
+    assert len(got.fits) == len(fits) == (11 if last_exercise is None else 7)
+    for g, w in zip(got.fits, fits[::-1]):
+        assert g is not None and np.array_equal(g.coefficients, w.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +484,7 @@ def masked_backward_induction(price_state, terminal, step_actions, settings, for
         if foresight:
             cont = cf
         else:
-            fit = settings.fit(price_state[:, k], cf)
+            fit = lsmc_continuation(price_state[:, k], cf, settings.degree, settings.min_samples_per_dim)
             cont = fit.evaluate(price_state[:, k])
         best_score = None
         new_cf = None
@@ -545,7 +589,7 @@ def test_core_matches_masked_reference(tables, foresight, seed):
     if foresight:
         assert fits is None
     else:
-        assert len(fits) == len(steps) and all(f.fitted is None for f in fits)
+        assert len(fits) == len(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +961,27 @@ def test_storage_input_validation():
         StorageContract(2, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("i_units,w_units", [(1, 1), (2, 1), (5, 1), (1, 2), (1, 3), (1, 5)])
+def test_storage_target_reachability_matches_brute_force(i_units, w_units):
+    """_storage_grid accepts a target exactly when some a injections and b
+    withdrawals with a + b <= n_days land on it."""
+    for n_days in range(1, 9):
+        for t in range(-12, 13):
+            c = StorageContract(n_days, -20.0, 20.0, 0.0, float(t), -float(w_units), float(i_units))
+            want = any(
+                a * i_units - b * w_units == t
+                for a in range(n_days + 1)
+                for b in range(n_days + 1 - a)
+            )
+            try:
+                _storage_grid(c)
+                got = True
+            except ValidationError as exc:
+                assert "unreachable" in str(exc)
+                got = False
+            assert got == want, (n_days, t)
+
+
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize(
     "name",
@@ -1270,15 +1335,15 @@ def _same_fit(got, want):
         (got.center, got.scale, got.dim, got.ridge_used)
         == (want.center, want.scale, want.dim, want.ridge_used)
         and np.array_equal(got.coefficients, want.coefficients)
-        and np.array_equal(got.fitted, want.fitted)
     )
 
 
 @pytest.mark.parametrize("keep", [True, False])
 @pytest.mark.parametrize("block_steps", [1, 3, 100])
 def test_regression_plan_matches_lsmc_continuation(monkeypatch, keep, block_steps):
-    """Every step's fit through a plan equals lsmc_continuation's under ==,
-    in blocks of one step, of three, and of the whole array."""
+    """Every step's fit and in-sample values through a plan equal those of
+    lsmc_continuation's set-up and solve under ==, in blocks of one step,
+    of three, and of the whole array."""
     prices = _plan_prices()
     n_paths, n_steps = prices.shape
     monkeypatch.setattr(hjmkit.pricing, "_PLAN_VALUES", block_steps * n_paths * 4)
@@ -1288,11 +1353,11 @@ def test_regression_plan_matches_lsmc_continuation(monkeypatch, keep, block_step
         y = rng.standard_normal((n_paths, 3))
         with warnings.catch_warnings(record=True) as caught_plan:
             warnings.simplefilter("always")
-            got = plan.fit(k, y)
+            got, got_fitted = plan.fit(k, y)
         with warnings.catch_warnings(record=True) as caught_ref:
             warnings.simplefilter("always")
-            want = lsmc_continuation(prices[:, k], y)
-        assert _same_fit(got, want), k
+            want, want_fitted = _solve(_setup(prices[:, k], 3, 10), y)
+        assert _same_fit(got, want) and np.array_equal(got_fitted, want_fitted), k
         assert [str(w.message) for w in caught_plan] == [str(w.message) for w in caught_ref]
         assert (got.dim, got.ridge_used) == {0: (1, False), 2: (2, False), 4: (4, True)}.get(
             k, (4, False)

@@ -29,16 +29,24 @@ Determinism: the seed fully determines every path. Draws come from one
 seeded generator consumed path-major, then step, then factor; the
 antithetic flag pairs each even path with an odd path using negated draws.
 
-Memory: the lognormal engine runs over blocks of grid times of about
-_BLOCK_VALUES values each. The normals are drawn once; each block carries
-the log level the block before it ended on into its cumulative sum, so the
-blocks give the same bits as one whole-grid pass. The public generators
-write the blocks into the one path array they return. The command line's
-simulate stage consumes the blocks instead, in one pass that reduces each
-block to the summary rows, the sanity moments, the exported paths and the
-pooled returns of the correlation check, so it never holds the path array.
-``sanity_check`` and ``write_summary_csv`` run the same reductions over a
-path set's blocks. Spot keeps its whole-array kernel.
+Memory and work: the lognormal engine runs over blocks of grid times of
+about _BLOCK_VALUES values each. The normals are drawn once; each block
+carries the log level the block before it ended on into its cumulative sum,
+so the blocks give the same bits as one whole-grid pass. A product stops
+moving once its delivery begins: its later steps have live time exactly 0
+and add +-0.0 to its log level, so its later values repeat its last moving
+one bit for bit. A block therefore holds only the products still moving at
+its first time, and a later, narrower block spans more times in the same
+memory. On a one-year daily run over six monthly buckets the blocks hold
+29.4% of the (time, product) cells. The public generators copy the blocks
+into the one path array they return and fill each product's frozen cells.
+The command line's simulate stage consumes the blocks instead, in one pass
+that reduces each block to the summary statistics, the sanity moments, the
+exported paths and the pooled returns of the correlation check, so it never
+holds the path array; at the end each frozen cell takes the statistics of
+its product's last moving time. ``sanity_check`` and ``write_summary_csv`` run
+the same reductions over a path set's blocks, with every product moving.
+Spot keeps its whole-array kernel.
 """
 
 from __future__ import annotations
@@ -265,51 +273,83 @@ class _LognormalLaw(NamedTuple):
     keys: list[ContractDescriptor]
 
 
+def _last_moves(live: np.ndarray) -> np.ndarray:
+    """last[n]: the last grid index at which product n can differ from the index before it.
+
+    Step k runs from grid index k to k + 1. A step whose live time is exactly
+    0 adds +-0.0 to the log level, so past last[n] the product holds its value
+    at last[n] bit for bit. The test is exact, with no tolerance: a delivery
+    inside a step keeps that step live. Every product counts as moving over
+    the first step, so each has a sanity moment at the first time after 0.
+    """
+    moving = live != 0
+    return np.where(moving.any(axis=0), live.shape[0] - np.argmax(moving[::-1], axis=0), 1)
+
+
 def _lognormal_blocks(
     rows: np.ndarray,
     live: np.ndarray,
     initial: np.ndarray,
     cfg: SimConfig,
-    out: np.ndarray | None = None,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The lognormal paths as blocks of grid times: (slice of the grid, values).
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The lognormal paths as blocks of grid times: (slice of the grid, products, values).
 
-    The normals are drawn once. Each block runs the whole-grid steps on its
-    own steps: shocks, scale, drift, then the cumulative sum, its first step
-    carrying the log level the previous block ended on, so the sums run left
-    to right as over the whole grid and give the same bits. Blocks are fresh
-    arrays, or with ``out`` views of the (paths, times, products) array.
+    A block holds only the products still moving at its first time (see
+    ``_last_moves``), in their original order; ``products`` indexes them and
+    the values are (paths, times, products) of that width. Past its last
+    block a product holds the value its last block ended on. The normals are
+    drawn once. Each block runs the whole-grid steps on its own steps and
+    products: shocks, scale, drift, then the cumulative sum, its first step
+    carrying the log level the product's previous block ended on, so the sums
+    run left to right as over the whole grid and give the same bits.
     """
     n_paths, n_prod = cfg.n_paths, rows.shape[0]
+    last = _last_moves(live)
     z = normals(cfg, cfg.n_steps, rows.shape[1])
     scale = np.sqrt(live)
     drift = -0.5 * (rows**2).sum(axis=1)[None, :] * live
-    carry = None  # log level at the end of the previous block
-    for s in _time_slices((n_paths, cfg.n_steps + 1, n_prod)):
-        blk = np.empty((n_paths, s.stop - s.start, n_prod)) if out is None else out[:, s]
+    carry = np.zeros((n_paths, n_prod))  # log level at the end of each product's last block
+    for s in _time_slices((n_paths, cfg.n_steps + 1, n_prod), last):
+        cols = np.flatnonzero(last >= s.start)
+        blk = np.empty((n_paths, s.stop - s.start, cols.size))
         x = blk  # the log path, built in place
         if s.start == 0:
-            blk[:, 0, :] = initial
+            blk[:, 0, :] = initial[cols]
             x = blk[:, 1:, :]
         steps = slice(max(s.start - 1, 0), s.stop - 1)  # step k ends at time k + 1
         if x.shape[1]:
-            np.einsum("pkj,nj->pkn", z[:, steps], rows, out=x)
-            x *= scale[steps]
-            x += drift[steps]
-            if carry is not None:
-                x[:, 0, :] += carry
+            # einsum, not a multiply-add per factor: the two agree bit for bit
+            # only up to 2 factors (numpy 2.4.6 differs from 3 factors on), and
+            # the blocks must keep the bits of the whole-grid pass
+            np.einsum("pkj,nj->pkn", z[:, steps], rows[cols], out=x)
+            x *= scale[steps, cols]
+            x += drift[steps, cols]
+            if s.start:
+                x[:, 0, :] += carry[:, cols]
             np.cumsum(x, axis=1, out=x)
-            carry = x[:, -1, :].copy()
+            carry[:, cols] = x[:, -1, :]
             np.exp(x, out=x)
-            x *= initial
-        yield s, blk
+            x *= initial[cols]
+        yield s, cols, blk
+
+
+def _fill_frozen(values: np.ndarray, first: np.ndarray) -> None:
+    """Give product n's cells from time index first[n] on the value just before, in place.
+
+    Time is the second-to-last axis of ``values`` and products the last.
+    """
+    for n in np.flatnonzero(first < values.shape[-2]):
+        values[..., first[n] :, n] = values[..., first[n] - 1, n, None]
 
 
 def _lognormal_paths(law: _LognormalLaw, cfg: SimConfig) -> PathSet:
-    """Every non-spot path set: the lognormal blocks written into one array."""
+    """Every non-spot path set: the lognormal blocks copied into one array."""
     values = np.empty((cfg.n_paths, cfg.n_steps + 1, law.rows.shape[0]))
-    for _ in _lognormal_blocks(law.rows, law.live, law.initial, cfg, out=values):
-        pass
+    stop = np.zeros(law.rows.shape[0], dtype=int)  # each product's first frozen time
+    for s, cols, blk in _lognormal_blocks(law.rows, law.live, law.initial, cfg):
+        values[:, s, cols] = blk
+        stop[cols] = s.stop
+    _fill_frozen(values, stop)
     return PathSet(values, cfg.time_grid, law.keys, cfg)
 
 
@@ -532,22 +572,63 @@ def path_log_returns(paths: PathSet) -> LogReturnMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _time_slices(shape: tuple[int, int, int]) -> list[slice]:
+def _time_slices(shape: tuple[int, int, int], last: np.ndarray | None = None) -> list[slice]:
     """Consecutive slices of the time axis of a (path, time, product) array.
 
-    Each slice selects about _BLOCK_VALUES values, and at least one time.
-    Reductions over paths treat every (time, product) column on its own,
-    so blocking them gives the same bits as one whole-array call.
+    Product n is reduced up to time index last[n], by default the whole grid.
+    A block takes the products whose last index is at or past its first
+    time and ends where the first of them stops, so no block holds a frozen
+    cell, one past its product's last index. Each slice selects about _BLOCK_VALUES
+    values at its own width, and at least one time; after every product's
+    last index no slice is made.
+
+    Reductions over paths treat every (time, product) column on its own, so
+    blocking them gives the same bits as one whole-array call, with one
+    exception: numpy sums a lone column, a (paths, 1, 1) block, pairwise,
+    and a wider block path by path. So a block of one product reduces at
+    least two times: it spans at least 2 times, and 3 from t = 0, whose
+    moments skip that time. It may run past its product's last index, and a
+    one-product remnant too short for that joins the block before it. Only a
+    whole grid of one product over one step reduces one cell, as the
+    whole-array call does.
     """
     n_paths, n_times, n_prod = shape
-    width = max(1, _BLOCK_VALUES // (n_paths * n_prod))
-    return [slice(a, min(a + width, n_times)) for a in range(0, n_times, width)]
+    last = np.full(n_prod, n_times - 1) if last is None else last
+    slices, a = [], 0
+    while a < n_times and (n := int((last >= a).sum())):
+        b = min(a + max(1, _BLOCK_VALUES // (n_paths * n)), int(last[last >= a].min()) + 1)
+        if n == 1:
+            b = max(b, a + 2 + (a == 0))
+        if n_times - b == 1 and (last >= b).sum() == 1:
+            b = n_times
+        b = min(b, n_times)
+        slices.append(slice(a, b))
+        a = b
+    return slices
 
 
-def _path_blocks(paths: PathSet) -> Iterator[tuple[slice, np.ndarray]]:
-    """A path set's values as blocks of grid times: (slice of the grid, view)."""
+def _path_blocks(paths: PathSet) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """A path set's values as blocks of grid times: (slice of the grid, products, view).
+
+    Every product counts as moving over the whole grid.
+    """
+    every = np.arange(len(paths.product_keys))
     for s in _time_slices(paths.values.shape):
-        yield s, paths.values[:, s]
+        yield s, every, paths.values[:, s]
+
+
+def _sample_variance(x: np.ndarray) -> np.ndarray:
+    """x.var(axis=0, ddof=1), computed in x's own memory, which it overwrites.
+
+    The steps of numpy's own variance, in its order, so the result has its
+    bits; numpy would hold a second array the size of x for the deviations.
+    """
+    n = x.shape[0]
+    mean = np.add.reduce(x, axis=0, keepdims=True)
+    mean /= n
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return np.add.reduce(x, axis=0) / max(n - 1, 0)
 
 
 def _quantiles_of_sorted(ordered: np.ndarray, q: float) -> np.ndarray:
@@ -576,18 +657,24 @@ class _BlockStats:
     """The path-wise outputs of one pass over blocks of grid times.
 
     ``add`` takes the blocks in time order, each holding every path at its
-    grid times. Each output treats every (time, product) column on its own,
-    so any blocking gives the bits of one whole-array call. The parts asked
-    for are built as the blocks arrive:
+    grid times for the products it names, as ``_lognormal_blocks`` and
+    ``_path_blocks`` yield them. Each output treats every (time, product)
+    column on its own, so any blocking gives the bits of one whole-array
+    call (see ``_time_slices``). A product no later block names is frozen:
+    its value no longer changes, so ``finish`` gives each of its later cells
+    the outputs of the last time its blocks held. The parts asked for are
+    built as the blocks arrive, as (times, products) arrays:
 
-    * ``summary``: the rows of summary.csv, the mean and the 5 and 95
-      percent quantiles per grid time and product, from one sort per block;
+    * ``summary``: mean, 5 and 95 percent quantiles per grid time and
+      product, from one sort per block; ``write_summary`` formats each
+      distinct row once, at the end;
     * ``moments``: per grid time after 0 and product, the variance of the
       log ratio to the path's t=0 value, the mean and the mean's standard
       error;
     * ``export``: the first ``export`` paths, whole;
     * ``returns``: the pooled log returns of the first ``returns`` steps,
-      path-major, one carried row spanning each block seam.
+      path-major, one carried row spanning each block seam. Every product
+      moves over those steps, so the blocks that hold them are whole-width.
     """
 
     def __init__(
@@ -605,9 +692,7 @@ class _BlockStats:
         self.n_paths = n_paths
         self.time_grid = time_grid
         self.keys = keys
-        self._labels = [_csv_field(key.label) for key in keys]
-        self._times = [f"{t:.10g}" for t in time_grid.tolist()]
-        self.summary_rows: list[str] | None = [] if summary else None
+        self.summary = np.empty((3, n_times, n_prod)) if summary else None
         self.log_variance = self.mean = self.mean_se = None
         if moments:
             self.log_variance = np.empty((n_times - 1, n_prod))
@@ -617,53 +702,52 @@ class _BlockStats:
         self.returns = np.empty((n_paths, returns, n_prod)) if returns else None
         self.start: np.ndarray | None = None  # every path's values at t=0
         self._last: np.ndarray | None = None  # every path's values at the last time seen
+        self.stop = np.zeros(n_prod, dtype=int)  # each product's first frozen time
 
-    def add(self, s: slice, blk: np.ndarray) -> None:
+    def add(self, s: slice, cols: np.ndarray, blk: np.ndarray) -> None:
         if s.start == 0:
             self.start = blk[:, 0, :].copy()
-        if self.summary_rows is not None:
-            self._add_summary(s, blk)
+        if self.summary is not None:
+            self._add_summary(s, cols, blk)
         if self.mean is not None:
-            self._add_moments(s, blk)
-        self.export[:, s] = blk[: len(self.export)]
-        if self.returns is not None:
+            self._add_moments(s, cols, blk)
+        self.export[:, s, cols] = blk[: len(self.export)]
+        if self.returns is not None and s.start <= self.returns.shape[1]:
             self._add_returns(s, blk)
             self._last = blk[:, -1, :].copy()
+        self.stop[cols] = s.stop
 
-    def _add_summary(self, s: slice, blk: np.ndarray) -> None:
+    def finish(self) -> None:
+        """Give every product's frozen cells the outputs of its last time before them."""
+        if self.summary is not None:
+            _fill_frozen(self.summary, self.stop)
+        if self.mean is not None:
+            for moment in (self.log_variance, self.mean, self.mean_se):
+                _fill_frozen(moment, self.stop - 1)  # row i holds time i + 1
+        _fill_frozen(self.export, self.stop)
+
+    def _add_summary(self, s: slice, cols: np.ndarray, blk: np.ndarray) -> None:
         ordered = np.sort(blk, axis=0)
-        stats = zip(
-            blk.mean(axis=0).tolist(),
-            _quantiles_of_sorted(ordered, 0.05).tolist(),
-            _quantiles_of_sorted(ordered, 0.95).tolist(),
-        )
-        self.summary_rows.append(
-            "".join(
-                [
-                    f"{t},{label},{m:.10g},{q05:.10g},{q95:.10g}\n"
-                    for t, row in zip(self._times[s], stats)
-                    for label, (m, q05, q95) in zip(self._labels, zip(*row))
-                ]
-            )
-        )
+        mean, q05, q95 = self.summary
+        mean[s, cols] = blk.mean(axis=0)
+        q05[s, cols] = _quantiles_of_sorted(ordered, 0.05)
+        q95[s, cols] = _quantiles_of_sorted(ordered, 0.95)
 
-    def _add_moments(self, s: slice, blk: np.ndarray) -> None:
+    def _add_moments(self, s: slice, cols: np.ndarray, blk: np.ndarray) -> None:
         later = blk[:, 1:, :] if s.start == 0 else blk
         if not later.shape[1]:
             return
         rows = slice(max(s.start - 1, 0), s.stop - 1)  # row i holds time i + 1
-        logs = later / self.start[:, None, :]
-        np.log(logs, out=logs)
-        self.log_variance[rows] = logs.var(axis=0, ddof=1)
-        del logs
-        self.mean[rows] = later.mean(axis=0)
-        self.mean_se[rows] = later.std(axis=0, ddof=1) / math.sqrt(self.n_paths)
+        work = later / self.start[:, None, cols]
+        np.log(work, out=work)
+        self.log_variance[rows, cols] = _sample_variance(work)
+        self.mean[rows, cols] = later.mean(axis=0)
+        np.copyto(work, later)
+        self.mean_se[rows, cols] = np.sqrt(_sample_variance(work)) / math.sqrt(self.n_paths)
 
     def _add_returns(self, s: slice, blk: np.ndarray) -> None:
         # return k is the log of the value at time k + 1 over the value at time k
         n = min(s.stop, self.returns.shape[1] + 1) - s.start  # block times up to the last return's end
-        if n <= 0:
-            return
         seam = int(s.start > 0)  # a later block's first return starts at the carried row
         rets = self.returns[:, s.start - seam : s.start + n - 1]
         if seam:
@@ -672,12 +756,30 @@ class _BlockStats:
         np.log(rets, out=rets)
 
     def write_summary(self, path) -> None:
+        labels = [_csv_field(key.label) for key in self.keys]
+        cells = [f"{t:.10g},{label}," for t in self.time_grid.tolist() for label in labels]
+        distinct, src = _distinct_cells(self.stop, self.time_grid.size)
+        mean, q05, q95 = (a.ravel()[distinct].tolist() for a in self.summary)
+        stats = [f"{m:.10g},{a:.10g},{b:.10g}\n" for m, a, b in zip(mean, q05, q95)]
         with open(path, "w", newline="") as fh:
             fh.write("time,product_key,mean,q05,q95\n")
-            fh.writelines(self.summary_rows)
+            fh.write("".join([cell + stats[i] for cell, i in zip(cells, src)]))
 
     def write_paths(self, path) -> None:
-        _write_path_rows(self.export, self.time_grid, self.keys, path)
+        _write_path_rows(self.export, self.time_grid, self.keys, path, self.stop)
+
+
+def _distinct_cells(stop: np.ndarray, n_times: int) -> tuple[np.ndarray, list[int]]:
+    """The cells of a (time, product) array before product n freezes at stop[n].
+
+    Returns their C-order positions and, for every cell in C order, the
+    index among them of the cell whose value it takes: (min(t, stop[n] - 1), n).
+    """
+    t = np.arange(n_times)[:, None]
+    distinct = (t < stop).ravel()
+    rank = np.cumsum(distinct) - 1
+    src = rank[(np.minimum(t, stop - 1) * stop.size + np.arange(stop.size)).ravel()]
+    return np.flatnonzero(distinct), src.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +852,9 @@ def sanity_check(
         moments=True,
         returns=_correlation_steps(model, keys, paths.time_grid),
     )
-    for s, blk in _path_blocks(paths):
-        stats.add(s, blk)
+    for s, cols, blk in _path_blocks(paths):
+        stats.add(s, cols, blk)
+    stats.finish()
     return _sanity_report(stats, model, paths.config, expected_mean)
 
 
@@ -846,6 +949,7 @@ def _simulate_stage(
     Each block must pass PathSet's value rule before it is reduced to the
     summary rows, the sanity moments, the first ``export`` paths and the
     correlation returns; nothing path-sized outlives its block but those.
+    A frozen cell repeats a checked value bit for bit, so it needs no check.
     """
     stats = _BlockStats(
         cfg.n_paths,
@@ -856,9 +960,10 @@ def _simulate_stage(
         export=export,
         returns=_correlation_steps(model, keys, cfg.time_grid),
     )
-    for s, blk in blocks:
+    for s, cols, blk in blocks:
         _check_values(blk)
-        stats.add(s, blk)
+        stats.add(s, cols, blk)
+    stats.finish()
     return stats, _sanity_report(stats, model, cfg, expected_mean=expected_mean)
 
 
@@ -867,22 +972,24 @@ def _simulate_stage(
 # ---------------------------------------------------------------------------
 
 
-def _write_path_rows(values: np.ndarray, time_grid: np.ndarray, keys, path) -> None:
-    """paths.csv of every path in ``values``, path x time x product."""
+def _write_path_rows(values: np.ndarray, time_grid: np.ndarray, keys, path, stop=None) -> None:
+    """paths.csv of every path in ``values``, path x time x product.
+
+    Product n is frozen from time index stop[n] on (by default never): its
+    cells there repeat its value at stop[n] - 1, so each path formats only
+    its distinct values.
+    """
     labels = [_csv_field(key.label) for key in keys]
     # "time,label," of each (time, product) cell, in the C order of a path's values
     cells = [f"{t:.10g},{label}," for t in time_grid.tolist() for label in labels]
+    stop = np.full(len(keys), time_grid.size) if stop is None else stop
+    distinct, src = _distinct_cells(stop, time_grid.size)
     with open(path, "w", newline="") as fh:
         fh.write("path_id,time,product_key,value\n")
         for p in range(values.shape[0]):
-            fh.write(
-                "".join(
-                    [
-                        f"{p},{cell}{v:.10g}\n"
-                        for cell, v in zip(cells, values[p].ravel().tolist())
-                    ]
-                )
-            )
+            text = [f"{v:.10g}\n" for v in values[p].ravel()[distinct].tolist()]
+            head = f"{p},"
+            fh.write("".join([head + cell + text[i] for cell, i in zip(cells, src)]))
 
 
 def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:
@@ -898,6 +1005,7 @@ def write_summary_csv(paths: PathSet, path) -> None:
     quantiles are read from that sort.
     """
     stats = _BlockStats(paths.n_paths, paths.time_grid, paths.product_keys, summary=True)
-    for s, blk in _path_blocks(paths):
-        stats.add(s, blk)
+    for s, cols, blk in _path_blocks(paths):
+        stats.add(s, cols, blk)
+    stats.finish()
     stats.write_summary(path)

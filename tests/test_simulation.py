@@ -923,7 +923,11 @@ def test_blocked_statistics_match_whole_array_reference(antithetic, tmp_path, mo
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("width", [1, 2, 3, 27])  # 27: the whole grid in one block
 def test_streamed_stage_matches_whole_array_references(antithetic, width, tmp_path, monkeypatch):
-    """Blocks of 1, 2 or 3 grid times split the 4 correlation steps at their seams."""
+    """Blocks of 1, 2 or 3 grid times split the 4 correlation steps at their seams.
+
+    The buckets deliver inside steps 4, 8 and 12, so the blocks narrow to 4
+    and then 2 products, and none is drawn after time 13.
+    """
     model = _two_market_model()
     cfg = SimConfig(seed=31, n_paths=60, step=1 / 52, horizon=0.5, antithetic=antithetic)
     initial = [30.0, 31.0, 32.0, 20.0, 21.0, 22.0]
@@ -934,14 +938,19 @@ def test_streamed_stage_matches_whole_array_references(antithetic, width, tmp_pa
     seen = []
 
     def recorded():
-        for s, blk in simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg):
-            seen.append((s, blk.copy()))
-            yield s, blk
+        for s, cols, blk in simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg):
+            seen.append((s, cols, blk.copy()))
+            yield s, cols, blk
 
     stats, report = simulation._simulate_stage(recorded(), law.keys, cfg, model, export=7)
-    assert [s.start for s, _ in seen] == list(range(0, 27, width))
     want = _reference_fixed_delivery(model, initial, cfg)
-    np.testing.assert_array_equal(np.concatenate([blk for _, blk in seen], axis=1), want)
+    held = np.zeros(want.shape[1:], dtype=int)
+    for s, cols, blk in seen:
+        np.testing.assert_array_equal(blk, want[:, s][:, :, cols])
+        held[s, cols] += 1
+    # every cell up to its product's delivery step exactly once, and no other
+    last = np.tile([5, 9, 13], 2)
+    np.testing.assert_array_equal(held, np.arange(27)[:, None] <= last)
 
     ps = PathSet(want, cfg.time_grid, law.keys, cfg)
     var, mean, se, corr = _reference_sanity_stats(ps)
@@ -964,15 +973,145 @@ def test_streamed_stage_stops_at_the_first_bad_block(monkeypatch):
     drawn = []
 
     def poisoned():
-        for s, blk in simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg):
+        for s, cols, blk in simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg):
             drawn.append(s.start)
-            if s.start == 10:
-                blk[3, 1, 4] = math.nan
-            yield s, blk
+            if s.start == 6:  # products 1, 2, 4 and 5 of 6, delivering after time 5
+                blk[3, 1, 3] = math.nan
+            yield s, cols, blk
 
     with pytest.raises(ValidationError, match="path values must be positive and finite"):
         simulation._simulate_stage(poisoned(), law.keys, cfg, model, export=1)
-    assert drawn == [0, 5, 10]
+    # the first delivery ends the first block at time 5 and a one-time block
+    assert drawn == [0, 5, 6]
+
+
+def _whole_width_paths(law, cfg, width):
+    """The lognormal engine that diffused every product over every block of
+    ``width`` grid times, held cells included, written into one array."""
+    rows, live, initial = law.rows, law.live, law.initial
+    n_paths, n_prod = cfg.n_paths, rows.shape[0]
+    z = normals(cfg, cfg.n_steps, rows.shape[1])
+    scale = np.sqrt(live)
+    drift = -0.5 * (rows**2).sum(axis=1)[None, :] * live
+    values = np.empty((n_paths, cfg.n_steps + 1, n_prod))
+    carry = None
+    for a in range(0, cfg.n_steps + 1, width):
+        s = slice(a, min(a + width, cfg.n_steps + 1))
+        blk = x = values[:, s]
+        if s.start == 0:
+            blk[:, 0, :] = initial
+            x = blk[:, 1:, :]
+        steps = slice(max(s.start - 1, 0), s.stop - 1)
+        if x.shape[1]:
+            np.einsum("pkj,nj->pkn", z[:, steps], rows, out=x)
+            x *= scale[steps]
+            x += drift[steps]
+            if carry is not None:
+                x[:, 0, :] += carry
+            np.cumsum(x, axis=1, out=x)
+            carry = x[:, -1, :].copy()
+            np.exp(x, out=x)
+            x *= initial
+    return values
+
+
+@st.composite
+def _lognormal_runs(draw):
+    """A law the simulate stage streams: 1-3 markets of fixed-delivery
+    buckets, delivering inside steps (step 1/52) or on the grid (1/48), over
+    a horizon before, across or past the deliveries; or one swap whose
+    delivery starts before or after the horizon."""
+    n_markets = draw(st.integers(1, 3))
+    n_factors = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    markets = ("A", "B", "C")[:n_markets]
+    model = model_of(0.1 + 0.3 * rng.random((3 * n_markets, n_factors)), markets=markets)
+    cfg = SimConfig(
+        seed=draw(st.integers(0, 2**16)),
+        n_paths=40,
+        step=draw(st.sampled_from([1 / 52, 1 / 48])),
+        horizon=draw(st.sampled_from([0.05, 0.3, 0.5])),
+        antithetic=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        contract = ContractDescriptor("swap", markets[0], tau_start=draw(st.sampled_from([0.1, 0.2, 0.6])))
+        law = simulation._swap_law(model, contract, 30.0, cfg)
+    else:
+        products = [(mk, b) for mk in markets for b in (1, 2, 3)]
+        law = simulation._fixed_delivery_law(model, products, 20.0 + rng.random(len(products)), cfg)
+    return model, cfg, law, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_lognormal_runs())
+def test_live_column_stage_matches_whole_width_engine_and_stage(tmp_path_factory, run):
+    """Blocks of 1, 2 or 3 whole-width times: the same paths, moments and files."""
+    model, cfg, law, width = run
+    n_prod = law.rows.shape[0]
+    tmp = tmp_path_factory.mktemp("stage")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK_VALUES", width * cfg.n_paths * n_prod)
+        want = _whole_width_paths(law, cfg, width)
+        blocks = list(simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg))
+        stats, report = simulation._simulate_stage(iter(blocks), law.keys, cfg, model, export=7)
+        ps = simulation._lognormal_paths(law, cfg)
+    last = simulation._last_moves(law.live)
+    for s, cols, blk in blocks:
+        np.testing.assert_array_equal(blk, want[:, s][:, :, cols])
+        # a block of one product may run past its last index, and only then
+        assert cols.size == 1 or s.stop <= last[cols].min() + 1
+    np.testing.assert_array_equal(ps.values, want)
+    np.testing.assert_array_equal(stats.export, want[:7])
+
+    whole = PathSet(want, cfg.time_grid, law.keys, cfg)
+    var, mean, se = _reference_sanity_stats(whole)[:3]
+    np.testing.assert_array_equal(report.empirical_variance, var)
+    np.testing.assert_array_equal(report.empirical_mean, mean)
+    np.testing.assert_array_equal(report.mean_se, se)
+    if report.empirical_correlation is not None:
+        np.testing.assert_array_equal(report.empirical_correlation, _reference_sanity_stats(whole)[3])
+    assert report.failures == sanity_check(whole, model).failures
+    stats.write_summary(tmp / "summary.csv")
+    _reference_summary_csv(whole, tmp / "summary_whole.csv")
+    assert (tmp / "summary.csv").read_bytes() == (tmp / "summary_whole.csv").read_bytes()
+    stats.write_paths(tmp / "paths.csv")
+    _reference_paths_csv(whole, tmp / "paths_whole.csv", 7)
+    assert (tmp / "paths.csv").read_bytes() == (tmp / "paths_whole.csv").read_bytes()
+
+
+def test_nightly_law_blocks_hold_only_the_moving_cells():
+    """3 markets x 6 monthly buckets over a daily year: 29.4% of the cells."""
+    rows = np.vstack([[0.3 * 0.9**b, 0.05 * (b - 3)] for b in range(18)])
+    model = model_of(rows, markets=("DE", "TTF", "NBP"))
+    cfg = SimConfig(seed=3001, n_paths=2500, step=1 / 252, horizon=1.0)
+    products = [(mk, b) for mk in model.markets for b in range(1, 7)]
+    law = simulation._fixed_delivery_law(model, products, np.linspace(30.0, 60.0, 18), cfg)
+    last = simulation._last_moves(law.live)
+    # bucket b's delivery begins on grid time 21 b
+    np.testing.assert_array_equal(last, np.tile(21 * np.arange(1, 7), 3))
+    cells = sum(blk.shape[1] * blk.shape[2] for _, _, blk in simulation._lognormal_blocks(*law[:3], cfg))
+    assert cells == (last + 1).sum() == 1341
+    assert round(cells / (253 * 18), 3) == 0.294
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_one_product_blocks_keep_the_whole_array_sums(width, tmp_path, monkeypatch):
+    """numpy sums a lone (paths, 1, 1) column pairwise and wider blocks path by
+    path, so no block of one product may reduce a single time."""
+    contract = ContractDescriptor("swap", "X", tau_start=0.5)
+    cfg = SimConfig(seed=7, n_paths=2000, step=1 / 252, horizon=0.25)
+    ps = simulate_swap(model_of([[0.4], [0.3], [0.2]]), contract, 25.0, cfg)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", width * 2000)
+    slices = _time_slices(ps.values.shape)
+    assert slices[0] == slice(0, 3) and all(s.stop - s.start >= 2 for s in slices)
+    report = sanity_check(ps, model_of([[0.4], [0.3], [0.2]]))
+    var, mean, se = _reference_sanity_stats(ps)
+    np.testing.assert_array_equal(report.empirical_variance, var)
+    np.testing.assert_array_equal(report.empirical_mean, mean)
+    np.testing.assert_array_equal(report.mean_se, se)
+    write_summary_csv(ps, tmp_path / "blocked.csv")
+    _reference_summary_csv(ps, tmp_path / "whole.csv")
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_blocked_spot_statistics_match_whole_array_reference(monkeypatch):

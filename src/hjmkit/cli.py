@@ -4,9 +4,10 @@ Run on its own, each command reads what the previous one wrote, so the
 stages chain from a quotes CSV to valuation reports without manual edits.
 A stage is handed its inputs: `main` loads them for a single command, and
 `hjmkit pipeline --config run.conf` parses and bootstraps the quotes once
-for ingest and curve, then reads model.json and curves.csv once for
-simulate and price, so the pipeline writes the same files as the stages
-run one by one. Outputs are plain CSV and key=value text
+for ingest and curve, hands calibrate the panels ingest built and simulate
+and price each market's latest curve, each exactly as its file reads back,
+and reads back model.json only, so the pipeline writes the same files as
+the stages run one by one. Outputs are plain CSV and key=value text
 with fixed float formatting; everything a run writes is a deterministic
 function of (config, seed). Wall-clock timings go to stdout only so
 artifact files stay byte-identical across reruns.
@@ -39,6 +40,7 @@ from .calibration import (
 )
 from .curve import (
     StepwiseCurve,
+    _curve_as_written,
     bootstrap_boards,
     extract_fixed_delivery,
     read_curve_csv,
@@ -48,6 +50,8 @@ from .dates import month_start
 from .errors import HjmkitError, ValidationError
 from .marketdata import (
     LogReturnMatrix,
+    RelativePanel,
+    _panel_as_written,
     acf,
     build_relative_panel,
     combine_log_returns,
@@ -312,8 +316,8 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(cfg: RunConfig, loaded) -> list[str]:
-    """Write each market's panel and the return diagnostics; return the markets."""
+def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
+    """Write each market's panel and the return diagnostics; return the panels."""
     quotes, issues, boards = loaded
     markets = cfg.markets or sorted({q.market for q in quotes})
     labels = default_tenor_labels(cfg.n_month_tenors, cfg.n_quarter_tenors, cfg.n_year_tenors)
@@ -419,7 +423,7 @@ def cmd_ingest(cfg: RunConfig, loaded) -> list[str]:
         report.append(("note", note))
     _write_report(cfg.out_dir / "ingest_report.txt", report)
     print(f"wrote {cfg.out_dir / 'ingest_report.txt'}")
-    return markets
+    return [panels[m] for m in markets]
 
 
 def cmd_curve(cfg: RunConfig, loaded) -> None:
@@ -450,20 +454,21 @@ def cmd_curve(cfg: RunConfig, loaded) -> None:
     print(f"wrote {cfg.path_curves()} ({len(curves)} curves, worst residual {worst:.3g})")
 
 
-def _panel_markets(cfg: RunConfig) -> list[str]:
-    """The markets a standalone calibrate reads: the configured ones, else
+def _load_panels(cfg: RunConfig) -> list[RelativePanel]:
+    """The panels a standalone calibrate reads: the configured markets', else
     every panel in the output directory."""
     markets = cfg.markets or sorted(
         p.stem.removeprefix("panel_") for p in cfg.out_dir.glob("panel_*.csv")
     )
     if not markets:
         raise ValidationError("no panels found; run ingest first or set markets")
-    return markets
+    return [read_panel_csv(cfg.path_panel(m), m) for m in markets]
 
 
-def cmd_calibrate(cfg: RunConfig, markets: list[str]) -> None:
+def cmd_calibrate(cfg: RunConfig, panels: list[RelativePanel]) -> None:
+    """Fit the factor model to the panels' pooled returns, one panel per market."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    panels = [read_panel_csv(cfg.path_panel(m), m) for m in markets]
+    markets = [p.market for p in panels]
     rets = [log_returns(p, cfg.dt) for p in panels]
     combined = combine_log_returns(rets) if len(rets) > 1 else rets[0]
     filtered, removed = filter_outliers(combined, cfg.outlier_k)
@@ -851,11 +856,21 @@ def cmd_price(cfg: RunConfig, inputs) -> None:
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
+    """Run every stage on one parse and bootstrap of the quotes.
+
+    Each stage is handed what the stage before it wrote, exactly as the
+    file reads back: the panels of this run (not older ones beside them) and
+    each market's latest curve. model.json is the one file read back. The
+    quotes and boards are dropped once ingest and curve have written theirs.
+    """
     loaded = _load_boards(cfg)  # one parse and one bootstrap per board
-    markets = cmd_ingest(cfg, loaded)
+    panels = cmd_ingest(cfg, loaded)
     cmd_curve(cfg, loaded)
-    cmd_calibrate(cfg, markets)  # the panels this run wrote, not older ones beside them
-    calibrated = _load_model_and_curves(cfg)  # one read of model.json and curves.csv
+    latest = _latest_curves({key: curve for key, (_, curve, _) in loaded[2].items()})
+    curves = {market: _curve_as_written(curve) for market, curve in latest.items()}
+    del loaded, latest
+    cmd_calibrate(cfg, [_panel_as_written(p) for p in panels])
+    calibrated = FactorModel.load(cfg.path_model()), curves
     contracts = _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn
     cmd_simulate(cfg, calibrated)
     if contracts:
@@ -898,7 +913,7 @@ def main(argv=None) -> int:
         stage, load = {  # each command's stage and the loader of the inputs it is handed
             "ingest": (cmd_ingest, _load_boards),
             "curve": (cmd_curve, _load_boards),
-            "calibrate": (cmd_calibrate, _panel_markets),
+            "calibrate": (cmd_calibrate, _load_panels),
             "simulate": (cmd_simulate, _load_model_and_curves),
             "price": (cmd_price, _pricing_inputs),
             "pipeline": (cmd_pipeline, None),

@@ -414,6 +414,18 @@ def write_curve_csv(curves: Sequence[StepwiseCurve], path) -> None:
             )
 
 
+def _curve_as_written(curve: StepwiseCurve) -> StepwiseCurve:
+    """``curve`` as read_curve_csv reads back what write_curve_csv writes:
+    the same months, each value and weight through the writer's 10-digit text."""
+    return StepwiseCurve(
+        curve.market,
+        curve.as_of,
+        list(curve.months),
+        np.array([float(f"{v:.10g}") for v in curve.values.tolist()]),
+        np.array([float(f"{w:.10g}") for w in curve.weights.tolist()]),
+    )
+
+
 def read_curve_csv(path) -> dict[tuple[str, date], StepwiseCurve]:
     """Inverse of write_curve_csv, keyed by (market, as_of).
 

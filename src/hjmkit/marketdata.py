@@ -47,11 +47,13 @@ from .errors import ValidationError
 QUOTES_HEADER = ["trading_date", "market", "delivery_start", "delivery_end", "price"]
 
 
+@functools.lru_cache(maxsize=1024)  # a quote history has a few dozen windows
 def classify_granularity(delivery_start: date, delivery_end: date) -> str:
     """Infer the product granularity from its delivery window.
 
     The window must span exactly one calendar month, one calendar-aligned
     quarter (starting January, April, July or October) or one calendar year.
+    Each valid window is classified once; a rejected one raises every time.
     """
     if delivery_end < delivery_start:
         raise ValidationError("delivery_end precedes delivery_start")
@@ -258,22 +260,52 @@ def build_relative_panel(
     Monthly tenors read the curve bucket directly; quarter and year tenors
     are delivery-weighted averages of their constituent monthly buckets and
     are present only when every constituent month is on the curve.
+
+    A tenor's delivery months depend on the trading date only through its
+    month, so they are looked up once per (trading month, label). A curve's
+    months strictly increase, so a window is covered exactly when its first
+    and last months are on the curve n - 1 buckets apart. Every cell keeps
+    the bits of the weighted average np.dot(values, weights) / weights.sum():
+    the monthly cells, one value and one weight each, are v * w / w in one
+    array operation, and each quarter or year cell is one np.dot on the
+    window's contiguous bucket slices.
     """
     if not curves:
         raise ValidationError("no curves supplied")
     labels = list(tenor_labels) if tenor_labels is not None else default_tenor_labels()
     dates = sorted(curves)
-    prices = np.full((len(dates), len(labels)), np.nan)
+    width = len(labels)
+    prices = np.full((len(dates), width), np.nan)
+    windows: dict[date, list[tuple[int, date, date, int]]] = {}  # month -> (column, first, last, n)
+    cells, at, values, weights = [], [], [], []  # monthly cells and their buckets, all curves end to end
+    offset = 0
     for i, d in enumerate(dates):
         curve = curves[d]
         if curve.as_of != d:
             raise ValidationError(f"curve dated {curve.as_of} filed under {d}")
-        for j, label in enumerate(labels):
-            months = tenor_months(d, label)
-            if all(m in curve.index for m in months):
-                vals = np.array([curve.value_at(m) for m in months])
-                wts = np.array([curve.weight_at(m) for m in months])
-                prices[i, j] = float(np.dot(vals, wts) / wts.sum())
+        spans = windows.get(month_start(d))
+        if spans is None:
+            spans = windows[month_start(d)] = [
+                (j, months[0], months[-1], len(months))
+                for j, months in enumerate(tenor_months(d, label) for label in labels)
+            ]
+        index = curve.index
+        for j, first, last, n in spans:
+            a = index.get(first)
+            if a is None:
+                continue
+            if n == 1:
+                cells.append(i * width + j)
+                at.append(offset + a)
+            elif index.get(last) == a + n - 1:
+                w = curve.weights[a : a + n]
+                prices[i, j] = float(np.dot(curve.values[a : a + n], w) / w.sum())
+        values.append(curve.values)
+        weights.append(curve.weights)
+        offset += curve.values.size
+    if cells:
+        v, w = np.concatenate(values)[at], np.concatenate(weights)[at]
+        prices.flat[cells] = v * w / w
     return RelativePanel(market, labels, dates, prices)
 
 
@@ -315,21 +347,22 @@ def log_returns(panel: RelativePanel, dt: float) -> LogReturnMatrix:
     the dates sit in different calendar periods of the column's kind (the
     contract behind the label changed), or when either price is missing.
     Columns with no computable return at all are dropped with a warning.
+    Each tenor kind's roll mask is built once per panel and shared by the
+    columns of that kind.
     """
     if len(panel.dates) < 2:
         raise ValidationError("panel needs at least two dates for returns")
-    n = len(panel.dates) - 1
+    rolls: dict[str, np.ndarray] = {}  # kind -> True where return i straddles a roll
     cols, keys = [], []
     for j, label in enumerate(panel.tenor_labels):
         kind, _ = parse_tenor(label)
+        if kind not in rolls:
+            period = [_tenor_period_key(d, kind) for d in panel.dates]
+            rolls[kind] = np.array([a != b for a, b in zip(period, period[1:])])
         p = panel.prices[:, j]
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.log(p[1:] / p[:-1])
-        for i in range(n):
-            if _tenor_period_key(panel.dates[i], kind) != _tenor_period_key(
-                panel.dates[i + 1], kind
-            ):
-                r[i] = np.nan
+        r[rolls[kind]] = np.nan
         if not np.isfinite(r).any():
             warnings.warn(
                 f"dropping column {panel.market}:{label}: no valid consecutive prices",
@@ -360,7 +393,8 @@ def combine_log_returns(matrices: Sequence[LogReturnMatrix]) -> LogReturnMatrix:
     dates = sorted(common)
     blocks, keys = [], []
     for m in matrices:
-        rows = [m.dates.index(d) for d in dates]
+        row = {d: i for i, d in reversed(list(enumerate(m.dates)))}  # a repeated date's first row
+        rows = [row[d] for d in dates]
         blocks.append(m.values[rows, :])
         keys.extend(m.column_keys)
     return LogReturnMatrix(np.hstack(blocks), keys, matrices[0].dt, dates=dates)
@@ -490,6 +524,19 @@ def write_panel_csv(panel: RelativePanel, path) -> None:
     ]
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"{line}\n" for line in [header, *rows]))
+
+
+def _panel_as_written(panel: RelativePanel) -> RelativePanel:
+    """``panel`` as read_panel_csv reads back what write_panel_csv writes.
+
+    Each present price goes through the writer's 10-digit text and each
+    gap (any non-finite price) becomes NaN; the labels and dates are kept.
+    """
+    prices = [
+        [float(f"{v:.10g}") if math.isfinite(v) else math.nan for v in row]
+        for row in panel.prices.tolist()
+    ]
+    return RelativePanel(panel.market, list(panel.tenor_labels), list(panel.dates), np.array(prices))
 
 
 def read_panel_csv(path, market: str) -> RelativePanel:

@@ -1,5 +1,6 @@
 """End-to-end command tests against the bundled synthetic quote set."""
 
+import builtins
 import csv
 import math
 import os
@@ -881,8 +882,9 @@ def test_pipeline_calibrates_only_the_markets_ingest_built(tmp_path, capsys):
 
 def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, monkeypatch):
     calls = Counter()
-    read_curves, load_model, vpp = (
+    read_curves, read_panel, load_model, vpp = (
         hjmkit.cli.read_curve_csv,
+        hjmkit.cli.read_panel_csv,
         FactorModel.load.__func__,
         hjmkit.cli.price_vpp,
     )
@@ -895,12 +897,60 @@ def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, 
         return wrapper
 
     monkeypatch.setattr(hjmkit.cli, "read_curve_csv", counting("curves", read_curves))
+    monkeypatch.setattr(hjmkit.cli, "read_panel_csv", counting("panels", read_panel))
     monkeypatch.setattr(FactorModel, "load", classmethod(counting("model", load_model)))
     monkeypatch.setattr(hjmkit.cli, "price_vpp", counting("vpp", vpp))
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(file).name if isinstance(file, (str, os.PathLike)) else file, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
     argv = ["pipeline", "--config", str(PIPELINE_CONF), "--out", str(tmp_path / "out"), "--paths", "300"]
     assert main(argv) == 0
-    # the sweep's lock-2 row is the headline contract (t_on = t_off = 2)
-    assert calls == {"curves": 1, "model": 1, "vpp": 3}
+    # curves and panels are handed on in memory; model.json is the one file read back.
+    # The sweep's lock-2 row is the headline contract (t_on = t_off = 2)
+    assert calls == Counter(curves=0, panels=0, model=1, vpp=3)
+    written = {name for name, mode in opened if "w" in mode}
+    assert {"curves.csv", "panel_DE.csv", "panel_TTF.csv"} <= written
+    assert not [
+        name for name, mode in opened
+        if "r" in mode and (name == "curves.csv" or str(name).startswith("panel_"))
+    ]
+
+
+def test_pipeline_hands_on_panels_and_curves_as_their_files_read_back(tmp_path, monkeypatch):
+    handed = {}
+    calibrate, simulate = hjmkit.cli.cmd_calibrate, hjmkit.cli.cmd_simulate
+
+    def keep_panels(cfg, panels):
+        handed["panels"] = panels
+        return calibrate(cfg, panels)
+
+    def keep_curves(cfg, calibrated):
+        handed["curves"] = calibrated[1]
+        return simulate(cfg, calibrated)
+
+    monkeypatch.setattr(hjmkit.cli, "cmd_calibrate", keep_panels)
+    monkeypatch.setattr(hjmkit.cli, "cmd_simulate", keep_curves)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--config", str(PIPELINE_CONF), "--out", str(out), "--paths", "40"]
+    assert main(argv) == 0
+    assert [p.market for p in handed["panels"]] == ["DE", "TTF"]
+    for panel in handed["panels"]:
+        read = read_panel_csv(out / f"panel_{panel.market}.csv", panel.market)
+        assert (panel.tenor_labels, panel.dates) == (read.tenor_labels, read.dates)
+        np.testing.assert_array_equal(panel.prices, read.prices)
+    latest = {}
+    for (market, as_of), curve in sorted(read_curve_csv(out / "curves.csv").items()):
+        latest[market] = curve
+    assert handed["curves"].keys() == latest.keys()
+    for market, curve in handed["curves"].items():
+        read = latest[market]
+        assert (curve.as_of, curve.months) == (read.as_of, read.months)
+        np.testing.assert_array_equal(curve.values, read.values)
+        np.testing.assert_array_equal(curve.weights, read.weights)
 
 
 def test_pipeline_reads_each_contract_file_once(tmp_path, monkeypatch):

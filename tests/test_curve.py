@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjmkit.curve import (
+    _curve_as_written,
     BootstrapReport,
     FillGroup,
     StepwiseCurve,
@@ -645,6 +646,31 @@ def _curve_file(tmp_path, body: str):
         "2020-01-02,DE,2020-01-01,2020-01-31,36.05,31\n" + body
     )
     return path
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(curve_sets())
+@example(
+    [
+        StepwiseCurve(
+            "DE",
+            AS_OF,
+            [date(2020, 1, 1), date(2020, 2, 1), date(2020, 4, 1)],
+            np.array([0.99999999995, 0.999999999951, 99999.9999951]),
+            np.array([30.999999999951, 29.0, 2 / 3]),
+        )
+    ]
+)
+def test_curve_as_written_is_the_curve_read_back(tmp_path_factory, curves):
+    path = tmp_path_factory.mktemp("curves") / "curves.csv"
+    write_curve_csv(curves, path)
+    back = read_curve_csv(path)
+    for curve in curves:
+        handed, read = _curve_as_written(curve), back[(curve.market, curve.as_of)]
+        assert (handed.market, handed.as_of, handed.months) == (read.market, read.as_of, read.months)
+        assert handed.index == read.index
+        np.testing.assert_array_equal(handed.values, read.values)
+        np.testing.assert_array_equal(handed.weights, read.weights)
 
 
 @pytest.mark.parametrize(

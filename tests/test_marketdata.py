@@ -1,11 +1,12 @@
 import csv
 import io
 import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjmkit.errors import ValidationError
@@ -13,6 +14,7 @@ from hjmkit.marketdata import (
     LogReturnMatrix,
     QuotedSwap,
     RelativePanel,
+    _panel_as_written,
     acf,
     build_relative_panel,
     classify_granularity,
@@ -28,6 +30,7 @@ from hjmkit.marketdata import (
     write_panel_csv,
 )
 from hjmkit.curve import StepwiseCurve
+from hjmkit.dates import add_months, days_in_month, month_start, quarter_start
 
 from conftest import QUOTE_BOARD_CSV
 from oracles import acf_reference, moments_reference
@@ -120,6 +123,24 @@ def test_parse_quotes_reports_bad_rows():
     assert [i.line for i in issues] == [3, 4, 5, 6]
 
 
+def test_parse_quotes_reports_each_identical_bad_row():
+    """Windows are classified once each; a rejected window is not, so every
+    row holding it gets its own issue with the same message."""
+    csv_text = (
+        "trading_date,market,delivery_start,delivery_end,price\n"
+        "2020-01-02,DE,2020-02-01,2020-03-15,10.0\n"  # end is not a month end
+        "2020-01-02,DE,2020-02-01,2020-03-15,10.0\n"
+        "2020-01-02,DE,2020-02-01,2020-02-29,39.76\n"
+        "2020-01-03,DE,2020-02-01,2020-02-29,39.80\n"
+    )
+    quotes, issues = parse_quotes(io.StringIO(csv_text))
+    assert [q.granularity for q in quotes] == ["month", "month"]
+    assert [str(i) for i in issues] == [
+        "line 2: delivery_end is not the last day of a month",
+        "line 3: delivery_end is not the last day of a month",
+    ]
+
+
 def test_parse_quotes_header_and_empty():
     with pytest.raises(ValidationError):
         parse_quotes(io.StringIO("a,b,c\n1,2,3\n"))
@@ -204,6 +225,78 @@ def test_panel_quarter_is_day_weighted():
     assert panel.column("Q1")[0] == pytest.approx(expected, abs=1e-12)
 
 
+def _panel_per_cell(curves, labels) -> np.ndarray:
+    """build_relative_panel's prices as one weighted average per (date, tenor) cell."""
+    dates = sorted(curves)
+    prices = np.full((len(dates), len(labels)), np.nan)
+    for i, d in enumerate(dates):
+        curve = curves[d]
+        for j, label in enumerate(labels):
+            months = tenor_months(d, label)
+            if all(m in curve.index for m in months):
+                vals = np.array([curve.value_at(m) for m in months])
+                wts = np.array([curve.weight_at(m) for m in months])
+                prices[i, j] = float(np.dot(vals, wts) / wts.sum())
+    return prices
+
+
+# trading dates at month, quarter and year ends and the first days after them
+_PERIOD_ENDS = [
+    date(2019, 12, 31), date(2020, 1, 2), date(2020, 1, 31), date(2020, 3, 31),
+    date(2020, 4, 1), date(2020, 6, 30), date(2020, 9, 30), date(2020, 12, 31), date(2021, 1, 4),
+]
+
+
+@st.composite
+def panel_curves(draw):
+    """Curves on trading dates from 2019-11 to 2021-03, period ends included,
+    each covering its trading month onward with random missing months."""
+    dates = draw(
+        st.sets(st.dates(date(2019, 11, 1), date(2021, 3, 31)) | st.sampled_from(_PERIOD_ENDS), min_size=1, max_size=8)
+    )
+    day_weights = draw(st.booleans())
+    curves = {}
+    for d in dates:
+        n = draw(st.integers(0, 40))
+        missing = draw(st.sets(st.integers(0, 39), max_size=4))
+        months = [add_months(month_start(d), k) for k in range(n) if k not in missing]
+        values = draw(st.lists(st.floats(1e-3, 1e4), min_size=len(months), max_size=len(months)))
+        if day_weights:
+            weights = [float(days_in_month(m)) for m in months]
+        else:
+            weights = draw(st.lists(st.floats(0.5, 40.0), min_size=len(months), max_size=len(months)))
+        curves[d] = StepwiseCurve("DE", d, months, np.array(values), np.array(weights))
+    labels = draw(st.lists(st.sampled_from(default_tenor_labels(26, 9, 3)), min_size=1, max_size=20, unique=True))
+    return curves, labels
+
+
+def _fixed_panel_curves():
+    """Period-end trading dates, a missing month and a window past the curve."""
+    rng = np.random.default_rng(23)
+    curves = {}
+    for d, n, missing in [
+        (date(2020, 3, 31), 30, {5}),
+        (date(2020, 4, 1), 30, set()),
+        (date(2020, 6, 30), 20, {0, 13}),
+        (date(2020, 12, 31), 37, set()),
+        (date(2021, 1, 4), 25, {2}),
+    ]:
+        months = [add_months(month_start(d), k) for k in range(n) if k not in missing]
+        weights = [float(days_in_month(m)) for m in months]
+        curves[d] = StepwiseCurve("DE", d, months, 40.0 * rng.lognormal(0, 0.3, len(months)), np.array(weights))
+    return curves, default_tenor_labels(24, 7, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(panel_curves())
+@example(_fixed_panel_curves())
+def test_relative_panel_matches_per_cell_loop(case):
+    curves, labels = case
+    panel = build_relative_panel("DE", curves, labels)
+    assert panel.dates == sorted(curves) and panel.tenor_labels == labels
+    np.testing.assert_array_equal(panel.prices, _panel_per_cell(curves, labels))
+
+
 # ---------------------------------------------------------------------------
 # Log returns and roll masking
 # ---------------------------------------------------------------------------
@@ -274,6 +367,80 @@ def test_combine_log_returns_intersects_dates():
     assert c.column_keys == [("DE", "M1"), ("TTF", "M1")]
     with pytest.raises(ValidationError):
         combine_log_returns([a, LogReturnMatrix(b.values, b.column_keys, 1 / 260, dates=d2)])
+
+
+_PERIOD_KEY = {"M": month_start, "Q": quarter_start, "Y": lambda d: d.year}
+
+
+def _returns_per_row(panel: RelativePanel):
+    """log_returns' values and keys with the roll mask tested row by row."""
+    cols, keys = [], []
+    for j, label in enumerate(panel.tenor_labels):
+        key = _PERIOD_KEY[parse_tenor(label)[0]]
+        p = panel.prices[:, j]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.log(p[1:] / p[:-1])
+        for i in range(len(panel.dates) - 1):
+            if key(panel.dates[i]) != key(panel.dates[i + 1]):
+                r[i] = np.nan
+        if np.isfinite(r).any():
+            cols.append(r)
+            keys.append((panel.market, label))
+    return cols, keys
+
+
+@st.composite
+def return_panels(draw):
+    labels = draw(st.lists(st.sampled_from(default_tenor_labels(6, 3, 2)), min_size=1, max_size=8, unique=True))
+    dates = sorted(
+        draw(st.sets(st.dates(date(2019, 11, 1), date(2021, 3, 31)) | st.sampled_from(_PERIOD_ENDS), min_size=2, max_size=12))
+    )
+    cell = st.floats(1e-3, 1e4) | st.just(math.nan)
+    rows = draw(st.lists(st.lists(cell, min_size=len(labels), max_size=len(labels)), min_size=len(dates), max_size=len(dates)))
+    return panel_of(dates, labels, rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(return_panels())
+@example(panel_of(_PERIOD_ENDS, ["M0", "M2", "Q1", "Y1"], 40.0 + np.arange(36.0).reshape(9, 4)))
+def test_log_returns_match_per_row_roll_mask(panel):
+    cols, keys = _returns_per_row(panel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if not cols:
+            with pytest.raises(ValidationError):
+                log_returns(panel, dt=1 / 252)
+            return
+        returns = log_returns(panel, dt=1 / 252)
+    assert returns.column_keys == keys and returns.dates == panel.dates[1:]
+    np.testing.assert_array_equal(returns.values, np.column_stack(cols))
+
+
+@st.composite
+def return_matrices(draw):
+    pool = [date(2020, 1, 1) + timedelta(days=k) for k in range(15)]
+    matrices = []
+    for m in range(draw(st.integers(1, 3))):
+        dates = sorted(draw(st.sets(st.sampled_from(pool), min_size=1, max_size=15)))
+        width = draw(st.integers(1, 3))
+        values = draw(st.lists(st.floats(-1.0, 1.0) | st.just(math.nan), min_size=len(dates) * width, max_size=len(dates) * width))
+        keys = [(f"K{m}", f"M{j}") for j in range(width)]
+        matrices.append(LogReturnMatrix(np.reshape(values, (len(dates), width)), keys, 1 / 252, dates=dates))
+    return matrices
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(return_matrices())
+def test_combine_log_returns_matches_per_row_lookup(matrices):
+    dates = sorted(set.intersection(*(set(m.dates) for m in matrices)))
+    if not dates:
+        with pytest.raises(ValidationError, match="share no dates"):
+            combine_log_returns(matrices)
+        return
+    c = combine_log_returns(matrices)
+    want = np.hstack([m.values[[m.dates.index(d) for d in dates], :] for m in matrices])
+    assert c.dates == dates and c.column_keys == [k for m in matrices for k in m.column_keys]
+    np.testing.assert_array_equal(c.values, want)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +649,24 @@ def test_panel_csv_round_trip_property(tmp_path_factory, panel):
     want = np.array([[float(format(v, ".10g")) for v in row] for row in panel.prices.tolist()])
     np.testing.assert_array_equal(np.isnan(back.prices), np.isnan(panel.prices))
     np.testing.assert_array_equal(back.prices, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(panels())
+@example(
+    panel_of(
+        [date(2020, 1, 2), date(2020, 1, 3)],
+        ["M0", "Q1", "Y1"],
+        [[0.99999999995, np.inf, 99999.9999951], [np.nan, 0.999999999951, 2 / 3]],
+    )
+)
+def test_panel_as_written_is_the_panel_read_back(tmp_path_factory, panel):
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    write_panel_csv(panel, path)
+    back = read_panel_csv(path, panel.market)
+    handed = _panel_as_written(panel)
+    assert (handed.market, handed.tenor_labels, handed.dates) == (back.market, back.tenor_labels, back.dates)
+    np.testing.assert_array_equal(handed.prices, back.prices)
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,6 @@ from .errors import HjmkitError, ValidationError
 from .marketdata import (
     LogReturnMatrix,
     RelativePanel,
-    _panel_as_written,
     acf,
     build_relative_panel,
     combine_log_returns,
@@ -317,21 +316,22 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
-    """Write each market's panel and the return diagnostics; return the panels."""
+    """Write each market's panel and the return diagnostics; return the
+    panels as their files read back."""
     quotes, issues, boards = loaded
     markets = cfg.markets or sorted({q.market for q in quotes})
     labels = default_tenor_labels(cfg.n_month_tenors, cfg.n_quarter_tenors, cfg.n_year_tenors)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     notes: list[str] = []
 
-    panels = {}
+    panels, written = {}, []
     for market in markets:
         curves = {d: cv for (mk, d), (_, cv, _) in boards.items() if mk == market}
         if not curves:
             raise ValidationError(f"no usable quotes for market {market!r}")
         panel = build_relative_panel(market, curves, labels)
         panels[market] = panel
-        write_panel_csv(panel, cfg.path_panel(market))
+        written.append(write_panel_csv(panel, cfg.path_panel(market)))
         print(f"wrote {cfg.path_panel(market)} ({len(panel.dates)} dates)")
 
     # return-based diagnostics are best-effort: a one-date panel has none
@@ -423,7 +423,7 @@ def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
         report.append(("note", note))
     _write_report(cfg.out_dir / "ingest_report.txt", report)
     print(f"wrote {cfg.out_dir / 'ingest_report.txt'}")
-    return [panels[m] for m in markets]
+    return written
 
 
 def cmd_curve(cfg: RunConfig, loaded) -> None:
@@ -869,7 +869,7 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     latest = _latest_curves({key: curve for key, (_, curve, _) in loaded[2].items()})
     curves = {market: _curve_as_written(curve) for market, curve in latest.items()}
     del loaded, latest
-    cmd_calibrate(cfg, [_panel_as_written(p) for p in panels])
+    cmd_calibrate(cfg, panels)
     calibrated = FactorModel.load(cfg.path_model()), curves
     contracts = _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn
     cmd_simulate(cfg, calibrated)

@@ -515,28 +515,22 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-1]
 
 
-def write_panel_csv(panel: RelativePanel, path) -> None:
-    """Dates as rows, tenor labels as columns, empty cells for gaps."""
+def write_panel_csv(panel: RelativePanel, path) -> RelativePanel:
+    """Dates as rows, tenor labels as columns, empty cells for gaps.
+
+    Returns the panel as read_panel_csv reads the file back: each present
+    price through its 10-digit text, each gap (any non-finite price) NaN,
+    the labels and dates kept. Each cell is formatted once for both.
+    """
+    cells = [[f"{v:.10g}" if math.isfinite(v) else "" for v in row] for row in panel.prices.tolist()]
     header = ",".join(["date", *map(_csv_field, panel.tenor_labels)])
-    rows = [
-        ",".join([d.isoformat(), *(f"{v:.10g}" if math.isfinite(v) else "" for v in row)])
-        for d, row in zip(panel.dates, panel.prices.tolist())
-    ]
+    rows = [",".join([d.isoformat(), *row]) for d, row in zip(panel.dates, cells)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"{line}\n" for line in [header, *rows]))
-
-
-def _panel_as_written(panel: RelativePanel) -> RelativePanel:
-    """``panel`` as read_panel_csv reads back what write_panel_csv writes.
-
-    Each present price goes through the writer's 10-digit text and each
-    gap (any non-finite price) becomes NaN; the labels and dates are kept.
-    """
-    prices = [
-        [float(f"{v:.10g}") if math.isfinite(v) else math.nan for v in row]
-        for row in panel.prices.tolist()
-    ]
-    return RelativePanel(panel.market, list(panel.tenor_labels), list(panel.dates), np.array(prices))
+    prices = np.array([[float(c) if c else math.nan for c in row] for row in cells], dtype=float)
+    return RelativePanel(
+        panel.market, list(panel.tenor_labels), list(panel.dates), prices.reshape(panel.prices.shape)
+    )
 
 
 def read_panel_csv(path, market: str) -> RelativePanel:

@@ -1,43 +1,40 @@
 """Contract pricing: Black formula, European MC, and LSMC dynamic programs.
 
-The exotic pricers (virtual power plant, swing, gas storage) share one
-backward-induction core over (time, resource state). Each pricer declares
-its moves once, as (valid, target) tables over the states of a step (a
-validity mask and the successor of every state), plus one cash(x, k)
-that turns step k's price column x into the per-path immediate cash of
-each move. The core takes both as they are: moves[k] lists step k's
-tables, and the core calls cash on step k's price column as it reaches
-the step, so no paths x steps cash matrix is built. In the core:
+The American option and the exotic pricers (virtual power plant, swing,
+gas storage) share one backward-induction core over (time, resource
+state). Each pricer declares its moves once, as (valid, target) tables
+over the states of a step (a validity mask and the successor of every
+state), plus one cash(x, k) that turns step k's price column x into the
+per-path immediate cash of each move; the core calls it as it reaches the
+step, so no paths x steps cash matrix is built. In the core:
 
 * the continuation value of every resource state is regressed on a
   polynomial basis of the observed price; all states share one design
-  matrix per step, and U(U'y) from its thin SVD gives the core its
-  in-sample continuation values without a second pass over the design;
-* the design side of each regression (centre, scale, basis size, SVD)
-  depends on the prices alone, so a regression plan sets it up once per
-  price array, for stacked blocks of steps at a time, and every core call
-  on those prices solves against it: a VPP lock sweep or a swing rights
-  sweep shares one plan, and each call computes only its own U'y;
-* each distinct list of move tables (one list object: VPP and storage
-  pass the same one for every step) is split once per call into the
-  cells every move sets fresh and the cells it contests, with their
-  successor indices;
+  matrix per step, and U(U'y) from its thin SVD gives the in-sample
+  continuation values without a second pass over the design;
+* the design side (centre, scale, basis size, SVD) depends on the prices
+  alone, so a regression plan sets it up once per price array, in
+  stacked blocks of steps; the calls of a VPP lock sweep or a swing
+  rights sweep share one plan, and each solves only its own U'y;
+* a move may stop the contract (targets -1): it is then worth its cash
+  alone. A step may regress on a price-only sample of its paths and
+  decide there alone, the other paths taking a default move. The
+  American option is one alive state, exercise (a stop) then hold,
+  sampled on its in-the-money paths (Longstaff and Schwartz, 2001);
 * values are carried state-major, one row of paths per resource state,
-  so moving to a successor state copies whole rows, and each action
-  touches only the states it is valid in;
+  and each move touches only the states it is valid in;
 * decisions compare immediate payoff plus fitted continuation, but the
   value carried backward is the realized future cash flow of the chosen
   action, which keeps the estimate a true lower bound for the optimal
   adapted policy and makes the perfect-foresight variant dominate it
   path by path;
 * the perfect-foresight benchmark runs the same recursion with realized
-  values in place of fitted ones;
-* the out-of-sample value runs the same recursion on fresh paths with the
-  fitted regressions held fixed, which removes the look-ahead bias.
+  values in place of fitted ones, and the out-of-sample value runs it on
+  fresh paths with the fitted regressions held fixed, which removes the
+  look-ahead bias.
 
 All cash flows are discounted to time zero with e^(-r t) off the path
-time grid, so the pricers are agnostic to the grid's calendar meaning
-(hours, days).
+time grid, so the pricers are agnostic to the grid's calendar meaning.
 """
 
 from __future__ import annotations
@@ -193,15 +190,6 @@ def _design(x: np.ndarray, center, scale, dim: int) -> np.ndarray:
     return out
 
 
-def _basis_size(x: np.ndarray, degree: int) -> int:
-    """Polynomial basis size for the samples x: degree + 1, capped at the
-    number of distinct samples (so the design is never singular by
-    construction), and at least 1."""
-    xs = np.sort(x)
-    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
-    return max(1, min(degree + 1, distinct))
-
-
 def _rank(sv, n_samples: int, dim: int):
     """np.linalg.lstsq's rank rule over the last axis of singular values."""
     return np.count_nonzero(sv > np.finfo(float).eps * max(n_samples, dim) * sv[..., :1], axis=-1)
@@ -231,12 +219,13 @@ def _setup(states, degree: int, min_samples_per_dim: int) -> _Setup:
         raise ValidationError("regression inputs must be finite")
     if degree < 0:
         raise ValidationError("degree must be non-negative")
-    dim = _basis_size(x, degree)
+    # at most one basis function per distinct sample: never singular by construction
+    xs = np.sort(x)
+    dim = max(1, min(degree + 1, 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))))
     need = max(1, min_samples_per_dim * dim)  # an empty sample has no mean to centre on
     if x.size < need:
         raise PricingError(
-            f"continuation regression needs at least {need} "
-            f"samples for {dim} basis functions, got {x.size}"
+            f"continuation regression needs at least {need} samples for {dim} basis functions, got {x.size}"
         )
     center = float(x.mean())
     scale = float(x.std())
@@ -263,11 +252,7 @@ def _solve(setup: _Setup, values) -> tuple[ContinuationFit, np.ndarray]:
         raise ValidationError("regression inputs must be finite")
     design = setup.design
     if design is not None:
-        warnings.warn(
-            "rank-deficient continuation design; using ridge fallback",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warnings.warn("rank-deficient continuation design; using ridge fallback", RuntimeWarning, stacklevel=3)
         gram = design.T @ design + _RIDGE * np.eye(setup.dim)
         coefficients = np.linalg.solve(gram, design.T @ y)
         fitted = coefficients.T @ design.T
@@ -394,59 +379,6 @@ class PolicyValuation:
     def __post_init__(self):
         if not self.std_error >= 0:  # NaN fails too
             raise ValidationError("std_error must be non-negative")
-
-
-# ---------------------------------------------------------------------------
-# American options
-# ---------------------------------------------------------------------------
-
-
-def american_option(
-    paths: PathSet,
-    strike: float,
-    rate: float = 0.0,
-    kind: str = "put",
-    settings: LsmcSettings = LsmcSettings(),
-    product: int = 0,
-    last_exercise: int | None = None,
-) -> PolicyValuation:
-    """Longstaff-Schwarz value with exercise on every grid date.
-
-    Each date regresses on its in-the-money paths only, through the set-up
-    and solve of the backward core; a date with too few of them for the
-    set-up's sample-size rule (none included) is treated as no-exercise.
-    ``last_exercise`` restricts the window to grid indices 0..last.
-    """
-    if kind not in ("call", "put"):
-        raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
-    if not (math.isfinite(strike) and strike > 0):
-        raise ValidationError("strike must be positive and finite")
-    _require_finite_rate(rate)
-    s = paths.values[:, :, product]
-    grid = paths.time_grid
-    last = grid.size - 1 if last_exercise is None else int(last_exercise)
-    if not 0 <= last < grid.size:
-        raise ValidationError("last_exercise outside the path grid")
-    intrinsic = np.maximum(s - strike, 0.0) if kind == "call" else np.maximum(strike - s, 0.0)
-    disc = np.exp(-rate * grid)
-    fits: list[ContinuationFit | None] = []
-    cf = disc[last] * intrinsic[:, last]
-    for k in range(last - 1, 0, -1):
-        itm = np.flatnonzero(intrinsic[:, k] > 0)
-        try:
-            setup = _setup(s[itm, k], settings.degree, settings.min_samples_per_dim)
-        except PricingError:  # too few in-the-money paths to regress on
-            fits.append(None)
-            continue
-        fit, cont = _solve(setup, cf[itm])
-        ex = disc[k] * intrinsic[itm, k]
-        exercise_now = ex >= cont[0] - _TIE_TOL
-        cf[itm[exercise_now]] = ex[exercise_now]
-        fits.append(fit)
-    cont0, se = _pair_stats(cf, paths.config.antithetic)
-    if intrinsic[0, 0] > cont0:
-        return PolicyValuation(float(intrinsic[0, 0]), 0.0, list(reversed(fits)))
-    return PolicyValuation(cont0, se, list(reversed(fits)))
 
 
 # ---------------------------------------------------------------------------
@@ -600,23 +532,20 @@ def _put(out: np.ndarray, rows, values: np.ndarray, target: np.ndarray, immediat
 def _cell_plan(tables) -> tuple[int, list, object]:
     """Split a step's (valid, target) tables into the cells each one sets.
 
-    Returns the state count; per table, its fresh cells (valid there and
-    in no earlier table) and contested cells, each with their targets;
-    and the cells no table is valid in.
+    Returns the state count; per table, whether it stops (all targets -1,
+    then read as row 0 of a source of zeros), its fresh cells (valid in no
+    earlier table) and contested cells, each with their targets; and the
+    cells no table is valid in.
     """
     seen = np.zeros(tables[0][0].size, dtype=bool)
     cells = []
     for valid, target in tables:
         fresh, contested = _cells(valid & ~seen), _cells(valid & seen)
         seen |= valid
-        cells.append(
-            (
-                fresh,
-                None if fresh is None else target[fresh],
-                contested,
-                None if contested is None else target[contested],
-            )
-        )
+        stops = bool((target < 0).all())
+        t = np.zeros_like(target) if stops else target
+        t_fresh = None if fresh is None else t[fresh]
+        cells.append((stops, fresh, t_fresh, contested, None if contested is None else t[contested]))
     return seen.size, cells, _cells(~seen)
 
 
@@ -627,77 +556,98 @@ def _backward_induction(
     cash,
     settings: LsmcSettings,
     foresight: bool,
-    fits: list[ContinuationFit] | None = None,
+    fits: list[ContinuationFit | None] | None = None,
     plan: _RegressionPlan | None = None,
-) -> tuple[np.ndarray, list[ContinuationFit] | None]:
+    samples: Sequence | None = None,
+    default: int = 0,
+) -> tuple[np.ndarray, list[ContinuationFit | None] | None]:
     """Generic realized-cash-flow recursion over (step, resource state).
 
-    price_state[:, k] is the regression state at step k; terminal is the
-    value matrix (n_paths, n_states) of the last layer and seeds the
-    value-to-go. moves[k] lists step k's (valid, target) tables: a
-    validity mask over the states of step k and their successor indices
-    into the states of step k + 1, so the state count may change from
-    step to step. cash(x, k) returns the per-path immediate cash of each
-    table, in the same order, from the price column x = price_state[:, k].
-    With foresight=True the decision uses realized values directly
+    price_state[:, k] is the regression state at step k; terminal, the
+    value matrix (n_paths, n_states) of the last layer, seeds the
+    value-to-go. moves[k] lists step k's (valid, target) tables: a mask
+    over the states of step k and their successor indices into the states
+    of step k + 1 (so the state count may change); a table of -1 targets
+    stops the contract and is worth its cash alone. cash(x, k) returns the
+    per-path immediate cash of each table, in order, from the price column
+    x = price_state[:, k]. With foresight=True realized values decide
     (per-path optimum); otherwise fitted continuations decide and realized
-    values are carried. Given ``fits`` from an earlier call, no regression
-    runs: step k's continuation is fits[k] evaluated on price_state[:, k],
-    so on fresh paths the result is the realized cash of that fixed
-    policy, its out-of-sample value. Otherwise the regressions solve
-    through ``plan``, bound to price_state, or through a plan local to
-    this call.
+    values are carried. Given ``fits`` from an earlier call, step k's
+    continuation is fits[k] evaluated on its prices: on fresh paths, the
+    out-of-sample value of that fixed policy. Otherwise the regressions
+    solve through ``plan``, bound to price_state, or a plan local to the call.
 
-    Values are carried state-major, (n_states, n_paths), so a successor
-    gather copies whole rows; the result is returned as the transposed
-    (n_paths, n_states) view. Each table reads and writes only the
-    states it is valid in: the first valid table of a state sets it, a
-    later one replaces it only when its score beats the best so far by
-    more than _TIE_TOL. A state with no valid table is worth -inf. The
-    cells of each distinct table list (one list object, as when every
-    step shares one) are worked out once per call.
+    ``samples[k]``, unless None, selects step k's regression sample (a
+    path mask or indices, from the prices alone). The step is set up with
+    _setup on it alone and decides only there; the other paths take table
+    ``default``. A sample too small for _setup's size rule decides
+    nowhere, and the step's fit is None.
+
+    Values are carried state-major, (n_states, n_paths), and returned as
+    the transposed view. The first valid table of a state sets it; a later
+    one replaces it only when its score beats the best so far by more than
+    _TIE_TOL. A state with no valid table is worth -inf.
     """
     if not foresight and fits is None:
         plan = (_RegressionPlan(keep=False) if plan is None else plan).bind(price_state, settings)
     cf = np.ascontiguousarray(terminal.T)
-    fitted: list[ContinuationFit] = []
-    cell_plans: dict[int, tuple] = {}  # moves holds every list, so no id is reused
-    n_steps = price_state.shape[1]
-    for k in range(n_steps - 1, -1, -1):
-        if foresight:
-            cont = cf
-        elif fits is not None:
-            cont = fits[k].evaluate(price_state[:, k]).T
-        else:
-            fit, cont = plan.fit(k, cf.T)
-            fitted.append(fit)
-        immediate = cash(price_state[:, k], k)
+    fitted: list[ContinuationFit | None] = []
+    cell_plans: dict[int, tuple] = {}  # per table list; moves holds every list, so no id is reused
+    for k in range(price_state.shape[1] - 1, -1, -1):
+        x = price_state[:, k]
+        immediate = cash(x, k)
         tables = moves[k]
         if id(tables) not in cell_plans:
             cell_plans[id(tables)] = _cell_plan(tables)
         n_states, cells, unseen = cell_plans[id(tables)]
+        sample = None if samples is None else samples[k]
+        if sample is not None:  # every path takes the default move; the sample may then decide
+            valid, target = tables[default]
+            held = np.full((n_states, cf.shape[1]), -np.inf)
+            c = immediate[default]
+            held[valid] = c if (target < 0).all() else _shifted(cf, target[valid], c)
+            cf, x, immediate = cf[:, sample], x[sample], [col[sample] for col in immediate]
+        if foresight:
+            fit, cont = None, cf
+        elif fits is not None:
+            fit = fits[k]
+            cont = None if fit is None and sample is not None else fit.evaluate(x).T
+        elif sample is None:
+            fit, cont = plan.fit(k, cf.T)
+        else:
+            try:
+                fit, cont = _solve(_setup(x, settings.degree, settings.min_samples_per_dim), cf.T)
+            except PricingError:  # too small a sample: the default move on every path
+                fit = cont = None
+        fitted.append(fit)
+        if cont is None:
+            cf = held
+            continue
         new_cf = np.empty((n_states, cf.shape[1]))
         # with foresight the score is the realized value, so best is new_cf
         best = new_cf if foresight else np.empty_like(new_cf)
-        for i, (c, cell) in enumerate(zip(immediate, cells)):
-            fresh, t_fresh, contested, t = cell
+        for i, (c, (stops, fresh, t_fresh, contested, t)) in enumerate(zip(immediate, cells)):
+            # a stop's realized value and score are its cash alone
+            values, scores = (np.zeros((1, cf.shape[1])),) * 2 if stops else (cf, cont)
             if fresh is not None:
-                _put(new_cf, fresh, cf, t_fresh, c)
+                _put(new_cf, fresh, values, t_fresh, c)
                 if not foresight:
-                    _put(best, fresh, cont, t_fresh, c)
+                    _put(best, fresh, scores, t_fresh, c)
             if contested is not None:
-                realized = _shifted(cf, t, c)
-                score = realized if foresight else _shifted(cont, t, c)
+                realized = _shifted(values, t, c)
+                score = realized if foresight or stops else _shifted(scores, t, c)
                 better = score > best[contested] + _TIE_TOL
                 new_cf[contested] = np.where(better, realized, new_cf[contested])
                 if not foresight and i < len(cells) - 1:
                     best[contested] = np.where(better, score, best[contested])
+        del values, scores  # drop the aliases, so the old cf and cont are freed when rebound
         if unseen is not None:
             new_cf[unseen] = -np.inf
+        if sample is not None:
+            held[:, sample] = new_cf
+            new_cf = held
         cf = new_cf
-    if foresight:
-        return cf.T, None
-    return cf.T, (fitted[::-1] if fits is None else fits)
+    return cf.T, None if foresight else fitted[::-1]
 
 
 def _policy_value(
@@ -713,9 +663,7 @@ def _policy_value(
     plan: _RegressionPlan | None = None,
 ) -> tuple[np.ndarray, PolicyValuation]:
     """Run the core; return the start state's per-path cash and its valuation."""
-    cf, fits = _backward_induction(
-        price_state, terminal, moves, cash, settings, foresight, fits, plan
-    )
+    cf, fits = _backward_induction(price_state, terminal, moves, cash, settings, foresight, fits, plan)
     sample = cf[:, start]
     return sample, PolicyValuation(*_pair_stats(sample, antithetic), fits)
 
@@ -724,6 +672,58 @@ def _require_dominance(upper: np.ndarray, lower: np.ndarray, what: str) -> None:
     """Path-by-path bound check, up to rounding in the summed cash flows."""
     if np.any(upper < lower - 1e-7):
         raise PricingError(f"internal check failed: {what}")
+
+
+# ---------------------------------------------------------------------------
+# American options
+# ---------------------------------------------------------------------------
+
+
+def american_option(
+    paths: PathSet,
+    strike: float,
+    rate: float = 0.0,
+    kind: str = "put",
+    settings: LsmcSettings = LsmcSettings(),
+    product: int = 0,
+    last_exercise: int | None = None,
+) -> PolicyValuation:
+    """Longstaff-Schwartz value with exercise on every grid date.
+
+    Dates 1..last - 1 run on the backward core as one alive state with the
+    moves exercise (a stop worth the discounted intrinsic value) and hold.
+    Exercise comes first, so the core's tie rule exercises unless the
+    continuation beats it by more than _TIE_TOL. Each date regresses on
+    its in-the-money paths, and the others hold; a date with too few of
+    them for the set-up's sample-size rule (none included) holds on every
+    path and has no fit. Date 0 exercises only when the intrinsic value
+    beats the mean continuation. ``last_exercise`` ends the window there.
+    """
+    if kind not in ("call", "put"):
+        raise ValidationError(f"kind must be 'call' or 'put', got {kind!r}")
+    if not (math.isfinite(strike) and strike > 0):
+        raise ValidationError("strike must be positive and finite")
+    _require_finite_rate(rate)
+    grid = paths.time_grid
+    last = grid.size - 1 if last_exercise is None else int(last_exercise)
+    if not 0 <= last < grid.size:
+        raise ValidationError("last_exercise outside the path grid")
+    s = paths.values[:, : last + 1, product]
+    intrinsic = np.maximum(s - strike, 0.0) if kind == "call" else np.maximum(strike - s, 0.0)
+    disc = np.exp(-rate * grid)
+    alive = np.array([True])
+    moves = [[(alive, np.array([-1])), (alive, np.array([0]))]] * (last - 1)
+
+    def cash(x, k):  # step k is grid date k + 1
+        return disc[k + 1] * intrinsic[:, k + 1], np.zeros_like(x)
+
+    terminal = disc[last] * intrinsic[:, last, None]
+    itm = [np.flatnonzero(row) for row in intrinsic[:, 1:last].T > 0]  # step k's sample
+    cf, fits = _backward_induction(s[:, 1:last], terminal, moves, cash, settings, False, samples=itm, default=1)
+    value, se = _pair_stats(cf[:, 0], paths.config.antithetic)
+    if intrinsic[0, 0] > value:
+        value, se = float(intrinsic[0, 0]), 0.0
+    return PolicyValuation(value, se, fits)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,9 +1007,9 @@ def price_storage(
         raise ValidationError(
             f"paths cover {spot_paths.time_grid.size} points, contract needs {n + 1}"
         )
-    if fresh_paths is not None and fresh_paths.config.seed == spot_paths.config.seed:
-        raise ValidationError("fresh_paths must use a different seed for the out-of-sample test")
     if fresh_paths is not None:
+        if fresh_paths.config.seed == spot_paths.config.seed:
+            raise ValidationError("fresh_paths must use a different seed for the out-of-sample test")
         if fresh_paths.time_grid.size < n + 1:
             raise ValidationError("fresh_paths do not cover the contract window")
         # the replay is discounted on the fitting grid, so the grids must agree

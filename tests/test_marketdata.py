@@ -14,7 +14,6 @@ from hjmkit.marketdata import (
     LogReturnMatrix,
     QuotedSwap,
     RelativePanel,
-    _panel_as_written,
     acf,
     build_relative_panel,
     classify_granularity,
@@ -661,10 +660,10 @@ def test_panel_csv_round_trip_property(tmp_path_factory, panel):
     )
 )
 def test_panel_as_written_is_the_panel_read_back(tmp_path_factory, panel):
+    """write_panel_csv returns the panel exactly as read_panel_csv reads its file."""
     path = tmp_path_factory.mktemp("panel") / "panel.csv"
-    write_panel_csv(panel, path)
+    handed = write_panel_csv(panel, path)
     back = read_panel_csv(path, panel.market)
-    handed = _panel_as_written(panel)
     assert (handed.market, handed.tenor_labels, handed.dates) == (back.market, back.tenor_labels, back.dates)
     np.testing.assert_array_equal(handed.prices, back.prices)
 

@@ -413,14 +413,15 @@ def test_american_sample_rule_matches_unique_count_reference(
     assert [k for k, fit in enumerate(got.fits, start=1) if fit is None] == sorted(skipped)
 
 
-@pytest.mark.parametrize("last_exercise", [None, 8])
+@pytest.mark.parametrize("last_exercise", [None, 8, 1, 2])
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("rate", [0.0, 0.02])
 @pytest.mark.parametrize("kind", ["call", "put"])
 def test_american_matches_evaluate_reference_bit_for_bit(kind, rate, antithetic, last_exercise):
     """On seeded lognormal paths, deciding on the solve's in-sample values
     gives the value, standard error and every date's coefficients of the
-    loop that rebuilt each continuation through fit.evaluate, under ==."""
+    loop that rebuilt each continuation through fit.evaluate, under ==.
+    last_exercise 1 and 2 leave the backward core zero steps and one."""
     rng = np.random.default_rng(20 + 2 * (kind == "put") + antithetic)
     ps = make_paths(_gbm_values(rng, 2000, 12, antithetic), step=1 / 12, antithetic=antithetic)
     got = american_option(ps, 100.0, rate, kind, last_exercise=last_exercise)
@@ -428,7 +429,8 @@ def test_american_matches_evaluate_reference_bit_for_bit(kind, rate, antithetic,
     cf, _ = _reference_american(ps, 100.0, kind, LsmcSettings(), rate, last_exercise, fits)
     x = cf.reshape(-1, 2).mean(axis=1) if antithetic else cf  # at the money at t=0
     assert (got.value, got.std_error) == (float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)))
-    assert len(got.fits) == len(fits) == (11 if last_exercise is None else 7)
+    last = ps.time_grid.size - 1 if last_exercise is None else last_exercise
+    assert len(got.fits) == len(fits) == last - 1
     for g, w in zip(got.fits, fits[::-1]):
         assert g is not None and np.array_equal(g.coefficients, w.coefficients)
 
@@ -471,75 +473,108 @@ def test_foresight_dominates_adapted(name, args):
 # ---------------------------------------------------------------------------
 
 
-def masked_backward_induction(price_state, terminal, step_actions, settings, foresight):
+def masked_backward_induction(
+    price_state, terminal, step_actions, settings, foresight, samples=None, default=0
+):
     """Test-only reference: the path-major recursion that masks every action.
 
     Each action is applied to all (path, state) cells with np.where, the
     invalid ones set to -inf, and the continuation is evaluated from the
-    fit's coefficients.
+    fit's coefficients. An action whose targets are all -1 stops: its
+    realized value and its score are its cash alone. ``samples[k]``, unless
+    None, is a path mask: step k regresses on those paths alone and decides
+    only there, every other path takes action ``default``, and a sample too
+    small for lsmc_continuation's rule decides nowhere. Returns the values
+    and the steps that decided nowhere.
     """
     cf = terminal.copy()
-    n_steps = price_state.shape[1]
+    n_paths, n_steps = price_state.shape
+    idle = []
     for k in range(n_steps - 1, -1, -1):
-        if foresight:
-            cont = cf
-        else:
-            fit = lsmc_continuation(price_state[:, k], cf, settings.degree, settings.min_samples_per_dim)
-            cont = fit.evaluate(price_state[:, k])
+        sampled = samples is not None and samples[k] is not None
+        decides = samples[k] if sampled else np.ones(n_paths, dtype=bool)
+        cont = cf
+        if not foresight:
+            try:
+                fit = lsmc_continuation(
+                    price_state[decides, k], cf[decides], settings.degree, settings.min_samples_per_dim
+                )
+                cont = fit.evaluate(price_state[:, k])
+            except PricingError:
+                if not sampled:
+                    raise
+                idle.append(k)
+                decides = np.zeros(n_paths, dtype=bool)
         best_score = None
         new_cf = None
+        moves = []
         for immediate, valid, target in step_actions(k):
-            score = immediate[:, None] + cont[:, target]
-            realized = immediate[:, None] + cf[:, target]
+            stop = bool((target < 0).all())
+            realized = immediate[:, None] + (0.0 if stop else cf[:, target])
+            score = immediate[:, None] + (0.0 if stop else cont[:, target])
+            realized = np.where(valid[None, :], realized, -np.inf)
+            moves.append(realized)
             if best_score is None:
                 best_score = np.where(valid[None, :], score, -np.inf)
-                new_cf = np.where(valid[None, :], realized, -np.inf)
+                new_cf = realized
             else:
                 score = np.where(valid[None, :], score, -np.inf)
                 better = score > best_score + _TIE_TOL
                 new_cf = np.where(better, realized, new_cf)
                 best_score = np.where(better, score, best_score)
-        cf = new_cf
-    return cf
+        cf = np.where(decides[:, None], new_cf, moves[default])
+    return cf, idle
 
 
-def core_on_actions(price_state, terminal, actions, settings, foresight, fits=None):
+def core_on_actions(price_state, terminal, actions, settings, foresight, fits=None, **sampled):
     """Test-side adapter: run the core on an actions(k) generator of
     (immediate, valid, target) tuples, the form the references here are
-    written in. Each step's tuples become its move tables and its cash."""
+    written in. Each step's tuples become its move tables and its cash;
+    ``sampled`` passes samples and a default move on to the core."""
     steps = [list(actions(k)) for k in range(price_state.shape[1])]
     moves = [[(valid, target) for _, valid, target in step] for step in steps]
     cash = [[immediate for immediate, _, _ in step] for step in steps]
     return _backward_induction(
-        price_state, terminal, moves, lambda x, k: cash[k], settings, foresight, fits
+        price_state, terminal, moves, lambda x, k: cash[k], settings, foresight, fits, **sampled
     )
 
 
 @st.composite
 def action_tables(draw):
-    """Per-step state counts and, per action, a validity mask, targets and zero-cash flag.
+    """Per-step state counts and, per action, a validity mask, targets and
+    zero-cash flag; per step a sample quantile (None: no sample), or no
+    samples at all; and the default action.
 
     Every state gets at least one valid action; the masks are free
     otherwise, so contiguous and scattered masks, single-action states and
-    states contested by up to four actions all occur.
+    states contested by up to four actions all occur. Any action may stop
+    (all targets -1). When samples are drawn, the default action is valid
+    in every state, so the paths outside a sample are never worth -inf.
     """
     n_steps = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.integers(1, 6), min_size=n_steps + 1, max_size=n_steps + 1))
+    n_actions = draw(st.lists(st.integers(1, 4), min_size=n_steps, max_size=n_steps))
+    sampled = draw(st.booleans())
+    default = draw(st.integers(0, min(n_actions) - 1)) if sampled else 0
     steps = []
     for k in range(n_steps):
-        n, n_next = sizes[k], sizes[k + 1]
-        n_actions = draw(st.integers(1, 4))
-        valid = [draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(n_actions)]
+        n, n_next, m = sizes[k], sizes[k + 1], n_actions[k]
+        valid = [draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(m)]
         for s in range(n):
             if not any(v[s] for v in valid):
-                valid[draw(st.integers(0, n_actions - 1))][s] = True
+                valid[draw(st.integers(0, m - 1))][s] = True
+        if sampled:
+            valid[default] = [True] * n
+        stops = draw(st.lists(st.booleans(), min_size=m, max_size=m))
         target = [
-            draw(st.lists(st.integers(0, n_next - 1), min_size=n, max_size=n))
-            for _ in range(n_actions)
+            [-1] * n if stop else draw(st.lists(st.integers(0, n_next - 1), min_size=n, max_size=n))
+            for stop in stops
         ]
-        zero_cash = draw(st.lists(st.booleans(), min_size=n_actions, max_size=n_actions))
+        zero_cash = draw(st.lists(st.booleans(), min_size=m, max_size=m))
         steps.append((valid, target, zero_cash))
-    return sizes, steps
+    quantile = st.sampled_from([None, 0.0, 0.3, 0.6, 0.95])
+    quantiles = draw(st.lists(quantile, min_size=n_steps, max_size=n_steps)) if sampled else None
+    return sizes, steps, quantiles, default
 
 
 T, F = True, False
@@ -559,15 +594,45 @@ MIXED_TABLES = (
             [T, F, T],
         ),
     ],
+    None,
+    0,
 )
+# as MIXED_TABLES, but action 0 of step 0 stops; step 0 regresses on 28 of
+# 40 paths, step 1 on 2 (too few: it holds on every path), and the paths
+# outside take action 1, a zero-cash stay in step 1
+STOP_SAMPLE_TABLES = (
+    [5, 4, 3],
+    [
+        (
+            [[T, T, T, F, F], [T, T, T, T, T], [T, T, F, T, T]],
+            [[-1] * 5, [1, 2, 3, 0, 3], [3, 0, 1, 2, 2]],
+            [F, F, T],
+        ),
+        (
+            [[T, T, T, T], [T, T, T, T], [T, F, T, T]],
+            [[0, 1, 2, 2], [0, 1, 2, 2], [-1] * 4],
+            [T, T, F],
+        ),
+    ],
+    [0.3, 0.95],
+    1,
+)
+SMALL_SAMPLES = LsmcSettings(degree=2, min_samples_per_dim=5)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(tables=action_tables(), foresight=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(tables=MIXED_TABLES, foresight=False, seed=1)
-@example(tables=MIXED_TABLES, foresight=True, seed=1)
-def test_core_matches_masked_reference(tables, foresight, seed):
-    sizes, steps = tables
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    tables=action_tables(),
+    foresight=st.booleans(),
+    lsmc=st.sampled_from([LsmcSettings(), SMALL_SAMPLES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(tables=MIXED_TABLES, foresight=False, lsmc=LsmcSettings(), seed=1)
+@example(tables=MIXED_TABLES, foresight=True, lsmc=LsmcSettings(), seed=1)
+@example(tables=STOP_SAMPLE_TABLES, foresight=False, lsmc=SMALL_SAMPLES, seed=1)
+@example(tables=STOP_SAMPLE_TABLES, foresight=True, lsmc=SMALL_SAMPLES, seed=1)
+def test_core_matches_masked_reference(tables, foresight, lsmc, seed):
+    sizes, steps, quantiles, default = tables
     rng = np.random.default_rng(seed)
     n_paths = 40
     price_state = 100.0 * np.exp(0.2 * rng.standard_normal((n_paths, len(steps))))
@@ -576,20 +641,34 @@ def test_core_matches_masked_reference(tables, foresight, seed):
         [np.zeros(n_paths) if zero else rng.standard_normal(n_paths) for zero in zero_cash]
         for _, _, zero_cash in steps
     ]
+    samples = None
+    if quantiles is not None:  # from the prices alone, as the core requires
+        samples = [
+            None if q is None else price_state[:, k] > np.quantile(price_state[:, k], q)
+            for k, q in enumerate(quantiles)
+        ]
 
     def actions(k):
         valid, target, _ = steps[k]
         for a in range(len(valid)):
             yield cash[k][a], np.array(valid[a]), np.array(target[a])
 
-    got, fits = core_on_actions(price_state, terminal, actions, LsmcSettings(), foresight)
-    want = masked_backward_induction(price_state, terminal, actions, LsmcSettings(), foresight)
+    got, fits = core_on_actions(
+        price_state, terminal, actions, lsmc, foresight, samples=samples, default=default
+    )
+    want, idle = masked_backward_induction(price_state, terminal, actions, lsmc, foresight, samples, default)
     np.testing.assert_array_equal(got, want)
     assert got.shape == (n_paths, sizes[0])
     if foresight:
         assert fits is None
     else:
         assert len(fits) == len(steps)
+        assert [k for k, fit in enumerate(fits) if fit is None] == sorted(idle)
+        # replayed on the same paths, the fixed fits decide as the reference did
+        replay, _ = core_on_actions(
+            price_state, terminal, actions, lsmc, False, fits, samples=samples, default=default
+        )
+        np.testing.assert_array_equal(replay, want)
 
 
 # ---------------------------------------------------------------------------

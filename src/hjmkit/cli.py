@@ -22,11 +22,13 @@ import argparse
 import configparser
 import csv
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -69,6 +71,7 @@ from .pricing import (
     SwingContract,
     VppContract,
     _RegressionPlan,
+    _storage_grid,
     price_storage,
     price_swing,
     price_vpp,
@@ -607,52 +610,118 @@ def _write_sanity(path: Path, mode: str, sim_cfg: SimConfig, report: SanityRepor
 
 _REQUIRED = object()
 
-# One flat key = value file per contract, declared key by key as
-# (file key, contract field, kind, default). The default is _REQUIRED, a
-# value, or a function of (the values read so far, the model). A field of
-# None marks a market key, which takes its default also when left empty; a
-# tuple of fields marks a sweep key, which re-prices the contract with each
-# listed value in all of those fields.
-_CONTRACT_KEYS = {
-    "swing": (
-        ("market", None, "str", lambda values, model: model.markets[0]),
-        ("n_days", "n_days", "int", 30),
-        ("u_max", "u_max", "int", 1),
-        ("d_max", "d_max", "int", 1),
-        ("K", "strike", "float", _REQUIRED),
-        ("Q", "quantity", "float", 1.0),
-        ("sweep_rights", ("u_max", "d_max"), "list[int]", ()),
+
+@dataclass(frozen=True)
+class _ContractDecl:
+    """One kind of contract, as the price stage reads, checks, prices and reports it."""
+
+    cls: type
+    # the contract file, key by key as (file key, contract field, kind, default).
+    # The default is _REQUIRED, a value, or a function of (the values read so
+    # far, the model). A field of None marks a market key, which takes its
+    # default also when left empty; a tuple of fields marks a sweep key, which
+    # re-prices the contract with each listed value in all of those fields.
+    keys: tuple
+    window: str  # the key of the priced window, at least `shortest` grid times
+    shortest: int
+    per_year: float  # grid times per year of the spot paths
+    price: Callable  # (contract, paths, fresh paths, rate, regression plan) -> result
+    report: Callable  # result -> {report key: value}, in report order
+    stdout: str  # the stdout line after the contract's name, over the report values
+    sweep_columns: tuple = ((), ())  # a sweep row's entry columns, then its report keys
+    extra_points: int = 0  # grid times the paths hold past the window
+    fresh: bool = False  # replay the fitted policy on paths drawn at seed + 1
+    check: Callable = lambda contract: None  # what else pricing rejects, checked up front
+    constant: Callable = lambda values: False  # the regressions see one price only
+
+
+_CONTRACTS = {
+    "swing": _ContractDecl(
+        SwingContract,
+        (
+            ("market", None, "str", lambda values, model: model.markets[0]),
+            ("n_days", "n_days", "int", 30),
+            ("u_max", "u_max", "int", 1),
+            ("d_max", "d_max", "int", 1),
+            ("K", "strike", "float", _REQUIRED),
+            ("Q", "quantity", "float", 1.0),
+            ("sweep_rights", ("u_max", "d_max"), "list[int]", ()),
+        ),
+        "n_days", 2, _DAYS_PER_YEAR,
+        lambda c, paths, fresh, rate, plan: price_swing(c, paths, rate, plan=plan),
+        lambda r: dict(
+            value=r.lsmc.value, std_error=r.lsmc.std_error,
+            lower_bound=r.lower_bound, lower_bound_std_error=r.lower_bound_std_error,
+            upper_bound=r.upper_bound, upper_bound_std_error=r.upper_bound_std_error,
+        ),
+        "value {value:.6g} (se {std_error:.3g})",
+        sweep_columns=(("rights",), ("value", "std_error", "lower_bound", "upper_bound")),
     ),
-    "vpp": (
-        ("power_market", None, "str", lambda values, model: model.markets[0]),
-        ("fuel_market", None, "str", lambda values, model: model.markets[-1]),
-        ("n_hours", "n_hours", "int", 168),
-        ("t_on", "t_on", "int", 1),
-        ("t_off", "t_off", "int", 1),
-        ("q_min", "q_min", "float", 0.0),
-        ("q_max", "q_max", "float", _REQUIRED),
-        ("S_u", "start_cost", "float", 0.0),
-        ("S_d", "stop_cost", "float", 0.0),
-        ("H", "heat_rate", "float", 1.0),
-        ("sweep_lock_hours", ("t_on", "t_off"), "list[int]", ()),
+    "vpp": _ContractDecl(
+        VppContract,
+        (
+            ("power_market", None, "str", lambda values, model: model.markets[0]),
+            ("fuel_market", None, "str", lambda values, model: model.markets[-1]),
+            ("n_hours", "n_hours", "int", 168),
+            ("t_on", "t_on", "int", 1),
+            ("t_off", "t_off", "int", 1),
+            ("q_min", "q_min", "float", 0.0),
+            ("q_max", "q_max", "float", _REQUIRED),
+            ("S_u", "start_cost", "float", 0.0),
+            ("S_d", "stop_cost", "float", 0.0),
+            ("H", "heat_rate", "float", 1.0),
+            ("sweep_lock_hours", ("t_on", "t_off"), "list[int]", ()),
+        ),
+        "n_hours", 2, _HOURS_PER_YEAR,
+        # the fuel is the last product, the only one when it is the power market
+        lambda c, paths, fresh, rate, plan: price_vpp(
+            c, paths, paths, rate, power_product=0, fuel_product=len(paths.product_keys) - 1, plan=plan
+        ),
+        lambda r: dict(
+            value=r.lsmc.value, std_error=r.lsmc.std_error,
+            naive=r.naive, naive_std_error=r.naive_std_error,
+            upper_bound=r.upper_bound, upper_bound_std_error=r.upper_bound_std_error,
+        ),
+        "value {value:.6g} (se {std_error:.3g})",
+        sweep_columns=(("t_on", "t_off"), ("value", "std_error", "naive", "upper_bound")),
+        constant=lambda values: values["power_market"] == values["fuel_market"] and values["H"] == 1,
     ),
-    "storage": (
-        ("market", None, "str", lambda values, model: model.markets[0]),
-        ("n_days", "n_days", "int", 30),
-        ("v_min", "v_min", "float", _REQUIRED),
-        ("v_max", "v_max", "float", _REQUIRED),
-        ("v_0", "v_start", "float", _REQUIRED),
-        ("v_target", "v_target", "float", lambda values, model: values["v_0"]),
-        ("i_min", "withdraw_rate", "float", _REQUIRED),
-        ("i_max", "inject_rate", "float", _REQUIRED),
-        ("penalty_scale", "penalty_scale", "float", 2.0),
+    "storage": _ContractDecl(
+        StorageContract,
+        (
+            ("market", None, "str", lambda values, model: model.markets[0]),
+            ("n_days", "n_days", "int", 30),
+            ("v_min", "v_min", "float", _REQUIRED),
+            ("v_max", "v_max", "float", _REQUIRED),
+            ("v_0", "v_start", "float", _REQUIRED),
+            ("v_target", "v_target", "float", lambda values, model: values["v_0"]),
+            ("i_min", "withdraw_rate", "float", _REQUIRED),
+            ("i_max", "inject_rate", "float", _REQUIRED),
+            ("penalty_scale", "penalty_scale", "float", 2.0),
+        ),
+        "n_days", 1, _DAYS_PER_YEAR,
+        lambda c, paths, fresh, rate, plan: price_storage(c, paths, fresh, rate),
+        lambda r: dict(
+            deterministic=r.deterministic, deterministic_std_error=r.deterministic_std_error,
+            sdp_value=r.sdp.value, sdp_std_error=r.sdp.std_error,
+            out_of_sample=r.out_of_sample.value, out_of_sample_std_error=r.out_of_sample.std_error,
+            volume_grid_min=r.volume_grid[0], volume_grid_max=r.volume_grid[-1],
+            volume_grid_points=r.volume_grid.size,
+            grid_truncated_low=str(r.truncated_low).lower(),
+            grid_truncated_high=str(r.truncated_high).lower(),
+        ),
+        "sdp {sdp_value:.6g}, deterministic {deterministic:.6g}, out-of-sample {out_of_sample:.6g}",
+        extra_points=1,  # the shortfall penalty reads the spot the day after the window
+        fresh=True,
+        check=_storage_grid,
+        constant=lambda values: values["n_days"] == 1,
     ),
 }
 
 
 def _read_contract(cfg: RunConfig, name: str, model) -> dict:
     """Every declared key of the named contract file: its parsed value, else its default."""
-    path, keys = getattr(cfg, name), _CONTRACT_KEYS[name]
+    path, keys = getattr(cfg, name), _CONTRACTS[name].keys
     kinds = {key: kind for key, _, kind, _ in keys}
     values = {}
     for key, raw in _read_flat_config(path).items():
@@ -668,143 +737,65 @@ def _read_contract(cfg: RunConfig, name: str, model) -> dict:
     return values
 
 
-def _contract(cls, name: str, values: dict):
-    return cls(**{f: values[key] for key, f, _, _ in _CONTRACT_KEYS[name] if isinstance(f, str)})
-
-
-def _sweep(name: str, values: dict, contract, headline, price):
-    """(entry, result) for each entry of the contract's sweep keys.
-
-    An entry that leaves the contract as it is reuses the headline result:
-    the pricers are deterministic on the same paths.
-    """
-    for key, swept, _, _ in _CONTRACT_KEYS[name]:
-        if isinstance(swept, tuple):
-            for entry in values[key]:
-                varied = replace(contract, **dict.fromkeys(swept, entry))
-                yield entry, headline if varied == contract else price(varied)
-
-
 def _contract_markets(name: str, values: dict) -> list[str]:
     """The contract's markets, in declaration order, each once."""
-    return list(dict.fromkeys(values[key] for key, f, _, _ in _CONTRACT_KEYS[name] if f is None))
+    return list(dict.fromkeys(values[key] for key, f, _, _ in _CONTRACTS[name].keys if f is None))
 
 
-def _contract_paths(cfg: RunConfig, model, curves, name, spec, points, per_year, seed):
-    """Spot paths of the contract's markets: ``points`` grid times 1/per_year
-    apart, drawn at ``seed``; product i is market i of _contract_markets."""
-    markets = _contract_markets(name, spec)
-    sim_cfg = SimConfig(seed, cfg.n_paths, 1.0 / per_year, (points - 1) / per_year, cfg.antithetic)
-    means = _curve_means(cfg, curves, markets, sim_cfg.time_grid)
-    return simulate_spot(model, means, sim_cfg, markets)
+def _checked(path, name: str, where: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a ValidationError it raises names the contract
+    file, then ``where``, and each contract field by its file key."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        keys = {f: key for key, f, _, _ in _CONTRACTS[name].keys if isinstance(f, str)}
+        message = re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))
+        raise ValidationError(f"{path}: {where}{message}") from exc
 
 
-def _write_price(cfg: RunConfig, name, spec, lines, sweep_header=(), sweep_rows=()) -> None:
-    """price_<name>.txt: the contract's file keys in declaration order, sweeps
-    left out, the run's sampling settings, then the result lines; and
-    price_<name>_sweep.csv when the contract has sweep rows."""
-    head = [("contract", name)]
-    for key, f, kind, _ in _CONTRACT_KEYS[name]:
+def _price_contract(cfg: RunConfig, model, curves, name: str, spec: dict, contract, sweep) -> None:
+    """Price a contract of _configured_contracts on spot paths of its markets
+    (product i is market i of _contract_markets) and write price_<name>.txt:
+    the file keys in declaration order, sweeps left out, the run's sampling
+    settings, then the report; and price_<name>_sweep.csv, one row per sweep
+    entry. An entry equal to the headline contract reuses its result: every
+    entry prices the same paths on one regression plan."""
+    decl = _CONTRACTS[name]
+    markets, points = _contract_markets(name, spec), spec[decl.window] + decl.extra_points
+
+    def draw(seed):
+        sim_cfg = SimConfig(seed, cfg.n_paths, 1.0 / decl.per_year, (points - 1) / decl.per_year, cfg.antithetic)
+        return simulate_spot(model, _curve_means(cfg, curves, markets, sim_cfg.time_grid), sim_cfg, markets)
+
+    paths, plan = draw(cfg.need_seed()), _RegressionPlan()
+    fresh = draw((cfg.seed + 1) % 2**64) if decl.fresh else None
+
+    def price(c):
+        return decl.report(decl.price(c, paths, fresh, cfg.rate, plan))
+
+    result = price(contract)
+    entry_columns, value_columns = decl.sweep_columns
+    rows = []
+    for entry, varied in sweep:
+        values = result if varied == contract else price(varied)
+        rows.append([entry] * len(entry_columns) + [_fmt(values[c]) for c in value_columns])
+    lines = [("contract", name)]
+    for key, f, key_kind, _ in decl.keys:
         if not isinstance(f, tuple):
-            head.append((key, _fmt(spec[key]) if kind == "float" else spec[key]))
-    head += [("seed", cfg.seed), ("n_paths", cfg.n_paths), ("rate", _fmt(cfg.rate))]
-    _write_report(cfg.out_dir / f"price_{name}.txt", head + lines)
-    if sweep_rows:
-        _write_csv(cfg.out_dir / f"price_{name}_sweep.csv", sweep_header, sweep_rows)
-
-
-def _price_swing(cfg: RunConfig, model, curves, spec: dict, contract: SwingContract) -> None:
-    seed = cfg.need_seed()
-    paths = _contract_paths(cfg, model, curves, "swing", spec, contract.n_days, _DAYS_PER_YEAR, seed)
-    plan = _RegressionPlan()  # the sweep prices one spot window
-
-    def price(c):
-        return price_swing(c, paths, cfg.rate, plan=plan)
-
-    res = price(contract)
-    lines = [
-        ("value", _fmt(res.lsmc.value)),
-        ("std_error", _fmt(res.lsmc.std_error)),
-        ("lower_bound", _fmt(res.lower_bound)),
-        ("lower_bound_std_error", _fmt(res.lower_bound_std_error)),
-        ("upper_bound", _fmt(res.upper_bound)),
-        ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
-    ]
-    rows = [
-        [rights, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.lower_bound), _fmt(r.upper_bound)]
-        for rights, r in _sweep("swing", spec, contract, res, price)
-    ]
-    header = ["rights", "value", "std_error", "lower_bound", "upper_bound"]
-    _write_price(cfg, "swing", spec, lines, header, rows)
-    print(f"swing value {res.lsmc.value:.6g} (se {res.lsmc.std_error:.3g})")
-
-
-def _price_vpp(cfg: RunConfig, model, curves, spec: dict, contract: VppContract) -> None:
-    seed = cfg.need_seed()
-    paths = _contract_paths(cfg, model, curves, "vpp", spec, contract.n_hours, _HOURS_PER_YEAR, seed)
-    fuel = len(paths.product_keys) - 1  # one market when fuel is the power market
-    plan = _RegressionPlan()  # the sweep prices one spread
-
-    def price(c):
-        return price_vpp(c, paths, paths, cfg.rate, power_product=0, fuel_product=fuel, plan=plan)
-
-    res = price(contract)
-    lines = [
-        ("value", _fmt(res.lsmc.value)),
-        ("std_error", _fmt(res.lsmc.std_error)),
-        ("naive", _fmt(res.naive)),
-        ("naive_std_error", _fmt(res.naive_std_error)),
-        ("upper_bound", _fmt(res.upper_bound)),
-        ("upper_bound_std_error", _fmt(res.upper_bound_std_error)),
-    ]
-    rows = [
-        [lock, lock, _fmt(r.lsmc.value), _fmt(r.lsmc.std_error), _fmt(r.naive), _fmt(r.upper_bound)]
-        for lock, r in _sweep("vpp", spec, contract, res, price)
-    ]
-    header = ["t_on", "t_off", "value", "std_error", "naive", "upper_bound"]
-    _write_price(cfg, "vpp", spec, lines, header, rows)
-    print(f"vpp value {res.lsmc.value:.6g} (se {res.lsmc.std_error:.3g})")
-
-
-def _price_storage(cfg: RunConfig, model, curves, spec: dict, contract: StorageContract) -> None:
-    seed, points = cfg.need_seed(), contract.n_days + 1
-    paths = _contract_paths(cfg, model, curves, "storage", spec, points, _DAYS_PER_YEAR, seed)
-    fresh_seed = (seed + 1) % 2**64
-    fresh = _contract_paths(cfg, model, curves, "storage", spec, points, _DAYS_PER_YEAR, fresh_seed)
-    res = price_storage(contract, paths, fresh, cfg.rate)
-    lines = [
-        ("deterministic", _fmt(res.deterministic)),
-        ("deterministic_std_error", _fmt(res.deterministic_std_error)),
-        ("sdp_value", _fmt(res.sdp.value)),
-        ("sdp_std_error", _fmt(res.sdp.std_error)),
-        ("out_of_sample", _fmt(res.out_of_sample.value)),
-        ("out_of_sample_std_error", _fmt(res.out_of_sample.std_error)),
-        ("volume_grid_min", _fmt(res.volume_grid[0])),
-        ("volume_grid_max", _fmt(res.volume_grid[-1])),
-        ("volume_grid_points", res.volume_grid.size),
-        ("grid_truncated_low", str(res.truncated_low).lower()),
-        ("grid_truncated_high", str(res.truncated_high).lower()),
-    ]
-    _write_price(cfg, "storage", spec, lines)
-    print(
-        f"storage sdp {res.sdp.value:.6g}, deterministic {res.deterministic:.6g}, "
-        f"out-of-sample {res.out_of_sample.value:.6g}"
-    )
-
-
-# each contract's class, the key of its window, the shortest window it
-# prices, and its price stage
-_CONTRACT_STAGES = {
-    "swing": (SwingContract, "n_days", 2, _price_swing),
-    "vpp": (VppContract, "n_hours", 2, _price_vpp),
-    "storage": (StorageContract, "n_days", 1, _price_storage),
-}
+            lines.append((key, _fmt(spec[key]) if key_kind == "float" else spec[key]))
+    lines += [("seed", cfg.seed), ("n_paths", cfg.n_paths), ("rate", _fmt(cfg.rate))]
+    lines += [(key, _fmt(v) if isinstance(v, float) else v) for key, v in result.items()]
+    _write_report(cfg.out_dir / f"price_{name}.txt", lines)
+    if rows:
+        _write_csv(cfg.out_dir / f"price_{name}_sweep.csv", entry_columns + value_columns, rows)
+    print(f"{name} " + decl.stdout.format(**result))
 
 
 def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
-    """(price stage, file values, contract) of each configured contract,
-    checked before any path is drawn: its keys and fields, its markets
-    against the model, and the path count against its regressions.
+    """(name, file values, contract, sweep) of each configured contract,
+    checked before any path is drawn: its keys and fields, each sweep
+    entry's contract, given as (entry, contract), storage's volume grid, its
+    markets against the model, and the path count against its regressions.
 
     The path rule is lsmc_continuation's: at least min_samples_per_dim
     samples per basis function. It assumes simulated prices are
@@ -816,32 +807,37 @@ def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
     """
     lsmc = LsmcSettings()
     contracts = []
-    for name, (cls, window, shortest, price) in _CONTRACT_STAGES.items():
-        if not getattr(cfg, name):
+    for name, decl in _CONTRACTS.items():
+        path = getattr(cfg, name)
+        if not path:
             continue
         spec = _read_contract(cfg, name, model)
-        if spec[window] < shortest:
-            raise ValidationError(f"{name} contract: {window} must be at least {shortest}")
-        contract = _contract(cls, name, spec)
+        if spec[decl.window] < decl.shortest:
+            raise ValidationError(f"{name} contract: {decl.window} must be at least {decl.shortest}")
+        values = {f: spec[key] for key, f, _, _ in decl.keys if isinstance(f, str)}
+        contract = _checked(path, name, "", decl.cls, **values)
+        _checked(path, name, "", decl.check, contract)
+        sweep = [
+            (entry, _checked(path, name, f"sweep key {key!r} entry {entry}: ", replace, contract,
+                             **dict.fromkeys(swept, entry)))
+            for key, swept, _, _ in decl.keys if isinstance(swept, tuple) for entry in spec[key]
+        ]
         for market in _contract_markets(name, spec):
             model.row_index(market, 1)  # an unknown market raises here
-        constant = (name == "storage" and spec["n_days"] == 1) or (
-            name == "vpp" and spec["power_market"] == spec["fuel_market"] and spec["H"] == 1.0
-        )
-        need = lsmc.min_samples_per_dim * (1 if constant else lsmc.degree + 1)
+        need = lsmc.min_samples_per_dim * (1 if decl.constant(spec) else lsmc.degree + 1)
         if cfg.n_paths < need:
             raise ValidationError(
                 f"n_paths = {cfg.n_paths} is too few for the {name} contract: "
                 f"its continuation regressions need at least {need} paths"
             )
-        contracts.append((price, spec, contract))
+        contracts.append((name, spec, contract, sweep))
     return contracts
 
 
 def _pricing_inputs(cfg: RunConfig):
     """The calibrated model and curves, and the checked configured contracts,
     once some contract file is configured."""
-    if not (cfg.vpp or cfg.swing or cfg.storage):
+    if not any(getattr(cfg, name) for name in _CONTRACTS):
         raise ValidationError("no contract files configured (vpp/swing/storage)")
     model, curves = _load_model_and_curves(cfg)
     return model, curves, _configured_contracts(cfg, model)
@@ -851,8 +847,8 @@ def cmd_price(cfg: RunConfig, inputs) -> None:
     """Price each contract of _configured_contracts on the calibrated model and curves."""
     model, curves, contracts = inputs
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for price, spec, contract in contracts:
-        price(cfg, model, curves, spec, contract)
+    for contract in contracts:
+        _price_contract(cfg, model, curves, *contract)
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:

@@ -954,8 +954,8 @@ def _storage_grid(contract: StorageContract) -> tuple[np.ndarray, int, int, int,
     w_units = -contract.withdraw_rate / step
     if abs(i_units - round(i_units)) > 1e-9 or abs(w_units - round(w_units)) > 1e-9:
         raise ValidationError(
-            "inject and withdraw rates must be integer multiples of the smaller "
-            "rate so every move stays on the volume grid"
+            "inject_rate and withdraw_rate must be integer multiples of the "
+            "smaller rate so every move stays on the volume grid"
         )
     i_units, w_units = int(round(i_units)), int(round(w_units))
     tol = 1e-9 * max(1.0, abs(contract.v_max))

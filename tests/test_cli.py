@@ -640,7 +640,7 @@ def test_price_rejects_non_integer_sweep_entry(tmp_path, pipeline_out, capsys, k
 @pytest.mark.parametrize(
     "kind,spec,needle",
     [
-        ("swing", "K = nan\n", "strike must be finite"),
+        ("swing", "K = nan\n", "K must be finite"),
         (
             "storage",
             "v_min = 0\nv_max = inf\nv_0 = 0\ni_min = -1\ni_max = 1\n",
@@ -668,7 +668,7 @@ def test_price_rejects_non_finite_contract_field(
 # Contract and run-config keys, fuzzed from their declarations
 # ---------------------------------------------------------------------------
 
-CONTRACT_KEYS = hjmkit.cli._CONTRACT_KEYS
+CONTRACT_KEYS = {name: decl.keys for name, decl in hjmkit.cli._CONTRACTS.items()}
 
 # tiny valid contract files; empty markets and the missing v_target take
 # their defaults from the model and from v_0
@@ -721,9 +721,11 @@ def test_price_tiny_contract_takes_dynamic_defaults(tmp_path, pipeline_out, kind
         assert report["v_target"] == report["v_0"] == "10"
 
 
-def _fixture_price(pipeline_out, tmp_path, command, n_paths, monkeypatch) -> tuple[int, Path, list]:
-    """Run the fixture config's price (on the shared model) or pipeline
-    command at n_paths, counting the spot path sets drawn."""
+def _fixture_price(
+    pipeline_out, tmp_path, command, n_paths, monkeypatch, conf=PIPELINE_CONF
+) -> tuple[int, Path, list]:
+    """Run the fixture config's (or ``conf``'s) price (on the shared model)
+    or pipeline command at n_paths, counting the spot path sets drawn."""
     out = tmp_path / "out"
     out.mkdir()
     for name in ("model.json", "curves.csv"):
@@ -733,7 +735,7 @@ def _fixture_price(pipeline_out, tmp_path, command, n_paths, monkeypatch) -> tup
     monkeypatch.setattr(
         hjmkit.cli, "simulate_spot", lambda *args: drawn.append(1) or simulate(*args)
     )
-    argv = [command, "--config", str(PIPELINE_CONF), "--out", str(out), "--paths", str(n_paths)]
+    argv = [command, "--config", str(conf), "--out", str(out), "--paths", str(n_paths)]
     return main(argv), out, drawn
 
 
@@ -752,6 +754,46 @@ def test_fixture_contracts_price_at_forty_paths(pipeline_out, tmp_path, monkeypa
     rc, out, drawn = _fixture_price(pipeline_out, tmp_path, "price", 40, monkeypatch)
     assert rc == 0 and len(drawn) == 4  # swing, VPP, storage and its fresh paths
     assert read_report(out / "price_storage.txt")["n_paths"] == "40"
+
+
+def _fixture_with_contract(tmp_path, kind, edit) -> Path:
+    """A copy of the fixture run config whose ``kind`` contract file is the
+    fixture's with ``edit`` (key -> value) applied."""
+    source = ROOT / "fixtures" / f"{kind}.conf"
+    entries = dict(line.split(" = ", 1) for line in source.read_text().splitlines() if " = " in line)
+    spec = tmp_path / f"{kind}.conf"
+    spec.write_text("".join(f"{key} = {value}\n" for key, value in {**entries, **edit}.items()))
+    conf = tmp_path / "run.conf"
+    lines = PIPELINE_CONF.read_text().splitlines()
+    conf.write_text("".join(f"{kind} = {spec}\n" if line.startswith(f"{kind} =") else line + "\n" for line in lines))
+    return conf
+
+
+@pytest.mark.parametrize("command", ["price", "pipeline"])
+@pytest.mark.parametrize(
+    "kind,edit,needle",
+    [
+        (
+            "swing", {"sweep_rights": "1,31"},
+            "sweep key 'sweep_rights' entry 31: u_max and d_max must lie in [0, n_days]",
+        ),
+        (
+            "vpp", {"sweep_lock_hours": "0,2"},
+            "sweep key 'sweep_lock_hours' entry 0: t_on and t_off must be at least 1",
+        ),
+        ("storage", {"v_target": "5000"}, "v_target is not on the volume grid"),
+        ("storage", {"i_max": "15000"}, "i_max and i_min must be integer multiples"),
+    ],
+    ids=["swing-rights-past-window", "vpp-lock-zero", "storage-target-off-grid", "storage-rates"],
+)
+def test_bad_sweep_entry_or_storage_grid_rejected_before_any_path_is_drawn(
+    pipeline_out, tmp_path, capsys, monkeypatch, command, kind, edit, needle
+):
+    conf = _fixture_with_contract(tmp_path, kind, edit)
+    rc, out, drawn = _fixture_price(pipeline_out, tmp_path, command, 40, monkeypatch, conf)
+    _assert_clean_validation_exit(rc, capsys, f"{tmp_path / f'{kind}.conf'}: {needle}")
+    assert drawn == [] and not (out / "paths.csv").exists()
+    assert not list(out.glob("price_*"))
 
 
 @pytest.mark.parametrize(
@@ -820,16 +862,25 @@ def test_config_rejects_unparseable_or_non_finite_value(tmp_path, key, value):
 
 
 def test_readme_lists_every_contract_key():
+    """README's table of each contract lists exactly the declared keys, in
+    declaration order, with their kinds, and marks the required ones."""
     readme = (ROOT / "README.md").read_text()
     section = readme[readme.index("## Contract files") :]
     section = section[: section.index("\n## ", 1)]
-    for kind, keys in CONTRACT_KEYS.items():
-        table = section[section.index(f"### `{kind}`") :]
-        for key, _, key_kind, default in keys:
-            row = f"| `{key}` | {key_kind} | "
-            assert row in table, row
-            required = table[table.index(row) + len(row) :].startswith("required")
-            assert required == (default is hjmkit.cli._REQUIRED), key
+    tables = section.split("\n### ")[1:]
+    assert [t.split("\n", 1)[0] for t in tables] == [f"`{kind}`" for kind in CONTRACT_KEYS]
+    for table, (kind, keys) in zip(tables, CONTRACT_KEYS.items()):
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()
+            if line.startswith("| `")
+        ]
+        assert [(key, key_kind) for key, key_kind, _, _ in rows] == [
+            (f"`{key}`", key_kind) for key, _, key_kind, _ in keys
+        ], kind
+        assert [default == "required" for _, _, default, _ in rows] == [
+            default is hjmkit.cli._REQUIRED for _, _, _, default in keys
+        ], kind
 
 
 def test_import_loads_no_scipy():

@@ -42,8 +42,8 @@ from .calibration import (
 )
 from .curve import (
     StepwiseCurve,
+    _bootstrap_table,
     _curve_as_written,
-    bootstrap_boards,
     extract_fixed_delivery,
     read_curve_csv,
     write_curve_csv,
@@ -53,6 +53,7 @@ from .errors import HjmkitError, ValidationError
 from .marketdata import (
     LogReturnMatrix,
     RelativePanel,
+    _read_quotes,
     acf,
     build_relative_panel,
     combine_log_returns,
@@ -60,7 +61,6 @@ from .marketdata import (
     filter_outliers,
     log_returns,
     normality_diagnostics,
-    parse_quotes,
     parse_tenor,
     read_panel_csv,
     write_panel_csv,
@@ -224,7 +224,7 @@ def _read_flat_config(path) -> dict[str, str]:
     parser.optionxform = str
     try:
         parser.read_string("[run]\n" + Path(path).read_text())
-    except (configparser.Error, OSError) as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     return dict(parser["run"])
 
@@ -249,24 +249,24 @@ def load_run_config(path=None, **overrides) -> RunConfig:
 
 
 def _load_boards(cfg: RunConfig):
-    """Parse the quotes and bootstrap every (market, date) board in one call.
+    """Read the quotes and bootstrap every (market, date) board in one call.
 
-    Returns (quotes, issues, {(market, date): (board_quotes, curve, report)})
-    with the boards in key order.
+    Returns (quote table, issues, {(market, date): board fit}) with the
+    boards in key order.
     """
     if not cfg.quotes:
         raise ValidationError("config key 'quotes' (input CSV) is required")
-    quotes, issues = parse_quotes(cfg.quotes)
+    table, issues = _read_quotes(cfg.quotes)
+    if not len(table):
+        raise ValidationError(
+            f"no valid quotes in {cfg.quotes}: {len(issues)} rows skipped, the first at {issues[0]}"
+        )
     if cfg.markets:
         wanted = set(cfg.markets)
-        quotes = [q for q in quotes if q.market in wanted]
-        if not quotes:
+        table = table.take(np.isin(table.market, [i for i, m in enumerate(table.markets) if m in wanted]))
+        if not len(table):
             raise ValidationError(f"no quotes for requested markets {sorted(wanted)}")
-    grouped: dict[tuple[str, date], list] = {}
-    for q in quotes:
-        grouped.setdefault((q.market, q.trading_date), []).append(q)
-    boards = {k: (grouped[k], *fit) for k, fit in bootstrap_boards(grouped).items()}
-    return quotes, issues, boards
+    return table, issues, _bootstrap_table(table)
 
 
 def _latest_curves(curves: dict[tuple[str, date], StepwiseCurve]) -> dict[str, StepwiseCurve]:
@@ -321,15 +321,15 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
     """Write each market's panel and the return diagnostics; return the
     panels as their files read back."""
-    quotes, issues, boards = loaded
-    markets = cfg.markets or sorted({q.market for q in quotes})
+    table, issues, boards = loaded
+    markets = cfg.markets or table.markets
     labels = default_tenor_labels(cfg.n_month_tenors, cfg.n_quarter_tenors, cfg.n_year_tenors)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     notes: list[str] = []
 
     panels, written = {}, []
     for market in markets:
-        curves = {d: cv for (mk, d), (_, cv, _) in boards.items() if mk == market}
+        curves = {d: fit.curve for (mk, d), fit in boards.items() if mk == market}
         if not curves:
             raise ValidationError(f"no usable quotes for market {market!r}")
         panel = build_relative_panel(market, curves, labels)
@@ -416,7 +416,7 @@ def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
             notes.append(f"correlation surfaces skipped: {exc}")
 
     report = [("quotes_file", cfg.quotes), ("markets", ",".join(markets))]
-    report += [("n_quotes", len(quotes)), ("n_skipped_rows", len(issues))]
+    report += [("n_quotes", len(table)), ("n_skipped_rows", len(issues))]
     for issue in issues:
         report.append(("skipped_row", str(issue)))
     for (market, tenor), count in sorted(removed_total.items()):
@@ -432,20 +432,20 @@ def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
 def cmd_curve(cfg: RunConfig, loaded) -> None:
     _, _, boards = loaded
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    curves = [cv for _, cv, _ in boards.values()]
+    curves = [fit.curve for fit in boards.values()]
     write_curve_csv(curves, cfg.path_curves())
     rows = []
     worst = 0.0
-    for (market, as_of), (_, curve, report) in boards.items():
-        residual = report.max_quote_residual
+    for (market, as_of), fit in boards.items():
+        residual = fit.max_quote_residual
         worst = max(worst, residual)
         rows.append(
             [
                 as_of.isoformat(),
                 market,
-                len(curve.months),
-                len(report.removed),
-                len(report.fill_groups),
+                len(fit.curve.months),
+                fit.n_removed,
+                fit.n_fills,
                 _fmt(residual),
             ]
         )
@@ -862,7 +862,7 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     loaded = _load_boards(cfg)  # one parse and one bootstrap per board
     panels = cmd_ingest(cfg, loaded)
     cmd_curve(cfg, loaded)
-    latest = _latest_curves({key: curve for key, (_, curve, _) in loaded[2].items()})
+    latest = _latest_curves({key: fit.curve for key, fit in loaded[2].items()})
     curves = {market: _curve_as_written(curve) for market, curve in latest.items()}
     del loaded, latest
     cmd_calibrate(cfg, panels)

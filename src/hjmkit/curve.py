@@ -23,13 +23,13 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dates import add_months, days_in_month, month_end, month_start
 from .errors import HjmkitError, InfeasibleCurveError, ValidationError
-from .marketdata import QuotedSwap, _csv_field
+from .marketdata import QuotedSwap, _QuoteTable, _Window, _csv_field, _window
 
 RESIDUAL_TOL = 1e-9
 
@@ -128,12 +128,12 @@ class _LayoutPlan:
     day-weight matrix that gives every window average in one product.
     """
 
-    def __init__(self, quotes: Sequence[QuotedSwap]):
-        first: dict[tuple[date, date], int] = {}
+    def __init__(self, windows: Sequence[_Window]):
+        first: dict[_Window, int] = {}
         self.dup_pairs: list[tuple[int, int]] = []  # (first, later), later ascending
         self.kept: list[int] = []
-        for i, q in enumerate(quotes):
-            j = first.setdefault((q.delivery_start, q.delivery_end), i)
+        for i, w in enumerate(windows):
+            j = first.setdefault(w, i)
             if j == i:
                 self.kept.append(i)
             else:
@@ -143,30 +143,28 @@ class _LayoutPlan:
         # coarse window make the coarse quote redundant.
         finer_cover: dict[str, set[date]] = {"quarter": set(), "year": set()}
         for i in self.kept:
-            q = quotes[i]
-            if q.granularity == "month":
-                finer_cover["quarter"].update(q.window_months)
-                finer_cover["year"].update(q.window_months)
-            elif q.granularity == "quarter":
-                finer_cover["year"].update(q.window_months)
+            w = windows[i]
+            if w.granularity == "month":
+                finer_cover["quarter"].update(w.months)
+                finer_cover["year"].update(w.months)
+            elif w.granularity == "quarter":
+                finer_cover["year"].update(w.months)
         self.removed: list[int] = []
         retained = []
         for i in self.kept:
-            q = quotes[i]
-            if q.granularity != "month" and all(
-                m in finer_cover[q.granularity] for m in q.window_months
-            ):
+            w = windows[i]
+            if w.granularity != "month" and all(m in finer_cover[w.granularity] for m in w.months):
                 self.removed.append(i)
             else:
                 retained.append(i)
 
-        month_quotes = [i for i in retained if quotes[i].granularity == "month"]
-        determined = {quotes[i].delivery_start for i in month_quotes}
+        month_quotes = [i for i in retained if windows[i].granularity == "month"]
+        determined = {windows[i].start for i in month_quotes}
         # Coarse products from fine to coarse; same-granularity windows are
         # disjoint so the order within a granularity does not matter.
         fill_order = sorted(
-            (i for i in retained if quotes[i].granularity != "month"),
-            key=lambda i: (_GRAN_ORDER[quotes[i].granularity], quotes[i].delivery_start),
+            (i for i in retained if windows[i].granularity != "month"),
+            key=lambda i: (_GRAN_ORDER[windows[i].granularity], windows[i].start),
         )
         # Every fill finds an undetermined bucket: calendar windows of one
         # granularity are equal or disjoint, so a retained coarse window
@@ -174,7 +172,7 @@ class _LayoutPlan:
         # covered by finer quotes and dominance would have removed it.
         fills = []  # (quote, pinned months, total weight, undetermined months)
         for i in fill_order:
-            window = quotes[i].window_months
+            window = windows[i].months
             undetermined = tuple(m for m in window if m not in determined)
             pinned = [m for m in window if m in determined]
             fills.append((i, pinned, sum(float(days_in_month(m)) for m in window), undetermined))
@@ -183,7 +181,7 @@ class _LayoutPlan:
         self.months = sorted(determined)
         col = {m: c for c, m in enumerate(self.months)}
         self.weights = np.array([float(days_in_month(m)) for m in self.months])
-        self.month_cols = [(i, col[quotes[i].delivery_start]) for i in month_quotes]
+        self.month_cols = [(i, col[windows[i].start]) for i in month_quotes]
         self.fills = [
             _Fill(
                 i,
@@ -195,9 +193,9 @@ class _LayoutPlan:
             )
             for i, pinned, total_w, undetermined in fills
         ]
-        self.day_weights = np.zeros((len(quotes), len(self.months)))
-        for i, q in enumerate(quotes):
-            for m in q.window_months:
+        self.day_weights = np.zeros((len(windows), len(self.months)))
+        for i, w in enumerate(windows):
+            for m in w.months:
                 self.day_weights[i, col[m]] = float(days_in_month(m))
         self.window_days = self.day_weights.sum(axis=1)
 
@@ -213,27 +211,34 @@ class _Fill(NamedTuple):
     open_months: tuple[date, ...]
 
 
+class _LayoutFit(NamedTuple):
+    """The boards of one layout fitted as arrays, one row per board."""
+
+    alive: list[int]  # rows that fit; only their values are read
+    values: np.ndarray  # boards x plan.months
+    flats: np.ndarray  # boards x plan.fills
+    resid: np.ndarray  # boards x quotes, relative residuals
+    failures: dict[int, HjmkitError]  # row -> its first error
+
+
 def _fit_layout(
-    plan: _LayoutPlan,
-    keys: list[tuple[str, date]],
-    boards: dict[tuple[str, date], Sequence[QuotedSwap]],
-    fitted: dict,
-    failures: dict,
-) -> None:
-    """Fit every board of one layout as arrays.
+    plan: _LayoutPlan, prices: np.ndarray, board: Callable[[int], Sequence[QuotedSwap]]
+) -> _LayoutFit:
+    """Fit every board of one layout, ``prices`` holding one row per board.
 
     Each flat fill repeats the per-quote arithmetic of a single board
     column by column (``pinned`` summed left to right in window order), so
     every curve value has the bits a one-board fit gives it. A board's first
-    failure, in the order a single fit meets them, goes to ``failures``.
+    failure, in the order a single fit meets them, is recorded; board(b),
+    board b's quotes, is asked for only to name a failure.
     """
-    prices = np.array([[q.price for q in boards[k]] for k in keys])
-    alive = np.ones(len(keys), dtype=bool)
+    alive = np.ones(len(prices), dtype=bool)
+    failures: dict[int, HjmkitError] = {}
 
     def fail(bad: np.ndarray, error) -> None:
         """Record error(b, quotes) for each live board b in ``bad``."""
-        for b in np.flatnonzero(bad & alive):
-            failures[keys[b]] = error(b, boards[keys[b]])
+        for b in np.flatnonzero(bad & alive).tolist():
+            failures[b] = error(b, board(b))
         alive[bad] = False
 
     for j, i in plan.dup_pairs:
@@ -247,8 +252,8 @@ def _fit_layout(
             ),
         )
 
-    values = np.full((len(keys), len(plan.months)), np.nan)
-    flats = np.empty((len(keys), len(plan.fills)))
+    values = np.full((len(prices), len(plan.months)), np.nan)
+    flats = np.empty((len(prices), len(plan.fills)))
     for i, c in plan.month_cols:
         values[:, c] = prices[:, i]
     with np.errstate(all="ignore"):  # failed boards may overflow; they are masked
@@ -287,25 +292,55 @@ def _fit_layout(
             conflicts=[qs[i] for i, o in zip(plan.kept, over[b]) if o],
         ),
     )
+    return _LayoutFit(np.flatnonzero(alive).tolist(), values, flats, resid, failures)
 
-    kept_resid = resid[:, plan.kept].tolist()
-    worst = resid.max(axis=1).tolist()
-    flat_rows = flats.tolist()
-    for b in np.flatnonzero(alive).tolist():
-        market, as_of = key = keys[b]
-        qs = boards[key]
-        curve = StepwiseCurve(
-            market, as_of, list(plan.months), values[b], plan.weights.copy()
-        )
-        report = BootstrapReport(
-            removed=[qs[i] for i in plan.removed],
-            residuals=list(zip([qs[i] for i in plan.kept], kept_resid[b])),
-            fill_groups=[
-                FillGroup(qs[f.quote], f.open_months, v) for f, v in zip(plan.fills, flat_rows[b])
-            ],
-            max_quote_residual=worst[b],
-        )
-        fitted[key] = (curve, report)
+
+class _BoardFit(NamedTuple):
+    """A board's curve and what curve_report.csv prints of its fit."""
+
+    curve: StepwiseCurve
+    n_removed: int
+    n_fills: int
+    max_quote_residual: float
+
+
+def _bootstrap_table(table: _QuoteTable) -> dict[tuple[str, date], _BoardFit]:
+    """Fit every (market, trading date) board of a quote table.
+
+    A board is a run of a stable argsort on the (market, date) codes, so it
+    keeps its quotes in file order and the boards come in key order. Its
+    layout is its tuple of window codes; each layout's plan is derived once
+    and its boards x quotes prices taken by one fancy index. Raises what
+    bootstrap_boards raises on the same boards.
+    """
+    n_dates = len(table.dates)
+    board = table.market * n_dates + table.day
+    order = np.argsort(board, kind="stable")
+    board = board[order]
+    first = np.flatnonzero(np.r_[True, board[1:] != board[:-1]])
+    bounds = np.r_[first, board.size].tolist()
+    window = table.window[order].tolist()
+    layouts: dict[tuple[int, ...], list[int]] = {}
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        layouts.setdefault(tuple(window[lo:hi]), []).append(b)
+    keys = [(table.markets[k // n_dates], table.dates[k % n_dates]) for k in board[first].tolist()]
+    price = table.price[order]
+
+    fitted: dict[tuple[str, date], _BoardFit] = {}
+    failures: dict[tuple[str, date], HjmkitError] = {}
+    for layout, boards in layouts.items():
+        rows = first[boards][:, None] + np.arange(len(layout))  # sorted rows of each board
+        plan = _LayoutPlan([table.windows[c] for c in layout])
+        fit = _fit_layout(plan, price[rows], lambda b: list(map(table.quote, order[rows[b]].tolist())))
+        failures.update((keys[boards[b]], error) for b, error in fit.failures.items())
+        worst = fit.resid.max(axis=1).tolist()
+        for b in fit.alive:
+            market, as_of = key = keys[boards[b]]
+            curve = StepwiseCurve(market, as_of, list(plan.months), fit.values[b], plan.weights.copy())
+            fitted[key] = _BoardFit(curve, len(plan.removed), len(plan.fills), worst[b])
+    if failures:
+        raise failures[min(failures)]
+    return {key: fitted[key] for key in keys}
 
 
 def bootstrap_boards(
@@ -338,8 +373,28 @@ def bootstrap_boards(
         layouts.setdefault(layout, []).append(key)
 
     fitted: dict[tuple[str, date], tuple[StepwiseCurve, BootstrapReport]] = {}
-    for keys in layouts.values():
-        _fit_layout(_LayoutPlan(boards[keys[0]]), keys, boards, fitted, failures)
+    for layout, keys in layouts.items():
+        plan = _LayoutPlan([_window(start, end) for start, end in layout])
+        prices = np.array([[q.price for q in boards[k]] for k in keys])
+        fit = _fit_layout(plan, prices, lambda b: boards[keys[b]])
+        failures.update((keys[b], error) for b, error in fit.failures.items())
+        kept_resid = fit.resid[:, plan.kept].tolist()
+        worst = fit.resid.max(axis=1).tolist()
+        flat_rows = fit.flats.tolist()
+        for b in fit.alive:
+            market, as_of = key = keys[b]
+            qs = boards[key]
+            curve = StepwiseCurve(market, as_of, list(plan.months), fit.values[b], plan.weights.copy())
+            report = BootstrapReport(
+                removed=[qs[i] for i in plan.removed],
+                residuals=list(zip([qs[i] for i in plan.kept], kept_resid[b])),
+                fill_groups=[
+                    FillGroup(qs[f.quote], f.open_months, v)
+                    for f, v in zip(plan.fills, flat_rows[b])
+                ],
+                max_quote_residual=worst[b],
+            )
+            fitted[key] = (curve, report)
     if failures:
         raise failures[min(failures)]
     return {key: fitted[key] for key in sorted(fitted)}
@@ -394,20 +449,22 @@ _CURVE_HEADER = ["as_of", "market", "bucket_start", "bucket_end", "value", "weig
 
 def write_curve_csv(curves: Sequence[StepwiseCurve], path) -> None:
     """One row per bucket: as_of,market,bucket_start,bucket_end,value,weight."""
-    spans: dict[date, str] = {}  # month -> "start,end", formatted once per month
+    # (month, weight) -> ("start,end," and ",weight\n"), each formatted once
+    buckets: dict[tuple[date, float], tuple[str, str]] = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CURVE_HEADER) + "\n")
         for curve in curves:
-            for m in curve.months:
-                if m not in spans:
-                    spans[m] = f"{m.isoformat()},{month_end(m).isoformat()}"
-            lead = f"{curve.as_of.isoformat()},{_csv_field(curve.market)}"
+            keys = list(zip(curve.months, curve.weights.tolist()))
+            for m, w in keys:
+                if (m, w) not in buckets:
+                    buckets[m, w] = (f"{m.isoformat()},{month_end(m).isoformat()},", f",{w:.10g}\n")
+            lead = f"{curve.as_of.isoformat()},{_csv_field(curve.market)},"
             fh.write(
                 "".join(
                     [
-                        f"{lead},{spans[m]},{v:.10g},{w:.10g}\n"
-                        for m, v, w in zip(
-                            curve.months, curve.values.tolist(), curve.weights.tolist()
+                        f"{lead}{span}{v:.10g}{weight}"
+                        for (span, weight), v in zip(
+                            map(buckets.__getitem__, keys), curve.values.tolist()
                         )
                     ]
                 )

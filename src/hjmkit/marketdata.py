@@ -24,12 +24,13 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,8 +109,7 @@ class QuotedSwap:
     @functools.cached_property
     def window_months(self) -> list[date]:
         """Month starts covered by the delivery window (built once per quote)."""
-        n = month_span(self.delivery_start, self.delivery_end)
-        return [add_months(self.delivery_start, i) for i in range(n)]
+        return list(_window(self.delivery_start, self.delivery_end).months)
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,199 @@ class RowIssue:
         return f"line {self.line}: {self.message}"
 
 
+class _Window(NamedTuple):
+    """One delivery window, classified once: bounds, granularity, month starts."""
+
+    start: date
+    end: date
+    granularity: str
+    months: tuple[date, ...]
+
+
+def _window(start: date, end: date) -> _Window:
+    """The window [start, end]; raises what classify_granularity raises."""
+    granularity = classify_granularity(start, end)
+    return _Window(
+        start, end, granularity, tuple(add_months(start, i) for i in range(month_span(start, end)))
+    )
+
+
+@dataclass(frozen=True)
+class _QuoteTable:
+    """The valid quotes of a file as columns, in file order.
+
+    ``markets``, ``dates`` and ``windows`` hold each distinct value once,
+    sorted; ``market``, ``day`` and ``window`` hold each quote's codes into
+    them, so ordering by codes orders by values.
+    """
+
+    markets: list[str]
+    dates: list[date]
+    windows: list[_Window]
+    market: np.ndarray
+    day: np.ndarray
+    window: np.ndarray
+    price: np.ndarray
+
+    def __len__(self) -> int:
+        return self.price.size
+
+    def take(self, rows) -> _QuoteTable:
+        """The quotes at ``rows`` (a mask or indices), coded as before."""
+        return replace(
+            self,
+            market=self.market[rows],
+            day=self.day[rows],
+            window=self.window[rows],
+            price=self.price[rows],
+        )
+
+    def quote(self, row: int) -> QuotedSwap:
+        w = self.windows[self.window[row]]
+        return QuotedSwap(
+            self.markets[self.market[row]],
+            self.dates[self.day[row]],
+            w.start,
+            w.end,
+            float(self.price[row]),
+            w.granularity,
+        )
+
+
+def _column(cells: Sequence[str], parse) -> tuple[np.ndarray, list[str], list]:
+    """Code a column by its stripped text, parsing each distinct text once.
+
+    Returns (codes, texts, values): ``texts`` holds the distinct stripped
+    texts, ``values`` each one parsed, or the ValueError that parse raised.
+    """
+    stripped = {cell: cell.strip() for cell in dict.fromkeys(cells)}
+    texts = list(dict.fromkeys(stripped.values()))
+    index = {text: i for i, text in enumerate(texts)}
+    code = {cell: index[text] for cell, text in stripped.items()}
+    values = []
+    for text in texts:
+        try:
+            values.append(parse(text))
+        except ValueError as exc:
+            values.append(exc)
+    return np.fromiter(map(code.__getitem__, cells), np.intp, len(cells)), texts, values
+
+
+def _failed(values: list) -> np.ndarray:
+    return np.array([isinstance(v, Exception) for v in values], dtype=bool)
+
+
+def _ordinals(days: list) -> np.ndarray:
+    """Each parsed date's ordinal; 1 (never read) where it did not parse."""
+    return np.array([d.toordinal() if isinstance(d, date) else 1 for d in days], dtype=np.int64)
+
+
+def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell as a float (NaN where it does not parse) and the unparsed mask.
+
+    Prices are mostly distinct, so they are parsed cell by cell, not coded.
+    """
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), np.zeros(len(cells), dtype=bool)
+    except ValueError:  # some cell does not parse: find which
+        codes, _, values = _column(cells, float)
+        unparsed = _failed(values)
+        return np.array([math.nan if u else v for v, u in zip(values, unparsed)])[codes], unparsed[codes]
+
+
+_ORDINAL_SPAN = date.max.toordinal() + 1  # window key: start ordinal * span + end ordinal
+
+
+def _read_quotes(source) -> tuple[_QuoteTable, list[RowIssue]]:
+    """Read a quotes CSV into a _QuoteTable of its valid rows, plus its issues.
+
+    Each distinct date, market and window text is parsed or classified
+    once. The checks run as array masks in the order parse_quotes states
+    them, and a row gets the issue of the first check it fails.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "r", newline="") as fh:
+                return _read_quotes(fh)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"cannot decode quotes file {source}: {exc}") from None
+
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError("quotes file is empty")
+    if [h.strip() for h in header] != QUOTES_HEADER:
+        raise ValidationError(
+            f"bad quotes header {header!r}; expected {','.join(QUOTES_HEADER)}"
+        )
+    rows = list(reader)
+    five = np.fromiter(map(len, rows), np.intp, len(rows)) == 5
+    issues = [
+        RowIssue(i + 2, f"expected 5 fields, got {len(rows[i])}")
+        for i in np.flatnonzero(~five).tolist()
+        if any(cell.strip() for cell in rows[i])
+    ]
+    full = rows if five.all() else list(itertools.compress(rows, five))
+    line = np.flatnonzero(five) + 2
+    trading, market, start, end, price = zip(*full) if full else ((),) * 5
+    t, _, t_day = _column(trading, date.fromisoformat)
+    m, m_text, _ = _column(market, str)
+    s, _, s_day = _column(start, date.fromisoformat)
+    e, e_text, e_day = _column(end, date.fromisoformat)
+    empty_m = np.array([not text for text in m_text], dtype=bool)
+    maybe_blank = empty_m[m] & np.array([not text for text in e_text], dtype=bool)[e]
+    ok = ~maybe_blank  # rows still valid; a blank row is skipped without an issue
+    ok[maybe_blank] = [any(c.strip() for c in row) for row in itertools.compress(full, maybe_blank)]
+    if not (issues or ok.any()):
+        raise ValidationError("quotes file has a header but no data rows")
+
+    def reject(bad: np.ndarray, message) -> None:
+        """Record message(i) for each row i still valid in ``bad``."""
+        issues.extend(RowIssue(int(line[i]), message(i)) for i in np.flatnonzero(ok & bad).tolist())
+        ok[bad] = False
+
+    def bad_date(i: int) -> str:
+        exc = next(v for v in (t_day[t[i]], s_day[s[i]], e_day[e[i]]) if isinstance(v, ValueError))
+        return f"bad date: {exc}"
+
+    reject(_failed(t_day)[t] | _failed(s_day)[s] | _failed(e_day)[e], bad_date)
+    value, unparsed = _floats(price)
+    reject(unparsed, lambda i: f"bad price {price[i].strip()!r}")
+    reject(empty_m[m], lambda i: "market identifier is empty")
+    reject(
+        ~(np.isfinite(value) & (value > 0)),
+        lambda i: f"price must be positive and finite, got {float(value[i])}",
+    )
+    t_ord, e_ord = _ordinals(t_day)[t], _ordinals(e_day)[e]
+    keys, w = np.unique(_ordinals(s_day)[s] * _ORDINAL_SPAN + e_ord, return_inverse=True)
+    windows = []
+    for key in keys.tolist():
+        try:
+            windows.append(_window(*map(date.fromordinal, divmod(key, _ORDINAL_SPAN))))
+        except ValidationError as exc:
+            windows.append(exc)
+    reject(_failed(windows)[w], lambda i: str(windows[w[i]]))
+    reject(t_ord > e_ord, lambda i: "trading_date is after the end of delivery")
+    issues.sort(key=lambda issue: issue.line)
+
+    kept = np.flatnonzero(ok)
+    used_m = sorted(set(m[kept].tolist()), key=m_text.__getitem__)
+    rank = np.zeros(len(m_text), dtype=np.intp)
+    rank[used_m] = np.arange(len(used_m))
+    days, day = np.unique(t_ord[kept], return_inverse=True)
+    used_w, window = np.unique(w[kept], return_inverse=True)
+    table = _QuoteTable(
+        [m_text[c] for c in used_m],
+        list(map(date.fromordinal, days.tolist())),
+        [windows[k] for k in used_w.tolist()],
+        rank[m[kept]],
+        day,
+        window,
+        value[kept],
+    )
+    return table, issues
+
+
 def parse_quotes(source) -> tuple[list[QuotedSwap], list[RowIssue]]:
     """Parse a quotes CSV into validated records plus a rejection report.
 
@@ -130,52 +323,12 @@ def parse_quotes(source) -> tuple[list[QuotedSwap], list[RowIssue]]:
     exactly ``trading_date,market,delivery_start,delivery_end,price``.
     Malformed or invariant-violating rows are collected as RowIssue entries
     (1-based physical line numbers) instead of aborting the parse; a file
-    with no valid header or no data rows raises ValidationError.
+    with no valid header or no data rows raises ValidationError. A row is
+    checked for its field count, then its three dates, its price text, its
+    market, its price value, its window and its trading date, in that order.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", newline="") as fh:
-            return parse_quotes(fh)
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("quotes file is empty") from None
-    if [h.strip() for h in header] != QUOTES_HEADER:
-        raise ValidationError(
-            f"bad quotes header {header!r}; expected {','.join(QUOTES_HEADER)}"
-        )
-
-    quotes: list[QuotedSwap] = []
-    issues: list[RowIssue] = []
-    saw_rows = False
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        saw_rows = True
-        if len(row) != 5:
-            issues.append(RowIssue(line_no, f"expected 5 fields, got {len(row)}"))
-            continue
-        raw = [cell.strip() for cell in row]
-        try:
-            trading = date.fromisoformat(raw[0])
-            start = date.fromisoformat(raw[2])
-            end = date.fromisoformat(raw[3])
-        except ValueError as exc:
-            issues.append(RowIssue(line_no, f"bad date: {exc}"))
-            continue
-        try:
-            price = float(raw[4])
-        except ValueError:
-            issues.append(RowIssue(line_no, f"bad price {raw[4]!r}"))
-            continue
-        try:
-            quotes.append(QuotedSwap(raw[1], trading, start, end, price))
-        except ValidationError as exc:
-            issues.append(RowIssue(line_no, str(exc)))
-    if not saw_rows:
-        raise ValidationError("quotes file has a header but no data rows")
-    return quotes, issues
+    table, issues = _read_quotes(source)
+    return [table.quote(i) for i in range(len(table))], issues
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,10 @@ def _lognormal_blocks(
         if x.shape[1]:
             # einsum, not a multiply-add per factor: the two agree bit for bit
             # only up to 2 factors (numpy 2.4.6 differs from 3 factors on), and
-            # the blocks must keep the bits of the whole-grid pass
-            np.einsum("pkj,nj->pkn", z[:, steps], rows[cols], out=x)
+            # the blocks must keep the bits of the whole-grid pass; a matmul
+            # is faster but differs too. A contiguous copy of the block's
+            # normals runs it about twice as fast as the strided slice.
+            np.einsum("pkj,nj->pkn", np.ascontiguousarray(z[:, steps]), rows[cols], out=x)
             x *= scale[steps, cols]
             x += drift[steps, cols]
             if s.start:

@@ -23,7 +23,7 @@ from hjmkit.cli import RunConfig, load_run_config, main
 from hjmkit.curve import StepwiseCurve, read_curve_csv, write_curve_csv
 from hjmkit.dates import add_months, month_start
 from hjmkit.errors import ValidationError
-from hjmkit.marketdata import read_panel_csv
+from hjmkit.marketdata import parse_quotes, read_panel_csv
 from hjmkit.pricing import (
     StorageContract,
     SwingContract,
@@ -298,6 +298,40 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     conf.write_text(f"quotes = {quotes}\nout = {tmp_path / 'out'}\n")
     assert main(["curve", "--config", str(conf)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "curve", "pipeline"])
+def test_exit_code_every_quote_row_rejected(tmp_path, capsys, command):
+    """No market line and no valid quote: exit 1 naming the file, the
+    skipped-row count and the first issue, not empty artifacts or a crash."""
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text(
+        "trading_date,market,delivery_start,delivery_end,price\n"
+        "2020-01-02,DE,2020-02-01,2020-02-29,-1\n"
+        "2020-01-XX,DE,2020-03-01,2020-03-31,40.0\n"
+    )
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"quotes = {quotes}\nout = {tmp_path / 'out'}\nseed = 1\n")
+    rc = main([command, "--config", str(conf)])
+    _assert_clean_validation_exit(
+        rc, capsys, str(quotes), "2 rows skipped", "line 2: price must be positive and finite"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_input_files_not_text(tmp_path, capsys):
+    """Undecodable bytes in the quotes CSV or the config file: exit 1 naming the file."""
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_bytes(
+        b"trading_date,market,delivery_start,delivery_end,price\n"
+        b"2020-01-02,D\xff,2020-02-01,2020-02-29,39.76\n"
+    )
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"quotes = {quotes}\nout = {tmp_path / 'out'}\n")
+    _assert_clean_validation_exit(main(["ingest", "--config", str(conf)]), capsys, str(quotes))
+
+    conf.write_bytes(b"out = \xff\n")
+    _assert_clean_validation_exit(main(["ingest", "--config", str(conf)]), capsys, str(conf))
 
 
 def test_exit_code_success(tmp_path, capsys):
@@ -1064,18 +1098,19 @@ def test_price_reports_match_direct_pricer_calls(pipeline_out):
 def test_pipeline_parses_once_and_bootstraps_each_board_once(tmp_path, monkeypatch):
     parses = []
     boards = Counter()
-    parse, bootstrap = hjmkit.cli.parse_quotes, hjmkit.cli.bootstrap_boards
+    parse, bootstrap = hjmkit.cli._read_quotes, hjmkit.cli._bootstrap_table
 
     def counting_parse(source):
         parses.append(source)
         return parse(source)
 
-    def counting_bootstrap(by_key):
-        boards.update(by_key.keys())  # one count per board key
-        return bootstrap(by_key)
+    def counting_bootstrap(table):
+        fits = bootstrap(table)
+        boards.update(fits.keys())  # one count per board key
+        return fits
 
-    monkeypatch.setattr(hjmkit.cli, "parse_quotes", counting_parse)
-    monkeypatch.setattr(hjmkit.cli, "bootstrap_boards", counting_bootstrap)
+    monkeypatch.setattr(hjmkit.cli, "_read_quotes", counting_parse)
+    monkeypatch.setattr(hjmkit.cli, "_bootstrap_table", counting_bootstrap)
     conf = tmp_path / "run.conf"
     contracts = ("swing", "vpp", "storage")
     conf.write_text(
@@ -1088,6 +1123,6 @@ def test_pipeline_parses_once_and_bootstraps_each_board_once(tmp_path, monkeypat
     argv = ["pipeline", "--config", str(conf), "--out", str(tmp_path / "out"), "--paths", "64"]
     assert main(argv) == 0
     assert len(parses) == 1
-    quotes, _ = parse(ROOT / "fixtures" / "quotes_synthetic.csv")
+    quotes, _ = parse_quotes(ROOT / "fixtures" / "quotes_synthetic.csv")
     assert set(boards) == {(q.market, q.trading_date) for q in quotes}
     assert set(boards.values()) == {1}

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 from datetime import date, timedelta
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjmkit.curve import (
+    _bootstrap_table,
     _curve_as_written,
     BootstrapReport,
     FillGroup,
@@ -21,7 +23,7 @@ from hjmkit.curve import (
 )
 from hjmkit.dates import add_months, days_in_month, month_end, month_start
 from hjmkit.errors import InfeasibleCurveError, ValidationError
-from hjmkit.marketdata import QuotedSwap
+from hjmkit.marketdata import QuotedSwap, _read_quotes
 
 from conftest import QUOTE_BOARD_PRICES, random_quote_system
 
@@ -519,6 +521,43 @@ def test_bootstrap_boards_raises_first_failing_board(boards):
         bootstrap_boards(boards)
     assert str(info.value) == str(error)
     assert getattr(info.value, "conflicts", None) == getattr(error, "conflicts", None)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(board_sets(faults=True), st.randoms(use_true_random=False))
+def test_table_fit_matches_bootstrap_boards(boards, rng):
+    """The pipeline's fit of a quote file, its board rows interleaved, gives
+    bootstrap_boards' curves, report counts and worst residuals, or raises
+    its error, on every board a file can hold (no empty or mixed board)."""
+    boards = {k: qs for k, qs in boards.items() if qs and all(q.market == k[0] for q in qs)}
+    if not boards:
+        return
+    queues = [list(qs) for qs in boards.values()]
+    lines = ["trading_date,market,delivery_start,delivery_end,price"]
+    while queues:  # boards interleaved at random, each keeping its quote order
+        queue = rng.choice(queues)
+        q = queue.pop(0)
+        lines.append(f"{q.trading_date},{q.market},{q.delivery_start},{q.delivery_end},{q.price!r}")
+        queues = [queue for queue in queues if queue]
+    table, issues = _read_quotes(io.StringIO("\n".join(lines) + "\n"))
+    assert issues == []
+    try:
+        want = bootstrap_boards(boards)
+    except (ValidationError, InfeasibleCurveError) as error:
+        with pytest.raises(type(error)) as info:
+            _bootstrap_table(table)
+        assert str(info.value) == str(error)
+        assert getattr(info.value, "conflicts", None) == getattr(error, "conflicts", None)
+        return
+    got = _bootstrap_table(table)
+    assert list(got) == list(want)
+    for key, (curve, report) in want.items():
+        fit = got[key]
+        assert (fit.curve.market, fit.curve.as_of, fit.curve.months) == (key[0], key[1], curve.months)
+        assert fit.curve.values.tobytes() == curve.values.tobytes()
+        assert fit.curve.weights.tobytes() == curve.weights.tobytes()
+        assert (fit.n_removed, fit.n_fills) == (len(report.removed), len(report.fill_groups))
+        assert fit.max_quote_residual == report.max_quote_residual
 
 
 def test_bootstrap_boards_shares_one_plan_across_dates():

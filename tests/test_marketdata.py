@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 from datetime import date, timedelta
 
@@ -148,6 +149,108 @@ def test_parse_quotes_header_and_empty():
     header_only = "trading_date,market,delivery_start,delivery_end,price\n"
     with pytest.raises(ValidationError):
         parse_quotes(io.StringIO(header_only))
+
+
+def _reference_parse_quotes(source):
+    """The row-by-row parse_quotes that the columnar reader replaced."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("quotes file is empty") from None
+    if [h.strip() for h in header] != ["trading_date", "market", "delivery_start", "delivery_end", "price"]:
+        raise ValidationError(f"bad quotes header {header!r}")
+    quotes, issues = [], []
+    saw_rows = False
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        saw_rows = True
+        if len(row) != 5:
+            issues.append((line_no, f"expected 5 fields, got {len(row)}"))
+            continue
+        raw = [cell.strip() for cell in row]
+        try:
+            trading = date.fromisoformat(raw[0])
+            start = date.fromisoformat(raw[2])
+            end = date.fromisoformat(raw[3])
+        except ValueError as exc:
+            issues.append((line_no, f"bad date: {exc}"))
+            continue
+        try:
+            price = float(raw[4])
+        except ValueError:
+            issues.append((line_no, f"bad price {raw[4]!r}"))
+            continue
+        try:
+            quotes.append(QuotedSwap(raw[1], trading, start, end, price))
+        except ValidationError as exc:
+            issues.append((line_no, str(exc)))
+    if not saw_rows:
+        raise ValidationError("quotes file has a header but no data rows")
+    return quotes, issues
+
+
+_DAY_TEXTS = [
+    "2020-01-02", " 2020-01-02", "20200102", "2020-03-31", "2020-07-15", "2021-12-31",
+    "2020-01-XX", "2020-13-01", "", "  ",
+]
+_WINDOWS = [
+    ("2020-02-01", "2020-02-29"), ("2020-03-01", "2020-03-31"), (" 2020-03-01", "2020-03-31 "),
+    ("2020-04-01", "2020-06-30"), ("2021-01-01", "2021-12-31"), ("2020-01-01", "2020-01-31"),
+    ("2020-02-01", "2020-02-28"), ("2020-02-01", "2020-04-30"), ("2020-07-01", "2021-06-30"),
+    ("2020-03-01", "2020-02-29"), ("2020-01-01", "2020-02-29"), ("2020-02-15", "2020-02-29"),
+    ("2020-02-01", "2020-02-3x"), ("", "2020-02-29"), ("2020-02-01", ""), ("", " "),
+]
+_PRICES = [
+    "39.76", " 41.5 ", "1e3", "1_000", "45", "-3", "0", "-0.0", "nan", "inf", "-inf", "zebra", "", "4 5",
+]
+
+
+@st.composite
+def quote_rows(draw):
+    """One row of cells: mostly well-formed, with every kind of defect."""
+    kind = draw(st.sampled_from(["quote"] * 8 + ["short", "long", "blank", "empty"]))
+    if kind == "empty":
+        return []
+    if kind == "blank":
+        return draw(st.sampled_from([[""] * 5, [" "] * 5, [" ", ""], ["  "]]))
+    start, end = draw(st.sampled_from(_WINDOWS))
+    row = [
+        draw(st.sampled_from(_DAY_TEXTS)),
+        draw(st.sampled_from(["DE", "TTF", " DE ", "", "  ", "a,b", 'q"t'])),
+        start,
+        end,
+        draw(st.sampled_from(_PRICES)),
+    ]
+    if kind == "short":
+        return row[: draw(st.integers(1, 4))]
+    if kind == "long":
+        return row + [draw(st.sampled_from(["", "x"]))]
+    return row
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(quote_rows(), max_size=30))
+def test_parse_quotes_matches_row_by_row_reference(rows):
+    buf = io.StringIO()
+    buf.write("trading_date,market,delivery_start,delivery_end,price\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        if row:
+            writer.writerow(row)
+        else:
+            buf.write("\n")
+    text = buf.getvalue()
+    try:
+        want = _reference_parse_quotes(io.StringIO(text))
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            parse_quotes(io.StringIO(text))
+        return
+    quotes, issues = parse_quotes(io.StringIO(text))
+    assert quotes == want[0]
+    assert [(i.line, i.message) for i in issues] == want[1]
 
 
 # ---------------------------------------------------------------------------

@@ -498,31 +498,34 @@ def read_curve_csv(path) -> dict[tuple[str, date], StepwiseCurve]:
             d = parsed[text] = date.fromisoformat(text)
         return d
 
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: curve file is empty")
-        used = ("as_of", "market", "bucket_start", "value", "weight")
-        missing = [c for c in used if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: curve file lacks column(s) {', '.join(missing)}")
-        i_as_of, i_market, i_start, i_value, i_weight = map(header.index, used)
-        width = len(header)
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != width:
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: row has {len(rec)} fields, "
-                    f"header has {width}"
-                )
-            try:
-                key = (rec[i_market], day(rec[i_as_of]))
-                bucket = (day(rec[i_start]), float(rec[i_value]), float(rec[i_weight]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
-            rows.setdefault(key, []).append(bucket)
+    try:
+        with open(path, "r", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: curve file is empty")
+            used = ("as_of", "market", "bucket_start", "value", "weight")
+            missing = [c for c in used if c not in header]
+            if missing:
+                raise ValidationError(f"{path}: curve file lacks column(s) {', '.join(missing)}")
+            i_as_of, i_market, i_start, i_value, i_weight = map(header.index, used)
+            width = len(header)
+            for rec in reader:
+                if not rec:
+                    continue
+                if len(rec) != width:
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: row has {len(rec)} fields, "
+                        f"header has {width}"
+                    )
+                try:
+                    key = (rec[i_market], day(rec[i_as_of]))
+                    bucket = (day(rec[i_start]), float(rec[i_value]), float(rec[i_weight]))
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
+                rows.setdefault(key, []).append(bucket)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot decode curve file {path}: {exc}") from None
     out = {}
     for (market, as_of), buckets in rows.items():
         buckets.sort()

@@ -688,32 +688,35 @@ def write_panel_csv(panel: RelativePanel, path) -> RelativePanel:
 
 def read_panel_csv(path, market: str) -> RelativePanel:
     """Inverse of write_panel_csv; the market is carried by the file name."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "date":
-            raise ValidationError(f"{path}: not a panel file (missing date header)")
-        labels = header[1:]
-        for label in labels:
-            parse_tenor(label)
-        dates: list[date] = []
-        rows: list[list[float]] = []
-        for rec in reader:
-            if not rec:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(rec) != len(header):
-                raise ValidationError(
-                    f"{where}: row has {len(rec)} fields, header has {len(header)}"
-                )
-            try:
-                dates.append(date.fromisoformat(rec[0]))
-            except ValueError as exc:
-                raise ValidationError(f"{where}: bad date {rec[0]!r}") from exc
-            try:
-                rows.append([float(v) if v else math.nan for v in rec[1:]])
-            except ValueError as exc:
-                raise ValidationError(f"{where}: bad price ({exc})") from exc
+    try:
+        with open(path, "r", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[0] != "date":
+                raise ValidationError(f"{path}: not a panel file (missing date header)")
+            labels = header[1:]
+            for label in labels:
+                parse_tenor(label)
+            dates: list[date] = []
+            rows: list[list[float]] = []
+            for rec in reader:
+                if not rec:
+                    continue
+                where = f"{path}: line {reader.line_num}"
+                if len(rec) != len(header):
+                    raise ValidationError(
+                        f"{where}: row has {len(rec)} fields, header has {len(header)}"
+                    )
+                try:
+                    dates.append(date.fromisoformat(rec[0]))
+                except ValueError as exc:
+                    raise ValidationError(f"{where}: bad date {rec[0]!r}") from exc
+                try:
+                    rows.append([float(v) if v else math.nan for v in rec[1:]])
+                except ValueError as exc:
+                    raise ValidationError(f"{where}: bad price ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot decode panel file {path}: {exc}") from None
     if not dates:
         raise ValidationError(f"{path}: panel has no data rows")
     return RelativePanel(market, labels, dates, np.array(rows))

@@ -29,15 +29,17 @@ Determinism: the seed fully determines every path. Draws come from one
 seeded generator consumed path-major, then step, then factor; the
 antithetic flag pairs each even path with an odd path using negated draws.
 
-Memory and work: the lognormal engine runs over blocks of grid times of
-about _BLOCK_VALUES values each. The normals are drawn once; each block
-carries the log level the block before it ended on into its cumulative sum,
-so the blocks give the same bits as one whole-grid pass. A product stops
-moving once its delivery begins: its later steps have live time exactly 0
-and add +-0.0 to its log level, so its later values repeat its last moving
-one bit for bit. A block therefore holds only the products still moving at
-its first time, and a later, narrower block spans more times in the same
-memory. On a one-year daily run over six monthly buckets the blocks hold
+Memory and work: the normals are drawn in chunks of paths of at most
+_BLOCK_VALUES values each, which continue one generator's stream and so give
+the bits of one whole draw. The lognormal engine keeps, of each chunk, only
+the steps some product still moves on, and runs over blocks of grid times of
+about _BLOCK_VALUES values each; each block carries the log level the block
+before it ended on into its cumulative sum, so the blocks give the same bits
+as one whole-grid pass. A product stops moving once its delivery begins:
+its later steps have live time exactly 0 and add +-0.0 to its log level, so
+its later values repeat its last moving one bit for bit. A block therefore
+holds only the products still moving at its first time, and a later,
+narrower block spans more times in the same memory. On a one-year daily run over six monthly buckets the blocks hold
 29.4% of the (time, product) cells. The public generators copy the blocks
 into the one path array they return and fill each product's frozen cells.
 The command line's simulate stage consumes the blocks instead, in one pass
@@ -46,7 +48,8 @@ exported paths and the pooled returns of the correlation check, so it never
 holds the path array; at the end each frozen cell takes the statistics of
 its product's last moving time. ``sanity_check`` and ``write_summary_csv`` run
 the same reductions over a path set's blocks, with every product moving.
-Spot keeps its whole-array kernel.
+Spot runs its kernel one chunk of paths at a time, so its cumulative shocks
+and per-lag products are chunk-sized; only its values are held whole.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from .errors import ValidationError
 from .marketdata import LogReturnMatrix, _csv_field
 
 _U64_MAX = 2**64 - 1
-# values per block of grid times in the path-wise reductions (at least one time)
+# values per block of grid times in the path-wise reductions (at least one
+# time), and normals per chunk of drawn paths (at least one path or pair)
 _BLOCK_VALUES = 2**19
 # standard errors a sanity moment may stray from its model value
 _Z_TOL = 4.0
@@ -187,14 +191,54 @@ def normals(cfg: SimConfig, n_steps: int, n_factors: int) -> np.ndarray:
     (path, step, factor) never depends on how many products are simulated.
     With antithetic pairing, path 2i+1 uses the negated draws of path 2i.
     """
+    return _first_steps(cfg, n_steps, n_factors, n_steps)
+
+
+def _normal_chunks(cfg: SimConfig, n_steps: int, n_factors: int) -> Iterator[np.ndarray]:
+    """``normals(cfg, n_steps, n_factors)`` as consecutive chunks of paths.
+
+    A chunk holds at most _BLOCK_VALUES draws and at least one path, or one
+    antithetic pair, and no pair is split. Consecutive ``standard_normal``
+    calls continue one stream, so the chunks hold the bits of one whole draw.
+    Each chunk is a new array: a caller that drops it before asking for the
+    next holds one chunk at a time.
+    """
     rng = np.random.default_rng(cfg.seed)
-    if cfg.antithetic:
-        half = rng.standard_normal((cfg.n_paths // 2, n_steps, n_factors))
-        z = np.empty((cfg.n_paths, n_steps, n_factors))
-        z[0::2] = half
-        z[1::2] = -half
-        return z
-    return rng.standard_normal((cfg.n_paths, n_steps, n_factors))
+    pair = 2 if cfg.antithetic else 1
+    n = cfg.n_paths // pair  # paths, or pairs, to draw
+    per = max(1, _BLOCK_VALUES // max(1, pair * n_steps * n_factors))
+    for a in range(0, n, per):
+        shape = (min(per, n - a), n_steps, n_factors)
+        # no name keeps a chunk here once it is yielded
+        yield _paired(rng.standard_normal(shape)) if cfg.antithetic else rng.standard_normal(shape)
+
+
+def _paired(half: np.ndarray) -> np.ndarray:
+    """Paths 2i and 2i+1 drawn as half[i] and -half[i]."""
+    z = np.empty((2 * len(half), *half.shape[1:]))
+    z[0::2] = half
+    np.negative(half, out=z[1::2])
+    return z
+
+
+def _first_steps(cfg: SimConfig, n_steps: int, n_factors: int, keep: int) -> np.ndarray:
+    """``normals(cfg, n_steps, n_factors)[:, :keep]``, drawn a chunk of paths at a time.
+
+    A draw of one chunk is returned as drawn; otherwise each chunk's first
+    ``keep`` steps are copied out and the chunk dropped, so the steps past
+    ``keep`` are never held for more than one chunk.
+    """
+    z = None
+    a = 0
+    for chunk in _normal_chunks(cfg, n_steps, n_factors):
+        if len(chunk) == cfg.n_paths:
+            return chunk[:, :keep]
+        if z is None:
+            z = np.empty((cfg.n_paths, keep, n_factors))
+        z[a : a + len(chunk)] = chunk[:, :keep]
+        a += len(chunk)
+        del chunk  # dropped before the next chunk is drawn
+    return z
 
 
 def bucket_occupancy(u_lo, u_hi, n_buckets: int, width: float) -> np.ndarray:
@@ -298,18 +342,22 @@ def _lognormal_blocks(
     ``_last_moves``), in their original order; ``products`` indexes them and
     the values are (paths, times, products) of that width. Past its last
     block a product holds the value its last block ended on. The normals are
-    drawn once. Each block runs the whole-grid steps on its own steps and
-    products: shocks, scale, drift, then the cumulative sum, its first step
-    carrying the log level the product's previous block ended on, so the sums
-    run left to right as over the whole grid and give the same bits.
+    drawn once, a chunk of paths at a time, and only the steps up to the
+    last block's end are kept. Each block runs the whole-grid steps on its
+    own steps and products: shocks, scale, drift, then the cumulative sum,
+    its first step carrying the log level the product's previous block ended
+    on, so the sums run left to right as over the whole grid and give the
+    same bits.
     """
     n_paths, n_prod = cfg.n_paths, rows.shape[0]
     last = _last_moves(live)
-    z = normals(cfg, cfg.n_steps, rows.shape[1])
+    slices = _time_slices((n_paths, cfg.n_steps + 1, n_prod), last)
+    # the normals of the steps up to the last block's end, and of no later step
+    z = _first_steps(cfg, cfg.n_steps, rows.shape[1], slices[-1].stop - 1)
     scale = np.sqrt(live)
     drift = -0.5 * (rows**2).sum(axis=1)[None, :] * live
     carry = np.zeros((n_paths, n_prod))  # log level at the end of each product's last block
-    for s in _time_slices((n_paths, cfg.n_steps + 1, n_prod), last):
+    for s in slices:
         cols = np.flatnonzero(last >= s.start)
         blk = np.empty((n_paths, s.stop - s.start, cols.size))
         x = blk  # the log path, built in place
@@ -494,24 +542,34 @@ def simulate_spot(
         fwd[mk] = arr
 
     # x_m = sum_i z_i c_(m-i) sqrt(dt) = sum_q S_(m-q) dc_q with S the
-    # cumulative shocks and dc_q the exact jumps of c sqrt(dt) at lag q
-    shocks = normals(cfg, n, model.n_factors)
-    np.cumsum(shocks, axis=1, out=shocks)
+    # cumulative shocks and dc_q the exact jumps of c sqrt(dt) at lag q.
+    # Each path's sum reads only its own shocks, so the sums run a chunk of
+    # paths at a time; the first chunk is drawn before values is allocated.
+    chunks = _normal_chunks(cfg, n, model.n_factors)
+    shocks = next(chunks)
     values = np.zeros((cfg.n_paths, n + 1, len(markets)))
-    keys = []
+    lags = []
     for ki, mk in enumerate(markets):
         c = _spot_lag_vols(model, mk, n, cfg.step)  # (Nf, n)
         var = np.cumsum((c**2).sum(axis=0) * cfg.step)
         dc = np.diff(c * math.sqrt(cfg.step), axis=1, prepend=0.0)
-        x = values[:, 1:, ki]  # the log sum, built in place
-        for q in np.flatnonzero((dc != 0.0).any(axis=0)):
-            x[:, q:] += shocks[:, : n - q, :] @ dc[:, q]
-        x -= 0.5 * var
-        np.exp(x, out=x)
-        x *= fwd[mk][1:]
+        lags.append((dc, np.flatnonzero((dc != 0.0).any(axis=0)), var))
         values[:, 0, ki] = fwd[mk][0]
-        keys.append(ContractDescriptor("spot", mk))
-    return PathSet(values, grid, keys, cfg)
+    a = 0
+    while shocks is not None:
+        np.cumsum(shocks, axis=1, out=shocks)
+        paths = slice(a, a + len(shocks))
+        for ki, (mk, (dc, jumps, var)) in enumerate(zip(markets, lags)):
+            x = values[paths, 1:, ki]  # the log sum, built in place
+            for q in jumps:
+                x[:, q:] += shocks[:, : n - q, :] @ dc[:, q]
+            x -= 0.5 * var
+            np.exp(x, out=x)
+            x *= fwd[mk][1:]
+        a = paths.stop
+        del shocks  # dropped before the next chunk is drawn
+        shocks = next(chunks, None)
+    return PathSet(values, grid, [ContractDescriptor("spot", mk) for mk in markets], cfg)
 
 
 def theoretical_log_variance(
@@ -625,12 +683,19 @@ def _sample_variance(x: np.ndarray) -> np.ndarray:
     The steps of numpy's own variance, in its order, so the result has its
     bits; numpy would hold a second array the size of x for the deviations.
     """
-    n = x.shape[0]
     mean = np.add.reduce(x, axis=0, keepdims=True)
-    mean /= n
-    np.subtract(x, mean, out=x)
-    np.square(x, out=x)
-    return np.add.reduce(x, axis=0) / max(n - 1, 0)
+    mean /= x.shape[0]
+    return _variance_about(x, mean, x)
+
+
+def _variance_about(x: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sample variance over paths of x about its path mean ``mean``.
+
+    The squared deviations go into ``out``, which may be x itself.
+    """
+    np.subtract(x, mean, out=out)
+    np.square(out, out=out)
+    return np.add.reduce(out, axis=0) / max(x.shape[0] - 1, 0)
 
 
 def _quantiles_of_sorted(ordered: np.ndarray, q: float) -> np.ndarray:
@@ -749,9 +814,9 @@ class _BlockStats:
         self.log_variance[rows, cols] = _sample_variance(work)
         # not the summary's block mean sliced: on a one-product, one-step grid
         # numpy sums this (paths, 1, 1) slice pairwise but its block path by path
-        self.mean[rows, cols] = later.mean(axis=0)
-        np.copyto(work, later)
-        self.mean_se[rows, cols] = np.sqrt(_sample_variance(work)) / math.sqrt(self.n_paths)
+        mean = later.mean(axis=0)
+        self.mean[rows, cols] = mean
+        self.mean_se[rows, cols] = np.sqrt(_variance_about(later, mean, work)) / math.sqrt(self.n_paths)
 
     def _add_returns(self, s: slice, blk: np.ndarray) -> None:
         # return k is the log of the value at time k + 1 over the value at time k

@@ -334,6 +334,24 @@ def test_exit_code_input_files_not_text(tmp_path, capsys):
     _assert_clean_validation_exit(main(["ingest", "--config", str(conf)]), capsys, str(conf))
 
 
+@pytest.mark.parametrize("kind", ["curve", "panel"])
+def test_exit_code_curve_and_panel_files_not_text(pipeline_out, tmp_path, capsys, kind):
+    """One trailing undecodable byte in curves.csv or a panel file: exit 1 naming the file."""
+    if kind == "curve":
+        bad = tmp_path / "curves.csv"
+        conf = _simulate_on(tmp_path, pipeline_out, curve_file=bad)
+        command = "simulate"
+    else:
+        (tmp_path / "panels").mkdir()
+        bad = tmp_path / "panels" / "panel_DE.csv"
+        conf = tmp_path / "calibrate.conf"
+        conf.write_text(f"out = {bad.parent}\nmarkets = DE\n")
+        command = "calibrate"
+    bad.write_bytes((pipeline_out / bad.name).read_bytes() + b"\xff")
+    rc = main([command, "--config", str(conf)])
+    _assert_clean_validation_exit(rc, capsys, str(bad), f"cannot decode {kind} file")
+
+
 def test_exit_code_success(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(

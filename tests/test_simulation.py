@@ -198,6 +198,55 @@ def test_normals_antithetic_pairing():
     np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-15)
 
 
+def _one_draw(cfg, n_steps, n_factors):
+    """Every normal of a run from one standard_normal call, pairs interleaved."""
+    rng = np.random.default_rng(cfg.seed)
+    if not cfg.antithetic:
+        return rng.standard_normal((cfg.n_paths, n_steps, n_factors))
+    half = rng.standard_normal((cfg.n_paths // 2, n_steps, n_factors))
+    z = np.empty((cfg.n_paths, n_steps, n_factors))
+    z[0::2] = half
+    z[1::2] = -half
+    return z
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32),
+    n_paths=st.integers(1, 13),
+    n_steps=st.integers(1, 7),
+    n_factors=st.integers(1, 3),
+    antithetic=st.booleans(),
+    budget=st.integers(1, 120),
+    data=st.data(),
+)
+@example(seed=1, n_paths=5, n_steps=3, n_factors=2, antithetic=False, budget=1, data=None)  # a path per chunk
+@example(seed=2, n_paths=7, n_steps=2, n_factors=2, antithetic=False, budget=9, data=None)  # chunks of 2 paths
+@example(seed=3, n_paths=10, n_steps=3, n_factors=1, antithetic=True, budget=5, data=None)  # a pair per chunk
+@example(seed=4, n_paths=10, n_steps=3, n_factors=1, antithetic=True, budget=13, data=None)  # 2, 2 and 1 pairs
+def test_normal_chunks_cut_one_draw_into_chunks_of_paths(
+    seed, n_paths, n_steps, n_factors, antithetic, budget, data
+):
+    """The chunks, their first steps and normals() against one standard_normal call."""
+    if antithetic and n_paths % 2:
+        n_paths += 1
+    keep = n_steps - 1 if data is None else data.draw(st.integers(0, n_steps), label="keep")
+    cfg = SimConfig(seed=seed, n_paths=n_paths, step=0.1, horizon=0.1, antithetic=antithetic)
+    want = _one_draw(cfg, n_steps, n_factors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK_VALUES", budget)
+        chunks = [chunk.copy() for chunk in simulation._normal_chunks(cfg, n_steps, n_factors)]
+        kept = simulation._first_steps(cfg, n_steps, n_factors, keep)
+        whole = normals(cfg, n_steps, n_factors)
+    pair = 2 if antithetic else 1
+    per = pair * max(1, budget // (pair * n_steps * n_factors))  # paths in a full chunk
+    assert [len(c) for c in chunks] == [min(per, n_paths - a) for a in range(0, n_paths, per)]
+    assert all(c.size <= budget or len(c) == pair for c in chunks)
+    np.testing.assert_array_equal(np.concatenate(chunks), want)
+    np.testing.assert_array_equal(kept, want[:, :keep])
+    np.testing.assert_array_equal(whole, want)
+
+
 # ---------------------------------------------------------------------------
 # Bucket occupancy
 # ---------------------------------------------------------------------------
@@ -635,6 +684,47 @@ def test_spot_curve_validation():
         simulate_spot(model, {"X": [20.0, -1.0, 21.0]}, cfg)
     with pytest.raises(ValidationError, match="no initial curve"):
         simulate_spot(model, {"X": [20.0, 20.0, 20.0]}, cfg, markets=["Y"])
+
+
+def _whole_array_spot(model, curves, cfg, markets):
+    """The spot kernel on one whole draw: the cumulative shocks and each
+    lag's product path-sized, as it ran before it ran in chunks of paths."""
+    n = cfg.n_steps
+    shocks = _one_draw(cfg, n, model.n_factors)
+    np.cumsum(shocks, axis=1, out=shocks)
+    values = np.zeros((cfg.n_paths, n + 1, len(markets)))
+    for ki, mk in enumerate(markets):
+        c = _spot_lag_vols(model, mk, n, cfg.step)
+        var = np.cumsum((c**2).sum(axis=0) * cfg.step)
+        dc = np.diff(c * math.sqrt(cfg.step), axis=1, prepend=0.0)
+        x = values[:, 1:, ki]
+        for q in np.flatnonzero((dc != 0.0).any(axis=0)):
+            x[:, q:] += shocks[:, : n - q, :] @ dc[:, q]
+        x -= 0.5 * var
+        np.exp(x, out=x)
+        x *= curves[mk][1:]
+        values[:, 0, ki] = curves[mk][0]
+    return values
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("markets", [("X",), ("X", "Y")])
+@pytest.mark.parametrize("chunk_paths", [2, 6, 14, 40])  # 40: one chunk
+def test_spot_in_chunks_of_paths_matches_whole_array_kernel(antithetic, markets, chunk_paths, monkeypatch):
+    """Chunks of 2, 6 or 14 paths (the last one short) give the whole-array bits.
+
+    0.03 does not divide the 0.1 buckets, so lags straddle their boundaries.
+    """
+    rows = [[0.45, 0.1], [0.3, -0.05], [0.22, 0.02], [0.3, 0.2], [0.25, -0.1], [0.1, 0.05]]
+    model = model_of(rows[: 3 * len(markets)], markets=markets, bucket_width=0.1)
+    cfg = SimConfig(seed=17, n_paths=40, step=0.03, horizon=0.6, antithetic=antithetic)
+    curves = {mk: 25.0 + 5.0 * i + np.sin(7.0 * cfg.time_grid) for i, mk in enumerate(markets)}
+    want = _whole_array_spot(model, curves, cfg, markets)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", chunk_paths * cfg.n_steps * model.n_factors)
+    assert len(next(simulation._normal_chunks(cfg, cfg.n_steps, 2))) == min(chunk_paths, 40)
+    ps = simulate_spot(model, curves, cfg)
+    np.testing.assert_array_equal(ps.values, want)
+    assert [k.label for k in ps.product_keys] == [f"{mk}:spot" for mk in markets]
 
 
 # ---------------------------------------------------------------------------
@@ -1242,3 +1332,32 @@ def test_simulate_stage_holds_one_path_array(tmp_path):
     ps = simulate_fixed_delivery(model, initial, cfg)
     assert _traced_peak(sanity_check, ps, model) <= 0.25 * path_bytes
     assert _traced_peak(write_summary_csv, ps, tmp_path / "summary.csv") <= 0.25 * path_bytes
+
+
+def test_lognormal_blocks_hold_no_normals_past_the_last_delivery(monkeypatch):
+    """Every bucket delivers by half the grid: the draw's later half is never held."""
+    model = _two_market_model()
+    cfg = SimConfig(seed=8, n_paths=2000, step=1 / 252, horizon=0.5)
+    products = [(mk, b) for mk in model.markets for b in (1, 2, 3)]
+    law = simulation._fixed_delivery_law(model, products, np.linspace(20.0, 30.0, 6), cfg)
+    assert simulation._last_moves(law.live).max() == cfg.n_steps // 2
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 2**16)
+    draw_bytes = cfg.n_paths * cfg.n_steps * 2 * 8
+
+    def run():
+        for _ in simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg):
+            pass
+
+    assert _traced_peak(run) < draw_bytes
+
+
+def test_spot_holds_its_values_and_at_most_two_chunks():
+    """400 paths x 2000 steps x 2 factors: 4 chunks of paths at the default budget."""
+    rows = [[0.45, 0.1], [0.3, -0.05], [0.22, 0.02], [0.3, 0.2], [0.25, -0.1], [0.1, 0.05]]
+    model = model_of(rows, markets=("X", "Y"), bucket_width=1 / 12)
+    cfg = SimConfig(seed=5, n_paths=400, step=1 / 8760, horizon=2000 / 8760)
+    curves = {"X": np.full(cfg.n_steps + 1, 40.0), "Y": np.full(cfg.n_steps + 1, 30.0)}
+    assert 3 < cfg.n_paths * cfg.n_steps * 2 / simulation._BLOCK_VALUES <= 4
+    value_bytes = cfg.n_paths * (cfg.n_steps + 1) * 2 * 8
+    peak = _traced_peak(simulate_spot, model, curves, cfg)
+    assert peak < value_bytes + 2 * simulation._BLOCK_VALUES * 8

@@ -22,14 +22,13 @@ import functools
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dates import add_months, days_in_month, month_end, month_start
 from .errors import HjmkitError, InfeasibleCurveError, ValidationError
-from .marketdata import QuotedSwap, _QuoteTable, _Window, _csv_field, _window
+from .marketdata import QuotedSwap, _QuoteTable, _Window, _csv_field
 
 RESIDUAL_TOL = 1e-9
 
@@ -296,28 +295,52 @@ def _fit_layout(
 
 
 class _BoardFit(NamedTuple):
-    """A board's curve and what curve_report.csv prints of its fit."""
+    """A board's curve and its fit, the arrays being views of its layout's rows."""
 
     curve: StepwiseCurve
-    n_removed: int
-    n_fills: int
+    plan: _LayoutPlan
+    flats: np.ndarray  # the flat value of each of plan.fills
+    resid: np.ndarray  # each quote's relative residual
     max_quote_residual: float
+
+    @property
+    def n_removed(self) -> int:
+        return len(self.plan.removed)
+
+    @property
+    def n_fills(self) -> int:
+        return len(self.plan.fills)
+
+    def report(self, quotes: Sequence[QuotedSwap]) -> BootstrapReport:
+        """The board's full report, ``quotes`` being its quotes in table order."""
+        plan = self.plan
+        return BootstrapReport(
+            removed=[quotes[i] for i in plan.removed],
+            residuals=list(zip([quotes[i] for i in plan.kept], self.resid[plan.kept].tolist())),
+            fill_groups=[
+                FillGroup(quotes[f.quote], f.open_months, v) for f, v in zip(plan.fills, self.flats.tolist())
+            ],
+            max_quote_residual=self.max_quote_residual,
+        )
 
 
 def _bootstrap_table(table: _QuoteTable) -> dict[tuple[str, date], _BoardFit]:
     """Fit every (market, trading date) board of a quote table.
 
     A board is a run of a stable argsort on the (market, date) codes, so it
-    keeps its quotes in file order and the boards come in key order. Its
+    keeps its quotes in table order and the boards come in key order. Its
     layout is its tuple of window codes; each layout's plan is derived once
-    and its boards x quotes prices taken by one fancy index. Raises what
-    bootstrap_boards raises on the same boards.
+    and its boards x quotes prices taken by one fancy index, and each
+    layout's residuals for every quote come from one product. If any board
+    fails, the error raised is the one the first failing board in key order
+    would raise on its own: conflicting duplicates, then a non-positive flat
+    fill (in fill order), then a residual above 1e-9 relative.
     """
     n_dates = len(table.dates)
     board = table.market * n_dates + table.day
     order = np.argsort(board, kind="stable")
     board = board[order]
-    first = np.flatnonzero(np.r_[True, board[1:] != board[:-1]])
+    first = np.flatnonzero(np.r_[board.size > 0, board[1:] != board[:-1]])
     bounds = np.r_[first, board.size].tolist()
     window = table.window[order].tolist()
     layouts: dict[tuple[int, ...], list[int]] = {}
@@ -337,7 +360,7 @@ def _bootstrap_table(table: _QuoteTable) -> dict[tuple[str, date], _BoardFit]:
         for b in fit.alive:
             market, as_of = key = keys[boards[b]]
             curve = StepwiseCurve(market, as_of, list(plan.months), fit.values[b], plan.weights.copy())
-            fitted[key] = _BoardFit(curve, len(plan.removed), len(plan.fills), worst[b])
+            fitted[key] = _BoardFit(curve, plan, fit.flats[b], fit.resid[b], worst[b])
     if failures:
         raise failures[min(failures)]
     return {key: fitted[key] for key in keys}
@@ -348,56 +371,29 @@ def bootstrap_boards(
 ) -> dict[tuple[str, date], tuple[StepwiseCurve, BootstrapReport]]:
     """Fit the monthly curve of every (market, trading date) board.
 
-    ``boards`` maps each (market, date) key to that board's quotes. Boards
-    are grouped by layout, the ordered tuple of their quote windows; each
-    layout's plan is derived once and applied to all of its boards as one
-    boards x quotes price array, and each layout's residuals for every
-    quote come from one product. The result is keyed like ``boards``, in
-    sorted key order. If any board fails, the error raised is the one the
-    first failing board in sorted key order would raise on its own: an
-    empty or mixed board, then conflicting duplicates, then a non-positive
-    flat fill (in fill order), then a residual above 1e-9 relative.
+    ``boards`` maps each (market, date) key to that board's quotes. The
+    boards are fitted as one quote table (see ``_bootstrap_table``). The
+    result is keyed like ``boards``, in sorted key order. If any board
+    fails, the error raised is the one the first failing board in sorted
+    key order would raise on its own: an empty or mixed board, then what
+    the table fit raises.
     """
-    failures: dict[tuple[str, date], HjmkitError] = {}
-    layouts: dict[tuple, list[tuple[str, date]]] = {}
+    checked: dict[tuple[str, date], Sequence[QuotedSwap]] = {}
+    error = None
     for key in sorted(boards):
         quotes = boards[key]
         if not quotes:
-            failures[key] = ValidationError("no quotes to bootstrap")
-            continue
-        market, as_of = key
-        if any(q.market != market or q.trading_date != as_of for q in quotes):
-            failures[key] = ValidationError("bootstrap expects one market and one trading date")
-            continue
-        layout = tuple([(q.delivery_start, q.delivery_end) for q in quotes])
-        layouts.setdefault(layout, []).append(key)
-
-    fitted: dict[tuple[str, date], tuple[StepwiseCurve, BootstrapReport]] = {}
-    for layout, keys in layouts.items():
-        plan = _LayoutPlan([_window(start, end) for start, end in layout])
-        prices = np.array([[q.price for q in boards[k]] for k in keys])
-        fit = _fit_layout(plan, prices, lambda b: boards[keys[b]])
-        failures.update((keys[b], error) for b, error in fit.failures.items())
-        kept_resid = fit.resid[:, plan.kept].tolist()
-        worst = fit.resid.max(axis=1).tolist()
-        flat_rows = fit.flats.tolist()
-        for b in fit.alive:
-            market, as_of = key = keys[b]
-            qs = boards[key]
-            curve = StepwiseCurve(market, as_of, list(plan.months), fit.values[b], plan.weights.copy())
-            report = BootstrapReport(
-                removed=[qs[i] for i in plan.removed],
-                residuals=list(zip([qs[i] for i in plan.kept], kept_resid[b])),
-                fill_groups=[
-                    FillGroup(qs[f.quote], f.open_months, v)
-                    for f, v in zip(plan.fills, flat_rows[b])
-                ],
-                max_quote_residual=worst[b],
-            )
-            fitted[key] = (curve, report)
-    if failures:
-        raise failures[min(failures)]
-    return {key: fitted[key] for key in sorted(fitted)}
+            error = ValidationError("no quotes to bootstrap")
+        elif any(q.market != key[0] or q.trading_date != key[1] for q in quotes):
+            error = ValidationError("bootstrap expects one market and one trading date")
+        if error is not None:
+            break
+        checked[key] = quotes
+    # raises the error of any board before the first that failed its check
+    fits = _bootstrap_table(_QuoteTable.of([q for quotes in checked.values() for q in quotes]))
+    if error is not None:
+        raise error
+    return {key: (fit.curve, fit.report(checked[key])) for key, fit in fits.items()}
 
 
 def bootstrap_monthly_curve(quotes: Sequence[QuotedSwap]) -> tuple[StepwiseCurve, BootstrapReport]:

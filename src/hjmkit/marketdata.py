@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,6 +157,15 @@ class _QuoteTable:
     window: np.ndarray
     price: np.ndarray
 
+    @classmethod
+    def of(cls, quotes: Sequence[QuotedSwap]) -> _QuoteTable:
+        """The quotes as a table, in their order."""
+        markets, market = _coded([q.market for q in quotes])
+        dates, day = _coded([q.trading_date for q in quotes])
+        spans, window = _coded([(q.delivery_start, q.delivery_end) for q in quotes])
+        price = np.array([q.price for q in quotes], dtype=float)
+        return cls(markets, dates, [_window(*span) for span in spans], market, day, window, price)
+
     def __len__(self) -> int:
         return self.price.size
 
@@ -180,6 +189,13 @@ class _QuoteTable:
             float(self.price[row]),
             w.granularity,
         )
+
+
+def _coded(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values, sorted, and each value's code into them."""
+    distinct = sorted(set(values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(code.__getitem__, values), np.intp, len(values))
 
 
 def _column(cells: Sequence[str], parse) -> tuple[np.ndarray, list[str], list]:

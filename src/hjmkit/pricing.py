@@ -113,6 +113,23 @@ def _require_finite_rate(rate: float) -> None:
         raise ValidationError(f"rate must be finite, got {rate}")
 
 
+def _product_values(
+    paths: PathSet, paths_name: str, product, product_name: str, n: int | None = None, unit: str = ""
+) -> np.ndarray:
+    """The values of product ``product`` over the first n grid points of ``paths`` (all by default).
+
+    ``product`` must index one of the set's products, counting from the end
+    when negative as numpy does, and the grid must hold n points; each
+    failure is a ValidationError naming the argument.
+    """
+    k = len(paths.product_keys)
+    if isinstance(product, bool) or not isinstance(product, (int, np.integer)) or not -k <= product < k:
+        raise ValidationError(f"{product_name} = {product!r} is outside the {k} products of {paths_name}")
+    if n is not None and paths.time_grid.size < n:
+        raise ValidationError(f"{paths_name} cover {paths.time_grid.size} {unit}, contract needs {n}")
+    return paths.values[:, :n, product]
+
+
 def _pair_stats(samples: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Mean and standard error; antithetic pairs are averaged first."""
     x = samples.reshape(-1, 2).mean(axis=1) if antithetic else samples
@@ -139,7 +156,7 @@ def mc_european(
         raise PricingError(f"maturity {maturity} is not on the simulation grid")
     if paths.n_paths < 2:
         raise PricingError("mc_european needs at least two paths")
-    vals = np.asarray(payoff(paths.values[:, idx, product]), dtype=float)
+    vals = np.asarray(payoff(_product_values(paths, "paths", product, "product")[:, idx]), dtype=float)
     if vals.shape != (paths.n_paths,):
         raise PricingError("payoff must return one value per path")
     disc = math.exp(-rate * grid[idx])
@@ -708,7 +725,7 @@ def american_option(
     last = grid.size - 1 if last_exercise is None else int(last_exercise)
     if not 0 <= last < grid.size:
         raise ValidationError("last_exercise outside the path grid")
-    s = paths.values[:, : last + 1, product]
+    s = _product_values(paths, "paths", product, "product", last + 1)
     intrinsic = np.maximum(s - strike, 0.0) if kind == "call" else np.maximum(strike - s, 0.0)
     disc = np.exp(-rate * grid)
     alive = np.array([True])
@@ -783,10 +800,8 @@ def price_vpp(
     if power_paths.config != fuel_paths.config or power_paths.time_grid.size != fuel_paths.time_grid.size:
         raise ValidationError("power and fuel paths must share seed, path count and grid")
     n = contract.n_hours
-    if power_paths.time_grid.size < n:
-        raise ValidationError(f"paths cover {power_paths.time_grid.size} hours, contract needs {n}")
-    s_power = power_paths.values[:, :n, power_product]
-    s_fuel = fuel_paths.values[:, :n, fuel_product]
+    s_power = _product_values(power_paths, "power_paths", power_product, "power_product", n, "hours")
+    s_fuel = _product_values(fuel_paths, "fuel_paths", fuel_product, "fuel_product", n, "hours")
     spread = s_power - contract.heat_rate * s_fuel
     disc = np.exp(-rate * power_paths.time_grid[:n])
 
@@ -891,9 +906,7 @@ def price_swing(
     """
     _require_finite_rate(rate)
     n = contract.n_days
-    if spot_paths.time_grid.size < n:
-        raise ValidationError(f"paths cover {spot_paths.time_grid.size} days, contract needs {n}")
-    s = spot_paths.values[:, :n, product]
+    s = _product_values(spot_paths, "spot_paths", product, "product", n, "days")
     disc = np.exp(-rate * spot_paths.time_grid[:n])
     q, strike = contract.quantity, contract.strike
 
@@ -1003,15 +1016,11 @@ def price_storage(
     """
     _require_finite_rate(rate)
     n = contract.n_days
-    if spot_paths.time_grid.size < n + 1:
-        raise ValidationError(
-            f"paths cover {spot_paths.time_grid.size} points, contract needs {n + 1}"
-        )
+    s = _product_values(spot_paths, "spot_paths", product, "product", n + 1, "points")
     if fresh_paths is not None:
         if fresh_paths.config.seed == spot_paths.config.seed:
             raise ValidationError("fresh_paths must use a different seed for the out-of-sample test")
-        if fresh_paths.time_grid.size < n + 1:
-            raise ValidationError("fresh_paths do not cover the contract window")
+        sf = _product_values(fresh_paths, "fresh_paths", product, "product", n + 1, "points")
         # the replay is discounted on the fitting grid, so the grids must agree
         t_fit, t_fresh = spot_paths.time_grid[: n + 1], fresh_paths.time_grid[: n + 1]
         if np.any(np.abs(t_fresh - t_fit) > 1e-12 * np.abs(t_fit)):
@@ -1033,7 +1042,6 @@ def price_storage(
         up, down = -x * contract.inject_rate * disc[k], -x * contract.withdraw_rate * disc[k]
         return np.zeros_like(x), up, down
 
-    s = spot_paths.values[:, : n + 1, product]
     terminal = penalty * s[:, n, None] * short
     anti = spot_paths.config.antithetic
     sample, sdp = _policy_value(s[:, :n], terminal, moves, cash, v0_idx, anti, settings, False)
@@ -1042,7 +1050,6 @@ def price_storage(
 
     out = None
     if fresh_paths is not None:
-        sf = fresh_paths.values[:, : n + 1, product]
         terminal = penalty * sf[:, n, None] * short
         anti = fresh_paths.config.antithetic
         fits = sdp.fits

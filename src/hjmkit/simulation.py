@@ -46,8 +46,10 @@ The command line's simulate stage consumes the blocks instead, in one pass
 that reduces each block to the summary statistics, the sanity moments, the
 exported paths and the pooled returns of the correlation check, so it never
 holds the path array; at the end each frozen cell takes the statistics of
-its product's last moving time. ``sanity_check`` and ``write_summary_csv`` run
-the same reductions over a path set's blocks, with every product moving.
+its product's last moving time. ``sanity_check``, ``write_summary_csv`` and
+``write_paths_csv`` run the same pass over a path set: a set the engine made
+carries each product's freeze index and gives the engine's blocks, and any
+other set is read over every cell.
 Spot runs its kernel one chunk of paths at a time, so its cumulative shocks
 and per-lag products are chunk-sized; only its values are held whole.
 """
@@ -55,7 +57,7 @@ and per-lag products are chunk-sized; only its values are held whole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -146,12 +148,20 @@ class ContractDescriptor:
 
 @dataclass
 class PathSet:
-    """Simulated values, path x time x product, plus full provenance."""
+    """Simulated values, path x time x product, plus full provenance.
+
+    A set the lognormal generators return also records where each product
+    freezes, its values repeating bit for bit from there on, and the
+    path-wise reductions read only the cells before. Any other set is read
+    in full; to change a generated set's values, build a new set from them.
+    """
 
     values: np.ndarray
     time_grid: np.ndarray
     product_keys: list[ContractDescriptor]
     config: SimConfig
+    # product n's first frozen grid index; only _lognormal_paths sets it below the grid size
+    _stop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -159,9 +169,10 @@ class PathSet:
         expect = (self.config.n_paths, self.time_grid.size, len(self.product_keys))
         if self.values.shape != expect:
             raise ValidationError(f"path array {self.values.shape} != {expect}")
-        if self.time_grid[0] != 0.0 or np.any(np.diff(self.time_grid) <= 0):
+        if not self.time_grid.size or self.time_grid[0] != 0.0 or np.any(np.diff(self.time_grid) <= 0):
             raise ValidationError("time grid must start at 0 and increase")
         _check_values(self.values)
+        self._stop = np.full(len(self.product_keys), self.time_grid.size)
 
     @property
     def n_paths(self) -> int:
@@ -393,14 +404,16 @@ def _fill_frozen(values: np.ndarray, first: np.ndarray) -> None:
 
 
 def _lognormal_paths(law: _LognormalLaw, cfg: SimConfig) -> PathSet:
-    """Every non-spot path set: the lognormal blocks copied into one array."""
+    """Every non-spot path set: the lognormal blocks copied into one array,
+    with each product's freeze index, one past its last move."""
     values = np.empty((cfg.n_paths, cfg.n_steps + 1, law.rows.shape[0]))
-    stop = np.zeros(law.rows.shape[0], dtype=int)  # each product's first frozen time
     for s, cols, blk in _lognormal_blocks(law.rows, law.live, law.initial, cfg):
         values[:, s, cols] = blk
-        stop[cols] = s.stop
+    stop = _last_moves(law.live) + 1
     _fill_frozen(values, stop)
-    return PathSet(values, cfg.time_grid, law.keys, cfg)
+    paths = PathSet(values, cfg.time_grid, law.keys, cfg)
+    paths._stop = stop
+    return paths
 
 
 def _fixed_delivery_law(model: FactorModel, products, initial, cfg: SimConfig) -> _LognormalLaw:
@@ -668,13 +681,18 @@ def _time_slices(shape: tuple[int, int, int], last: np.ndarray | None = None) ->
 
 
 def _path_blocks(paths: PathSet) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """A path set's values as blocks of grid times: (slice of the grid, products, view).
+    """A path set's values as blocks of grid times: (slice of the grid, products, values).
 
-    Every product counts as moving over the whole grid.
+    The lognormal engine's blocks, cut at the set's freeze index. A block of
+    every product is a view; a narrower one is a C-order copy by np.take,
+    since numpy sums the differently laid out ``values[:, s, cols]`` over
+    paths with other bits.
     """
-    every = np.arange(len(paths.product_keys))
-    for s in _time_slices(paths.values.shape):
-        yield s, every, paths.values[:, s]
+    last = paths._stop - 1
+    for s in _time_slices(paths.values.shape, last):
+        cols = np.flatnonzero(last >= s.start)
+        blk = paths.values[:, s]
+        yield s, cols, blk if cols.size == last.size else np.take(blk, cols, axis=2)
 
 
 def _sample_variance(x: np.ndarray) -> np.ndarray:
@@ -1045,17 +1063,15 @@ def _simulate_stage(
 # ---------------------------------------------------------------------------
 
 
-def _write_path_rows(values: np.ndarray, time_grid: np.ndarray, keys, path, stop=None) -> None:
+def _write_path_rows(values: np.ndarray, time_grid: np.ndarray, keys, path, stop: np.ndarray) -> None:
     """paths.csv of every path in ``values``, path x time x product.
 
-    Product n is frozen from time index stop[n] on (by default never): its
-    cells there repeat its value at stop[n] - 1, so each path formats only
-    its distinct values.
+    Product n is frozen from time index stop[n] on: its cells there repeat
+    its value at stop[n] - 1, so each path formats only its distinct values.
     """
     labels = [_csv_field(key.label) for key in keys]
     # "time,label," of each (time, product) cell, in the C order of a path's values
     cells = [f"{t:.10g},{label}," for t in time_grid.tolist() for label in labels]
-    stop = np.full(len(keys), time_grid.size) if stop is None else stop
     distinct, src = _distinct_cells(stop, time_grid.size)
     with open(path, "w", newline="") as fh:
         fh.write("path_id,time,product_key,value\n")
@@ -1068,7 +1084,7 @@ def _write_path_rows(values: np.ndarray, time_grid: np.ndarray, keys, path, stop
 def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:
     """Long format, one row per (path, time, product)."""
     limit = paths.n_paths if max_paths is None else min(max_paths, paths.n_paths)
-    _write_path_rows(paths.values[:limit], paths.time_grid, paths.product_keys, path)
+    _write_path_rows(paths.values[:limit], paths.time_grid, paths.product_keys, path, paths._stop)
 
 
 def write_summary_csv(paths: PathSet, path) -> None:

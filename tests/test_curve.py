@@ -560,6 +560,10 @@ def test_table_fit_matches_bootstrap_boards(boards, rng):
         assert fit.max_quote_residual == report.max_quote_residual
 
 
+def test_bootstrap_boards_of_no_boards_is_empty():
+    assert bootstrap_boards({}) == {}
+
+
 def test_bootstrap_boards_shares_one_plan_across_dates():
     """Two boards of one layout on either side of a month end fit alone and
     together to the same curves."""

@@ -737,6 +737,53 @@ def test_vpp_must_run_and_costs_hurt():
     assert tied.lsmc.value < free.lsmc.value
 
 
+def _two_product_paths(n_products=2, seed=9):
+    """Products 0, 1, ...: one GBM path set scaled by 1, 0.9, ..."""
+    base = gbm_paths(n_paths=200, n_times=5, seed=seed).values
+    return make_paths(np.concatenate([base * 0.9**i for i in range(n_products)], axis=2), step=1 / 12, seed=seed)
+
+
+_VPP = VppContract(3, 1, 1, 0.0, 1.0, 0.0, 0.0, 1.0)
+_STORAGE = StorageContract(2, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0)
+# call -> (argument checked, the paths it indexes, the call's value with that argument at i)
+_INDEXED_CALLS = {
+    "mc_european": ("product", "paths", lambda ps, i: mc_european(ps, 2 / 12, call_payoff(95.0), product=i)[0]),
+    "american_option": ("product", "paths", lambda ps, i: american_option(ps, 100.0, product=i).value),
+    "price_vpp-power": (
+        "power_product", "power_paths", lambda ps, i: price_vpp(_VPP, ps, ps, power_product=i).lsmc.value
+    ),
+    "price_vpp-fuel": (
+        "fuel_product", "fuel_paths", lambda ps, i: price_vpp(_VPP, ps, ps, fuel_product=i).lsmc.value
+    ),
+    "price_swing": (
+        "product", "spot_paths", lambda ps, i: price_swing(SwingContract(3, 1, 1, 95.0), ps, product=i).lsmc.value
+    ),
+    "price_storage": ("product", "spot_paths", lambda ps, i: price_storage(_STORAGE, ps, product=i).sdp.value),
+}
+
+
+@pytest.mark.parametrize("index", [2, -3, 1.0, True])
+@pytest.mark.parametrize("call", sorted(_INDEXED_CALLS))
+def test_pricers_reject_a_product_index_outside_the_paths(call, index):
+    """An index outside the set's products is a ValidationError naming the
+    argument and the paths, not numpy's IndexError; a negative index counts
+    from the end, as it always did."""
+    name, paths_name, value = _INDEXED_CALLS[call]
+    ps = _two_product_paths()
+    with pytest.raises(ValidationError, match=f"^{name} = {index!r} is outside the 2 products of {paths_name}$"):
+        value(ps, index)
+    assert value(ps, -1) == value(ps, 1)
+
+
+def test_storage_checks_the_product_index_on_the_fresh_paths():
+    ps, fresh = _two_product_paths(2), _two_product_paths(1, seed=10)
+    with pytest.raises(ValidationError, match="^product = 1 is outside the 1 products of fresh_paths$"):
+        price_storage(_STORAGE, ps, fresh, product=1)
+    with pytest.raises(ValidationError, match="^fresh_paths cover 2 points, contract needs 3$"):
+        price_storage(_STORAGE, ps, make_paths(fresh.values[:, :2], step=1 / 12, seed=10))
+    assert price_storage(_STORAGE, ps, fresh, product=0).out_of_sample is not None
+
+
 def test_vpp_joint_path_requirements():
     ps = gbm_paths(n_paths=64, n_times=4, seed=1)
     other_seed = gbm_paths(n_paths=64, n_times=4, seed=2)

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hjmkit.simulation import (
     ContractDescriptor,
     ExponentialVol,
     PathSet,
+    SanityReport,
     SimConfig,
     _spot_lag_vols,
     _quantiles_of_sorted,
@@ -133,6 +135,8 @@ def test_pathset_validation():
         PathSet(good, np.array([0.1, 0.5, 1.0]), keys, cfg)
     with pytest.raises(ValidationError, match="grid"):
         PathSet(good, np.array([0.0, 1.0, 0.5]), keys, cfg)
+    with pytest.raises(ValidationError, match="time grid must start at 0 and increase"):
+        PathSet(np.empty((2, 0, 1)), np.array([]), keys, cfg)
     bad = good.copy()
     bad[0, 1, 0] = -1.0
     with pytest.raises(ValidationError, match="positive"):
@@ -1202,6 +1206,64 @@ def test_one_product_blocks_keep_the_whole_array_sums(width, tmp_path, monkeypat
     write_summary_csv(ps, tmp_path / "blocked.csv")
     _reference_summary_csv(ps, tmp_path / "whole.csv")
     assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("width", [2, None])  # 2: blocks of 2 times at full width; None: one block per delivery
+def test_path_set_reducers_read_only_the_engines_live_cells(width, tmp_path, monkeypatch):
+    """sanity_check and write_summary_csv on a generated set reduce only the
+    60 of 162 cells the engine computed, in the engine's blocks, and give the
+    bytes of the same values reduced over every cell; so does write_paths_csv."""
+    model = _two_market_model()
+    cfg = SimConfig(seed=31, n_paths=60, step=1 / 52, horizon=0.5)
+    initial = [30.0, 31.0, 32.0, 20.0, 21.0, 22.0]
+    if width is not None:
+        monkeypatch.setattr(simulation, "_BLOCK_VALUES", width * 60 * 6)
+    law = simulation._fixed_delivery_law(model, [(mk, b) for mk in "AB" for b in (1, 2, 3)], initial, cfg)
+    engine = [(s, cols) for s, cols, _ in simulation._lognormal_blocks(*law[:3], cfg)]
+    ps = simulate_fixed_delivery(model, initial, cfg)
+    whole = PathSet(ps.values, ps.time_grid, ps.product_keys, ps.config)
+    seen = []
+    add = simulation._BlockStats.add
+
+    def counted(stats, s, cols, blk):
+        seen.append((s, cols, blk[0].size))
+        add(stats, s, cols, blk)
+
+    monkeypatch.setattr(simulation._BlockStats, "add", counted)
+    cells, reports = {}, {}
+    for name, paths in (("live", ps), ("whole", whole)):
+        seen.clear()
+        reports[name] = sanity_check(paths, model)
+        write_summary_csv(paths, tmp_path / f"summary_{name}.csv")
+        write_paths_csv(paths, tmp_path / f"paths_{name}.csv", 7)
+        cells[name] = sum(n for _, _, n in seen)
+        if name == "live":  # each pass runs the engine's blocks
+            assert [(s, cols.tolist()) for s, cols, _ in seen] == 2 * [(s, cols.tolist()) for s, cols in engine]
+    assert cells == {"live": 2 * 60, "whole": 2 * 162}
+    for f in fields(SanityReport):
+        np.testing.assert_array_equal(getattr(reports["live"], f.name), getattr(reports["whole"], f.name))
+    for name in ("summary", "paths"):
+        assert (tmp_path / f"{name}_live.csv").read_bytes() == (tmp_path / f"{name}_whole.csv").read_bytes()
+
+
+def test_a_set_rebuilt_from_generated_values_is_reduced_in_full():
+    """The freeze index comes from the law alone: drifting only the cells past
+    each product's last move, in a set rebuilt from a generated set's values,
+    fails the martingale check there."""
+    model = _two_market_model()
+    cfg = SimConfig(seed=31, n_paths=60, step=1 / 52, horizon=0.5)
+    ps = simulate_fixed_delivery(model, [30.0, 31.0, 32.0, 20.0, 21.0, 22.0], cfg)
+    assert sanity_check(ps, model).passed
+    frozen = np.arange(27)[:, None] > np.tile([5, 9, 13], 2)
+    drift = np.where(frozen, 1.5, 1.0)
+    for rebuilt in (
+        PathSet(ps.values * drift, ps.time_grid, ps.product_keys, ps.config),
+        replace(ps, values=ps.values * drift),
+    ):
+        failures = sanity_check(rebuilt, model).failures
+        assert all(f.startswith("martingale breach") for f in failures)
+        breached = {(f.split()[2], round(float(f.split("t=")[1].split(":")[0]) * 52)) for f in failures}
+        assert breached == {(key.label, t) for t, n in zip(*np.nonzero(frozen)) for key in [ps.product_keys[n]]}
 
 
 def test_blocked_spot_statistics_match_whole_array_reference(monkeypatch):

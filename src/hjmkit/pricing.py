@@ -22,7 +22,10 @@ step, so no paths x steps cash matrix is built. In the core:
   American option is one alive state, exercise (a stop) then hold,
   sampled on its in-the-money paths (Longstaff and Schwartz, 2001);
 * values are carried state-major, one row of paths per resource state,
-  and each move touches only the states it is valid in;
+  and each move touches only the states it is valid in. A step holds the
+  value-to-go, its new values and the fitted continuation whole, and
+  decides a chunk of consecutive states at a time, so every other
+  temporary of the decision is chunk-sized (_CHUNK_VALUES values);
 * decisions compare immediate payoff plus fitted continuation, but the
   value carried backward is the realized future cash flow of the chosen
   action, which keeps the estimate a true lower bound for the optimal
@@ -150,6 +153,9 @@ def mc_european(
     ``maturity`` must land on the path grid; ``payoff`` maps the vector of
     terminal prices to per-path payoffs.
     """
+    if not math.isfinite(maturity):
+        raise ValidationError(f"maturity must be finite, got {maturity}")
+    _require_finite_rate(rate)
     grid = paths.time_grid
     idx = int(np.argmin(np.abs(grid - maturity)))
     if abs(grid[idx] - maturity) > 1e-9 * max(1.0, abs(maturity)):
@@ -304,6 +310,9 @@ class LsmcSettings:
     degree: int = 3
     min_samples_per_dim: int = 10
 
+    def __post_init__(self):
+        _require_finite(self)
+
 
 _PLAN_VALUES = 2**18  # design values in one stacked block of a regression plan
 _PLAN_KEEP_VALUES = 2**22  # U values a shared plan may keep (32 MB)
@@ -403,11 +412,23 @@ class PolicyValuation:
 # ---------------------------------------------------------------------------
 
 
+def _require_integer(name: str, value) -> None:
+    """A float count would be truncated or fail deep in numpy, and a bool
+    would count as 0 or 1; int and numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_finite(contract) -> None:
-    """NaN passes every range check below, and infinity the lower bounds."""
+    """NaN passes every range check below, and infinity the lower bounds.
+
+    A field declared int must hold an integer.
+    """
     for f in fields(contract):
         v = getattr(contract, f.name)
-        if isinstance(v, float) and not math.isfinite(v):
+        if f.type == "int":
+            _require_integer(f.name, v)
+        elif isinstance(v, float) and not math.isfinite(v):
             raise ValidationError(f"{f.name} must be finite, got {v}")
 
 
@@ -511,6 +532,8 @@ class StorageContract:
 # Shared backward induction
 # ---------------------------------------------------------------------------
 
+_CHUNK_VALUES = 2**16  # values in one chunk of states a step decides at a time (512 KiB)
+
 
 def _cells(mask: np.ndarray):
     """The states a mask selects: a slice when they are contiguous, else indices.
@@ -546,21 +569,23 @@ def _put(out: np.ndarray, rows, values: np.ndarray, target: np.ndarray, immediat
         out[rows] = _shifted(values, target, immediate)
 
 
-def _cell_plan(tables) -> tuple[int, list, object]:
-    """Split a step's (valid, target) tables into the cells each one sets.
+def _cell_plan(tables, chunk: slice) -> tuple[int, list, object]:
+    """Split a chunk of a step's states into the cells each (valid, target) table sets.
 
-    Returns the state count; per table, whether it stops (all targets -1,
-    then read as row 0 of a source of zeros), its fresh cells (valid in no
-    earlier table) and contested cells, each with their targets; and the
-    cells no table is valid in.
+    Returns the chunk's state count; per table, whether it stops (all its
+    targets -1, then read as row 0 of a source of zeros), its fresh cells
+    (valid in no earlier table) and contested cells, each with their
+    targets; and the cells no table is valid in. Cells count from the
+    chunk's first state.
     """
-    seen = np.zeros(tables[0][0].size, dtype=bool)
+    seen = np.zeros(tables[0][0][chunk].size, dtype=bool)
     cells = []
     for valid, target in tables:
+        valid = valid[chunk]
         fresh, contested = _cells(valid & ~seen), _cells(valid & seen)
         seen |= valid
         stops = bool((target < 0).all())
-        t = np.zeros_like(target) if stops else target
+        t = np.zeros_like(valid, dtype=target.dtype) if stops else target[chunk]
         t_fresh = None if fresh is None else t[fresh]
         cells.append((stops, fresh, t_fresh, contested, None if contested is None else t[contested]))
     return seen.size, cells, _cells(~seen)
@@ -609,14 +634,19 @@ def _backward_induction(
         plan = (_RegressionPlan(keep=False) if plan is None else plan).bind(price_state, settings)
     cf = np.ascontiguousarray(terminal.T)
     fitted: list[ContinuationFit | None] = []
-    cell_plans: dict[int, tuple] = {}  # per table list; moves holds every list, so no id is reused
+    rows = max(1, _CHUNK_VALUES // max(price_state.shape[0], 1))  # states per chunk
+    # per table list, each chunk's first state and cell plan; moves holds
+    # every list, so no id is reused
+    cell_plans: dict[int, list] = {}
     for k in range(price_state.shape[1] - 1, -1, -1):
         x = price_state[:, k]
         immediate = cash(x, k)
         tables = moves[k]
+        n_states = tables[0][0].size
         if id(tables) not in cell_plans:
-            cell_plans[id(tables)] = _cell_plan(tables)
-        n_states, cells, unseen = cell_plans[id(tables)]
+            cell_plans[id(tables)] = [
+                (lo, _cell_plan(tables, slice(lo, lo + rows))) for lo in range(0, n_states, rows)
+            ]
         sample = None if samples is None else samples[k]
         if sample is not None:  # every path takes the default move; the sample may then decide
             valid, target = tables[default]
@@ -641,25 +671,33 @@ def _backward_induction(
             cf = held
             continue
         new_cf = np.empty((n_states, cf.shape[1]))
-        # with foresight the score is the realized value, so best is new_cf
-        best = new_cf if foresight else np.empty_like(new_cf)
-        for i, (c, (stops, fresh, t_fresh, contested, t)) in enumerate(zip(immediate, cells)):
-            # a stop's realized value and score are its cash alone
-            values, scores = (np.zeros((1, cf.shape[1])),) * 2 if stops else (cf, cont)
-            if fresh is not None:
-                _put(new_cf, fresh, values, t_fresh, c)
-                if not foresight:
-                    _put(best, fresh, scores, t_fresh, c)
-            if contested is not None:
-                realized = _shifted(values, t, c)
-                score = realized if foresight or stops else _shifted(scores, t, c)
-                better = score > best[contested] + _TIE_TOL
-                new_cf[contested] = np.where(better, realized, new_cf[contested])
-                if not foresight and i < len(cells) - 1:
-                    best[contested] = np.where(better, score, best[contested])
-        del values, scores  # drop the aliases, so the old cf and cont are freed when rebound
-        if unseen is not None:
-            new_cf[unseen] = -np.inf
+        stop = np.zeros((1, cf.shape[1]))  # a stop's realized value and score are its cash alone
+        # a chunk of states at a time, so the decision's temporaries stay chunk-sized
+        for lo, (size, cells, unseen) in cell_plans[id(tables)]:
+            out = new_cf[lo : lo + size]
+            # with foresight the score is the realized value, so best is out
+            best = out if foresight else np.empty_like(out)
+            for i, (c, (stops, fresh, t_fresh, contested, t)) in enumerate(zip(immediate, cells)):
+                values, scores = (stop, stop) if stops else (cf, cont)
+                if fresh is not None:
+                    _put(out, fresh, values, t_fresh, c)
+                    if not foresight:
+                        _put(best, fresh, scores, t_fresh, c)
+                if contested is not None:
+                    # best is settled before realized is drawn, so score and
+                    # realized are not both held through an np.where
+                    score = _shifted(scores, t, c)
+                    better = score > best[contested] + _TIE_TOL
+                    if not foresight and i < len(cells) - 1:
+                        best[contested] = np.where(better, score, best[contested])
+                    # with foresight or a stop, scores is values: score is realized
+                    realized = score if foresight or stops else _shifted(values, t, c)
+                    del score
+                    out[contested] = np.where(better, realized, out[contested])
+                    del realized
+            if unseen is not None:
+                out[unseen] = -np.inf
+        del values, scores, cont, best  # drop the aliases: the old cf is freed when rebound
         if sample is not None:
             held[:, sample] = new_cf
             new_cf = held
@@ -722,6 +760,8 @@ def american_option(
         raise ValidationError("strike must be positive and finite")
     _require_finite_rate(rate)
     grid = paths.time_grid
+    if last_exercise is not None:
+        _require_integer("last_exercise", last_exercise)
     last = grid.size - 1 if last_exercise is None else int(last_exercise)
     if not 0 <= last < grid.size:
         raise ValidationError("last_exercise outside the path grid")

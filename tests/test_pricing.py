@@ -9,9 +9,11 @@ reproduce the true optimum to rounding error.
 """
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +190,24 @@ def test_mc_input_validation():
     single = make_paths([[100.0, 110.0]])
     with pytest.raises(PricingError, match="two paths"):
         mc_european(single, 1.0, call_payoff(100.0))
+
+
+@pytest.mark.parametrize(
+    "kwargs, needle",
+    [
+        (dict(maturity=math.nan), "maturity must be finite"),
+        (dict(maturity=math.inf), "maturity must be finite"),
+        (dict(maturity=-math.inf), "maturity must be finite"),
+        (dict(maturity=0.25, rate=math.nan), "rate must be finite"),
+        (dict(maturity=0.25, rate=math.inf), "rate must be finite"),
+        (dict(maturity=0.25, rate=-math.inf), "rate must be finite"),
+    ],
+)
+def test_mc_rejects_non_finite_maturity_or_rate(kwargs, needle):
+    """A NaN or infinite maturity once priced at t = 0, and a NaN rate gave NaN."""
+    ps = gbm_paths(n_paths=16, n_times=3)
+    with pytest.raises(ValidationError, match=needle):
+        mc_european(ps, payoff=call_payoff(100.0), **kwargs)
 
 
 def test_mc_product_selection():
@@ -671,6 +691,91 @@ def test_core_matches_masked_reference(tables, foresight, lsmc, seed):
         np.testing.assert_array_equal(replay, want)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    tables=action_tables(),
+    lsmc=st.sampled_from([LsmcSettings(), SMALL_SAMPLES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(tables=MIXED_TABLES, lsmc=LsmcSettings(), seed=1)
+@example(tables=STOP_SAMPLE_TABLES, lsmc=SMALL_SAMPLES, seed=1)
+def test_core_chunks_of_states_match_one_chunk_bit_for_bit(tables, lsmc, seed):
+    """Deciding one, two or three states at a time gives the values of one
+    chunk of all states under ==, with and without foresight, in the
+    replay of fixed fits and on sampled steps, so the seams between chunks
+    change nothing."""
+    sizes, steps, quantiles, default = tables
+    rng = np.random.default_rng(seed)
+    n_paths = 40
+    assert hjmkit.pricing._CHUNK_VALUES >= max(sizes) * n_paths  # one chunk by default
+    price_state = 100.0 * np.exp(0.2 * rng.standard_normal((n_paths, len(steps))))
+    terminal = rng.standard_normal((n_paths, sizes[-1]))
+    cash = [
+        [np.zeros(n_paths) if zero else rng.standard_normal(n_paths) for zero in zero_cash]
+        for _, _, zero_cash in steps
+    ]
+    samples = None
+    if quantiles is not None:
+        samples = [
+            None if q is None else price_state[:, k] > np.quantile(price_state[:, k], q)
+            for k, q in enumerate(quantiles)
+        ]
+
+    def actions(k):
+        valid, target, _ = steps[k]
+        for a in range(len(valid)):
+            yield cash[k][a], np.array(valid[a]), np.array(target[a])
+
+    def runs():
+        sampled = dict(samples=samples, default=default)
+        cf, fits = core_on_actions(price_state, terminal, actions, lsmc, False, **sampled)
+        replay, _ = core_on_actions(price_state, terminal, actions, lsmc, False, fits, **sampled)
+        foresight, _ = core_on_actions(price_state, terminal, actions, lsmc, True, **sampled)
+        return (cf, replay, foresight), fits
+
+    want, want_fits = runs()
+    for rows in (1, 2, 3):
+        with mock.patch.object(hjmkit.pricing, "_CHUNK_VALUES", rows * n_paths):
+            got, got_fits = runs()
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert [f is None for f in got_fits] == [f is None for f in want_fits]
+        assert all(g is None or _same_fit(g, w) for g, w in zip(got_fits, want_fits))
+
+
+def test_core_peak_memory_is_bounded_by_chunks_of_states():
+    """A 30-day swing with 10 rights each way carries up to 121 states over
+    2000 paths. The core holds three (states x paths) value arrays whole
+    (cf, new_cf and the fitted continuation) and the U matrices of its
+    regression plan; every temporary of a step's decision is one chunk of
+    states. A decision over all states at once took several more whole
+    arrays (17 MB traced against this bound's 10.4 MB)."""
+    contract = SwingContract(30, 10, 10, 45.0)
+    layers, moves = hjmkit.pricing._swing_layers(contract)
+    n_paths, n_states = 2000, max(len(layer) for layer in layers)
+    assert n_states == 121
+    prices = gbm_paths(n_paths=n_paths, n_times=30, s0=45.0, dt=1 / 365, seed=5).values[:, :, 0]
+
+    def cash(x, k):
+        return np.zeros_like(x), np.maximum(x - 45.0, 0.0), np.maximum(45.0 - x, 0.0)
+
+    terminal = np.zeros((n_paths, 1))
+    value_bytes = n_states * n_paths * 8
+    plan_bytes = 30 * n_paths * 4 * 8  # U of the one stacked block that sets up the 30 days
+    chunk_bytes = hjmkit.pricing._CHUNK_VALUES * 8
+    assert n_states * n_paths > 3 * hjmkit.pricing._CHUNK_VALUES  # the widest steps split in four
+    tracemalloc.start()
+    try:
+        _backward_induction(prices, terminal, moves, cash, LsmcSettings(), False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most four chunk-sized temporaries at once (best, a score, its
+    # comparison threshold or np.where's result, a copy of scattered rows),
+    # and one chunk budget for the step's small arrays
+    assert peak <= 3 * value_bytes + plan_bytes + 5 * chunk_bytes
+
+
 # ---------------------------------------------------------------------------
 # Virtual power plant
 # ---------------------------------------------------------------------------
@@ -838,6 +943,30 @@ def test_vpp_contract_rejects_non_finite(name, value):
     )
     with pytest.raises(ValidationError, match=f"{name} must be finite"):
         VppContract(**{**good, name: value})
+
+
+_COUNTS = [
+    (lambda v: SwingContract(v, 1, 1, 100.0), "n_days"),
+    (lambda v: SwingContract(3, v, 1, 100.0), "u_max"),
+    (lambda v: SwingContract(3, 1, v, 100.0), "d_max"),
+    (lambda v: VppContract(v, 1, 1, 0.0, 1.0, 0.0, 0.0, 1.0), "n_hours"),
+    (lambda v: VppContract(5, v, 1, 0.0, 1.0, 0.0, 0.0, 1.0), "t_on"),
+    (lambda v: VppContract(5, 1, v, 0.0, 1.0, 0.0, 0.0, 1.0), "t_off"),
+    (lambda v: StorageContract(v, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0), "n_days"),
+    (lambda v: LsmcSettings(degree=v), "degree"),
+    (lambda v: LsmcSettings(min_samples_per_dim=v), "min_samples_per_dim"),
+    (lambda v: american_option(gbm_paths(n_paths=64, n_times=4), 100.0, last_exercise=v), "last_exercise"),
+]
+
+
+@pytest.mark.parametrize("value", [2.0, 2.7, True, np.float64(2.0), "2"], ids=["2.0", "2.7", "True", "np2.0", "str"])
+@pytest.mark.parametrize("make, name", _COUNTS, ids=[f"{i}-{name}" for i, (_, name) in enumerate(_COUNTS)])
+def test_counts_reject_non_integers(make, name, value):
+    """A float count was truncated (last_exercise = 2.7 priced date 2) or
+    failed later with a raw TypeError, and True counted as 1."""
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        make(value)
+    make(np.int64(2))  # numpy integers are counts too
 
 
 # ---------------------------------------------------------------------------

@@ -42,20 +42,23 @@ from .calibration import (
 )
 from .curve import (
     StepwiseCurve,
+    _FittedLayout,
     _bootstrap_table,
     _curve_as_written,
+    _table_curve,
+    _write_curve_tables,
     extract_fixed_delivery,
     read_curve_csv,
-    write_curve_csv,
 )
 from .dates import month_start
 from .errors import HjmkitError, ValidationError
 from .marketdata import (
     LogReturnMatrix,
     RelativePanel,
+    _csv_field,
+    _panel_prices,
     _read_quotes,
     acf,
-    build_relative_panel,
     combine_log_returns,
     default_tenor_labels,
     filter_outliers,
@@ -173,6 +176,11 @@ class RunConfig:
         for n in (self.n_month_tenors, self.n_quarter_tenors, self.n_year_tenors):
             if n < 0:
                 raise ValidationError("tenor counts must be non-negative")
+        seen: set[str] = set()
+        for market in self.markets:
+            if market in seen:
+                raise ValidationError(f"markets lists market {market!r} more than once")
+            seen.add(market)
 
     # derived paths -------------------------------------------------------
     @property
@@ -251,8 +259,8 @@ def load_run_config(path=None, **overrides) -> RunConfig:
 def _load_boards(cfg: RunConfig):
     """Read the quotes and bootstrap every (market, date) board in one call.
 
-    Returns (quote table, issues, {(market, date): board fit}) with the
-    boards in key order.
+    Returns (quote table, issues, the fitted layouts), each board ranked
+    by its place in (market, date) key order.
     """
     if not cfg.quotes:
         raise ValidationError("config key 'quotes' (input CSV) is required")
@@ -267,6 +275,25 @@ def _load_boards(cfg: RunConfig):
         if not len(table):
             raise ValidationError(f"no quotes for requested markets {sorted(wanted)}")
     return table, issues, _bootstrap_table(table)
+
+
+def _board_keys(layouts: list[_FittedLayout]) -> list[tuple[str, date]]:
+    """Every fitted board's (market, date) key, in key order."""
+    keys: list = [None] * sum(len(layout.curves.keys) for layout in layouts)
+    for layout in layouts:
+        for key, rank in zip(layout.curves.keys, layout.curves.rank):
+            keys[rank] = key
+    return keys
+
+
+def _latest_boards(layouts: list[_FittedLayout]) -> dict[str, StepwiseCurve]:
+    """Each market's latest board as a curve, the markets in sorted order."""
+    latest: dict[str, tuple] = {}  # market -> (date, table, row)
+    for layout in layouts:
+        for row, (market, as_of) in enumerate(layout.curves.keys):
+            if market not in latest or as_of > latest[market][0]:
+                latest[market] = (as_of, layout.curves, row)
+    return {market: _table_curve(*latest[market][1:]) for market in sorted(latest)}
 
 
 def _latest_curves(curves: dict[tuple[str, date], StepwiseCurve]) -> dict[str, StepwiseCurve]:
@@ -321,18 +348,24 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
     """Write each market's panel and the return diagnostics; return the
     panels as their files read back."""
-    table, issues, boards = loaded
+    table, issues, layouts = loaded
     markets = cfg.markets or table.markets
     labels = default_tenor_labels(cfg.n_month_tenors, cfg.n_quarter_tenors, cfg.n_year_tenors)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     notes: list[str] = []
 
+    # every board's panel row at once; a market's boards are a run of the key order
+    keys = _board_keys(layouts)
+    prices = _panel_prices([layout.curves for layout in layouts], labels)
+    rows: dict[str, list[int]] = {}
+    for i, (market, _) in enumerate(keys):
+        rows.setdefault(market, []).append(i)
     panels, written = {}, []
     for market in markets:
-        curves = {d: fit.curve for (mk, d), fit in boards.items() if mk == market}
-        if not curves:
+        if market not in rows:
             raise ValidationError(f"no usable quotes for market {market!r}")
-        panel = build_relative_panel(market, curves, labels)
+        lo, hi = rows[market][0], rows[market][-1] + 1
+        panel = RelativePanel(market, labels, [d for _, d in keys[lo:hi]], prices[lo:hi])
         panels[market] = panel
         written.append(write_panel_csv(panel, cfg.path_panel(market)))
         print(f"wrote {cfg.path_panel(market)} ({len(panel.dates)} dates)")
@@ -430,31 +463,22 @@ def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
 
 
 def cmd_curve(cfg: RunConfig, loaded) -> None:
-    _, _, boards = loaded
+    """Write curves.csv and curve_report.csv from the fitted layouts, one row
+    template per layout for each."""
+    layouts: list[_FittedLayout] = loaded[2]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    curves = [fit.curve for fit in boards.values()]
-    write_curve_csv(curves, cfg.path_curves())
-    rows = []
-    worst = 0.0
-    for (market, as_of), fit in boards.items():
-        residual = fit.max_quote_residual
-        worst = max(worst, residual)
-        rows.append(
-            [
-                as_of.isoformat(),
-                market,
-                len(fit.curve.months),
-                fit.n_removed,
-                fit.n_fills,
-                _fmt(residual),
-            ]
-        )
-    _write_csv(
-        cfg.out_dir / "curve_report.csv",
-        ["as_of", "market", "n_buckets", "n_redundant", "n_fill_groups", "max_residual"],
-        rows,
-    )
-    print(f"wrote {cfg.path_curves()} ({len(curves)} curves, worst residual {worst:.3g})")
+    _write_curve_tables([layout.curves for layout in layouts], cfg.path_curves())
+    rows = [""] * sum(len(layout.curves.keys) for layout in layouts)
+    for layout in layouts:
+        curves, plan = layout.curves, layout.plan
+        template = f"%s,%s,{len(curves.months)},{len(plan.removed)},{len(plan.fills)},%.10g\n"
+        for (market, as_of), rank, residual in zip(curves.keys, curves.rank, layout.worst):
+            rows[rank] = template % (as_of.isoformat(), _csv_field(market), residual)
+    with open(cfg.out_dir / "curve_report.csv", "w", newline="") as fh:
+        fh.write("as_of,market,n_buckets,n_redundant,n_fill_groups,max_residual\n")
+        fh.writelines(rows)
+    worst = max((max(layout.worst) for layout in layouts), default=0.0)
+    print(f"wrote {cfg.path_curves()} ({len(rows)} curves, worst residual {worst:.3g})")
 
 
 def _load_panels(cfg: RunConfig) -> list[RelativePanel]:
@@ -862,9 +886,8 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     loaded = _load_boards(cfg)  # one parse and one bootstrap per board
     panels = cmd_ingest(cfg, loaded)
     cmd_curve(cfg, loaded)
-    latest = _latest_curves({key: fit.curve for key, fit in loaded[2].items()})
-    curves = {market: _curve_as_written(curve) for market, curve in latest.items()}
-    del loaded, latest
+    curves = {market: _curve_as_written(curve) for market, curve in _latest_boards(loaded[2]).items()}
+    del loaded
     cmd_calibrate(cfg, panels)
     calibrated = FactorModel.load(cfg.path_model()), curves
     contracts = _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn

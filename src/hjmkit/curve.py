@@ -13,6 +13,16 @@ determinate with two rules taken in order:
    share one common value chosen so the weighted average matches the quote.
 
 Buckets covered by no product are simply absent from the curve.
+
+A whole quote history is fitted at once, board by board within each layout
+(the ordered quote windows a board shares with others). The pipeline keeps
+the fits as layout tables, each holding its boards' keys, bucket months,
+weights, one values row per board, residuals and counts, and writes
+curves.csv and curve_report.csv from them with one row template per layout.
+A StepwiseCurve is built from a table row only where a caller receives one:
+each market's latest board for simulate and price, bootstrap_boards and
+bootstrap_monthly_curve. write_curve_csv groups the curves it is given into
+tables of one bucket grid and writes them through the same writer.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from .dates import add_months, days_in_month, month_end, month_start
 from .errors import HjmkitError, InfeasibleCurveError, ValidationError
-from .marketdata import QuotedSwap, _QuoteTable, _Window, _csv_field
+from .marketdata import QuotedSwap, _CurveTable, _QuoteTable, _Window, _csv_field, _curve_tables
 
 RESIDUAL_TOL = 1e-9
 
@@ -213,7 +223,6 @@ class _Fill(NamedTuple):
 class _LayoutFit(NamedTuple):
     """The boards of one layout fitted as arrays, one row per board."""
 
-    alive: list[int]  # rows that fit; only their values are read
     values: np.ndarray  # boards x plan.months
     flats: np.ndarray  # boards x plan.fills
     resid: np.ndarray  # boards x quotes, relative residuals
@@ -291,50 +300,52 @@ def _fit_layout(
             conflicts=[qs[i] for i, o in zip(plan.kept, over[b]) if o],
         ),
     )
-    return _LayoutFit(np.flatnonzero(alive).tolist(), values, flats, resid, failures)
+    return _LayoutFit(values, flats, resid, failures)
 
 
-class _BoardFit(NamedTuple):
-    """A board's curve and its fit, the arrays being views of its layout's rows."""
+class _FittedLayout(NamedTuple):
+    """The boards of one layout as fitted: their curves as one table (keys,
+    bucket months, weights, a values row per board, each board's rank in
+    key order) and what curve_report.csv and a full report read."""
 
-    curve: StepwiseCurve
-    plan: _LayoutPlan
-    flats: np.ndarray  # the flat value of each of plan.fills
-    resid: np.ndarray  # each quote's relative residual
-    max_quote_residual: float
+    curves: _CurveTable
+    plan: _LayoutPlan  # its removed and fills give every board's counts
+    flats: np.ndarray  # boards x plan.fills, each fill's flat value
+    resid: np.ndarray  # boards x quotes, each quote's relative residual
+    worst: list[float]  # each board's largest residual over its quotes
 
-    @property
-    def n_removed(self) -> int:
-        return len(self.plan.removed)
-
-    @property
-    def n_fills(self) -> int:
-        return len(self.plan.fills)
-
-    def report(self, quotes: Sequence[QuotedSwap]) -> BootstrapReport:
-        """The board's full report, ``quotes`` being its quotes in table order."""
+    def report(self, row: int, quotes: Sequence[QuotedSwap]) -> BootstrapReport:
+        """Board ``row``'s full report, ``quotes`` being its quotes in table order."""
         plan = self.plan
         return BootstrapReport(
             removed=[quotes[i] for i in plan.removed],
-            residuals=list(zip([quotes[i] for i in plan.kept], self.resid[plan.kept].tolist())),
+            residuals=list(zip([quotes[i] for i in plan.kept], self.resid[row, plan.kept].tolist())),
             fill_groups=[
-                FillGroup(quotes[f.quote], f.open_months, v) for f, v in zip(plan.fills, self.flats.tolist())
+                FillGroup(quotes[f.quote], f.open_months, v)
+                for f, v in zip(plan.fills, self.flats[row].tolist())
             ],
-            max_quote_residual=self.max_quote_residual,
+            max_quote_residual=self.worst[row],
         )
 
 
-def _bootstrap_table(table: _QuoteTable) -> dict[tuple[str, date], _BoardFit]:
-    """Fit every (market, trading date) board of a quote table.
+def _table_curve(table: _CurveTable, row: int) -> StepwiseCurve:
+    """Row ``row`` of a curve table as a curve with its own months and weights."""
+    market, as_of = table.keys[row]
+    return StepwiseCurve(market, as_of, list(table.months), table.values[row], table.weights.copy())
+
+
+def _bootstrap_table(table: _QuoteTable) -> list[_FittedLayout]:
+    """Fit every (market, trading date) board of a quote table, one table per layout.
 
     A board is a run of a stable argsort on the (market, date) codes, so it
-    keeps its quotes in table order and the boards come in key order. Its
-    layout is its tuple of window codes; each layout's plan is derived once
-    and its boards x quotes prices taken by one fancy index, and each
-    layout's residuals for every quote come from one product. If any board
-    fails, the error raised is the one the first failing board in key order
-    would raise on its own: conflicting duplicates, then a non-positive flat
-    fill (in fill order), then a residual above 1e-9 relative.
+    keeps its quotes in table order and the boards come in key order, which
+    ranks them. Its layout is its tuple of window codes; each layout's plan
+    is derived once and its boards x quotes prices taken by one fancy index,
+    and each layout's residuals for every quote come from one product. If
+    any board fails, the error raised is the one the first failing board in
+    key order would raise on its own: conflicting duplicates, then a
+    non-positive flat fill (in fill order), then a residual above 1e-9
+    relative.
     """
     n_dates = len(table.dates)
     board = table.market * n_dates + table.day
@@ -349,21 +360,18 @@ def _bootstrap_table(table: _QuoteTable) -> dict[tuple[str, date], _BoardFit]:
     keys = [(table.markets[k // n_dates], table.dates[k % n_dates]) for k in board[first].tolist()]
     price = table.price[order]
 
-    fitted: dict[tuple[str, date], _BoardFit] = {}
+    fitted: list[_FittedLayout] = []
     failures: dict[tuple[str, date], HjmkitError] = {}
     for layout, boards in layouts.items():
         rows = first[boards][:, None] + np.arange(len(layout))  # sorted rows of each board
         plan = _LayoutPlan([table.windows[c] for c in layout])
         fit = _fit_layout(plan, price[rows], lambda b: list(map(table.quote, order[rows[b]].tolist())))
         failures.update((keys[boards[b]], error) for b, error in fit.failures.items())
-        worst = fit.resid.max(axis=1).tolist()
-        for b in fit.alive:
-            market, as_of = key = keys[boards[b]]
-            curve = StepwiseCurve(market, as_of, list(plan.months), fit.values[b], plan.weights.copy())
-            fitted[key] = _BoardFit(curve, plan, fit.flats[b], fit.resid[b], worst[b])
+        curves = _CurveTable([keys[b] for b in boards], boards, plan.months, plan.weights, fit.values)
+        fitted.append(_FittedLayout(curves, plan, fit.flats, fit.resid, fit.resid.max(axis=1).tolist()))
     if failures:
         raise failures[min(failures)]
-    return {key: fitted[key] for key in keys}
+    return fitted
 
 
 def bootstrap_boards(
@@ -390,10 +398,14 @@ def bootstrap_boards(
             break
         checked[key] = quotes
     # raises the error of any board before the first that failed its check
-    fits = _bootstrap_table(_QuoteTable.of([q for quotes in checked.values() for q in quotes]))
+    layouts = _bootstrap_table(_QuoteTable.of([q for quotes in checked.values() for q in quotes]))
     if error is not None:
         raise error
-    return {key: (fit.curve, fit.report(checked[key])) for key, fit in fits.items()}
+    fits = {}
+    for layout in layouts:
+        for row, key in enumerate(layout.curves.keys):
+            fits[key] = (_table_curve(layout.curves, row), layout.report(row, checked[key]))
+    return {key: fits[key] for key in checked}
 
 
 def bootstrap_monthly_curve(quotes: Sequence[QuotedSwap]) -> tuple[StepwiseCurve, BootstrapReport]:
@@ -443,28 +455,31 @@ def verify_no_arbitrage(curve: StepwiseCurve, quotes: Sequence[QuotedSwap]) -> f
 _CURVE_HEADER = ["as_of", "market", "bucket_start", "bucket_end", "value", "weight"]
 
 
-def write_curve_csv(curves: Sequence[StepwiseCurve], path) -> None:
-    """One row per bucket: as_of,market,bucket_start,bucket_end,value,weight."""
-    # (month, weight) -> ("start,end," and ",weight\n"), each formatted once
-    buckets: dict[tuple[date, float], tuple[str, str]] = {}
+def _write_curve_tables(tables: Sequence[_CurveTable], path) -> None:
+    """curves.csv of the curves of ``tables``, row r of a table as curve rank[r].
+
+    Each table's rows share one row template, its buckets' dates and
+    weights formatted once, so a curve is one % call on its lead and values.
+    """
+    texts = [""] * sum(len(table.keys) for table in tables)
+    for table in tables:
+        template = "".join(
+            f"%s{m.isoformat()},{month_end(m).isoformat()},%.10g,{w:.10g}\n"
+            for m, w in zip(table.months, table.weights.tolist())
+        )
+        args: list = [None] * (2 * len(table.months))
+        for (market, as_of), rank, values in zip(table.keys, table.rank, table.values.tolist()):
+            args[::2] = [f"{as_of.isoformat()},{_csv_field(market)},"] * len(values)
+            args[1::2] = values
+            texts[rank] = template % tuple(args)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CURVE_HEADER) + "\n")
-        for curve in curves:
-            keys = list(zip(curve.months, curve.weights.tolist()))
-            for m, w in keys:
-                if (m, w) not in buckets:
-                    buckets[m, w] = (f"{m.isoformat()},{month_end(m).isoformat()},", f",{w:.10g}\n")
-            lead = f"{curve.as_of.isoformat()},{_csv_field(curve.market)},"
-            fh.write(
-                "".join(
-                    [
-                        f"{lead}{span}{v:.10g}{weight}"
-                        for (span, weight), v in zip(
-                            map(buckets.__getitem__, keys), curve.values.tolist()
-                        )
-                    ]
-                )
-            )
+        fh.writelines(texts)
+
+
+def write_curve_csv(curves: Sequence[StepwiseCurve], path) -> None:
+    """One row per bucket: as_of,market,bucket_start,bucket_end,value,weight."""
+    _write_curve_tables(_curve_tables(curves), path)
 
 
 def _curve_as_written(curve: StepwiseCurve) -> StepwiseCurve:

@@ -17,6 +17,12 @@ Conventions:
   periods: M columns roll at month changes, Q at quarter changes, Y at year
   changes. Log returns straddling a roll compare two different contracts and
   are therefore masked as missing, never returned as spikes.
+
+The pipeline builds no StepwiseCurve per board: it keeps the board fits as
+layout tables (_CurveTable: keys, bucket months, weights, a values row per
+board) and builds every market's panel from them, a group of boards that
+share a layout and a trading month at a time. build_relative_panel groups
+the curves it is given into such tables and runs the same panel core.
 """
 
 from __future__ import annotations
@@ -419,6 +425,92 @@ class RelativePanel:
         return self.prices[:, self.tenor_labels.index(label)]
 
 
+class _CurveTable(NamedTuple):
+    """Curves on one bucket grid: shared months and weights, a values row each.
+
+    ``rank`` places each row among all the curves a caller hands on (its
+    panel row, or its place in curves.csv), so the rows of several tables
+    are paneled or written in the caller's order. The pipeline keeps its
+    board fits as such tables, one per layout; StepwiseCurve objects are
+    built from a row only where a caller receives one.
+    """
+
+    keys: list[tuple[str, date]]  # (market, as_of) of each row
+    rank: list[int]
+    months: list[date]
+    weights: np.ndarray
+    values: np.ndarray  # rows x months
+
+
+def _curve_tables(curves: Sequence["StepwiseCurve"]) -> list[_CurveTable]:  # noqa: F821
+    """The curves grouped into tables of one grid (equal months and weight
+    bits), each curve ranked by its position in ``curves``."""
+    grids: dict[tuple, list[int]] = {}
+    for i, curve in enumerate(curves):
+        grids.setdefault((tuple(curve.months), curve.weights.tobytes()), []).append(i)
+    tables = []
+    for rows in grids.values():
+        first = curves[rows[0]]
+        tables.append(
+            _CurveTable(
+                [(curves[i].market, curves[i].as_of) for i in rows],
+                rows,
+                list(first.months),
+                first.weights,
+                np.array([curves[i].values for i in rows]),
+            )
+        )
+    return tables
+
+
+def _panel_prices(tables: Sequence[_CurveTable], labels: Sequence[str]) -> np.ndarray:
+    """Panel prices of the curves of ``tables``, row r of a table at panel row rank[r].
+
+    A tenor's delivery months depend on the trading date only through its
+    month, so the rows of a table that share a trading month share every
+    tenor's bucket columns and are done together. A curve's months strictly
+    increase, so a window is covered exactly when its first and last months
+    are on the grid n - 1 buckets apart. Every cell keeps the bits of the
+    weighted average np.dot(values, weights) / weights.sum(): the monthly
+    cells, one value and one weight each, are one gather computed as
+    v * w / w, and each quarter or year cell is one stacked
+    np.matmul(V[:, None, a:a+n], w[a:a+n, None]), np.dot row by row (a 2-D
+    V @ w or an einsum sums in another order).
+    """
+    prices = np.full((sum(len(table.keys) for table in tables), len(labels)), np.nan)
+    windows: dict[date, list[tuple[int, date, date, int]]] = {}  # month -> (column, first, last, n)
+    for table in tables:
+        col = {m: c for c, m in enumerate(table.months)}
+        by_month: dict[date, list[int]] = {}
+        for r, (_, as_of) in enumerate(table.keys):
+            by_month.setdefault(month_start(as_of), []).append(r)
+        w = table.weights
+        for month, rows in by_month.items():
+            spans = windows.get(month)
+            if spans is None:
+                spans = windows[month] = [
+                    (j, months[0], months[-1], len(months))
+                    for j, months in enumerate(tenor_months(month, label) for label in labels)
+                ]
+            at = [table.rank[r] for r in rows]
+            cols, buckets = [], []  # the monthly cells
+            for j, first, last, n in spans:
+                a = col.get(first)
+                if a is None:
+                    continue
+                if n == 1:
+                    cols.append(j)
+                    buckets.append(a)
+                elif col.get(last) == a + n - 1:
+                    wn = w[a : a + n]
+                    dots = np.matmul(table.values[rows, None, a : a + n], wn[:, None])
+                    prices[at, j] = dots[:, 0, 0] / wn.sum()
+            if cols:
+                v, wb = table.values[np.ix_(rows, buckets)], w[buckets]
+                prices[np.ix_(at, cols)] = v * wb / wb
+    return prices
+
+
 def build_relative_panel(
     market: str,
     curves: Mapping[date, "StepwiseCurve"],  # noqa: F821 - curve module type
@@ -428,53 +520,18 @@ def build_relative_panel(
 
     Monthly tenors read the curve bucket directly; quarter and year tenors
     are delivery-weighted averages of their constituent monthly buckets and
-    are present only when every constituent month is on the curve.
-
-    A tenor's delivery months depend on the trading date only through its
-    month, so they are looked up once per (trading month, label). A curve's
-    months strictly increase, so a window is covered exactly when its first
-    and last months are on the curve n - 1 buckets apart. Every cell keeps
-    the bits of the weighted average np.dot(values, weights) / weights.sum():
-    the monthly cells, one value and one weight each, are v * w / w in one
-    array operation, and each quarter or year cell is one np.dot on the
-    window's contiguous bucket slices.
+    are present only when every constituent month is on the curve. The
+    curves are grouped into tables of one bucket grid and paneled as the
+    pipeline panels its board fits (see _panel_prices).
     """
     if not curves:
         raise ValidationError("no curves supplied")
     labels = list(tenor_labels) if tenor_labels is not None else default_tenor_labels()
     dates = sorted(curves)
-    width = len(labels)
-    prices = np.full((len(dates), width), np.nan)
-    windows: dict[date, list[tuple[int, date, date, int]]] = {}  # month -> (column, first, last, n)
-    cells, at, values, weights = [], [], [], []  # monthly cells and their buckets, all curves end to end
-    offset = 0
-    for i, d in enumerate(dates):
-        curve = curves[d]
-        if curve.as_of != d:
-            raise ValidationError(f"curve dated {curve.as_of} filed under {d}")
-        spans = windows.get(month_start(d))
-        if spans is None:
-            spans = windows[month_start(d)] = [
-                (j, months[0], months[-1], len(months))
-                for j, months in enumerate(tenor_months(d, label) for label in labels)
-            ]
-        index = curve.index
-        for j, first, last, n in spans:
-            a = index.get(first)
-            if a is None:
-                continue
-            if n == 1:
-                cells.append(i * width + j)
-                at.append(offset + a)
-            elif index.get(last) == a + n - 1:
-                w = curve.weights[a : a + n]
-                prices[i, j] = float(np.dot(curve.values[a : a + n], w) / w.sum())
-        values.append(curve.values)
-        weights.append(curve.weights)
-        offset += curve.values.size
-    if cells:
-        v, w = np.concatenate(values)[at], np.concatenate(weights)[at]
-        prices.flat[cells] = v * w / w
+    for d in dates:
+        if curves[d].as_of != d:
+            raise ValidationError(f"curve dated {curves[d].as_of} filed under {d}")
+    prices = _panel_prices(_curve_tables([curves[d] for d in dates]), labels)
     return RelativePanel(market, labels, dates, prices)
 
 
@@ -672,6 +729,7 @@ def normality_diagnostics(values) -> DistributionMoments:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)  # a run writes a few markets and labels many times
 def _csv_field(text: str) -> str:
     """``text`` as csv.writer writes it inside a row: quoted only when needed.
 

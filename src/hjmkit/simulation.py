@@ -760,6 +760,7 @@ class _BlockStats:
     * ``returns``: the pooled log returns of the first ``returns`` steps,
       path-major, one carried row spanning each block seam. Every product
       moves over those steps, so the blocks that hold them are whole-width.
+      The sanity report centres them in place when it correlates them.
     """
 
     def __init__(
@@ -955,7 +956,10 @@ def _sanity_report(
     cfg: SimConfig,
     expected_mean: np.ndarray | None = None,
 ) -> SanityReport:
-    """sanity_check's verdicts on the moments and returns of a block pass."""
+    """sanity_check's verdicts on the moments and returns of a block pass.
+
+    The correlation check centres ``stats.returns`` in place.
+    """
     keys = stats.keys
     times = stats.time_grid[1:]
     emp_var, emp_mean, mean_se = stats.log_variance, stats.mean, stats.mean_se
@@ -998,13 +1002,12 @@ def _sanity_report(
 
     emp_corr = model_corr = None
     if stats.returns is not None:
-        flat = stats.returns.reshape(-1, len(keys))
-        emp_corr = np.corrcoef(flat.T)
+        n_samp = stats.returns.size // len(keys)
+        emp_corr = _pooled_correlation(stats.returns)
         rows = _rows_for(model, [(d.market, d.bucket) for d in keys])
         cov = rows @ rows.T
         dd = np.sqrt(np.diag(cov))
         model_corr = cov / np.outer(dd, dd)
-        n_samp = flat.shape[0]
         tol = np.maximum(_Z_TOL * (1 - model_corr**2) / math.sqrt(n_samp), 1e-3)
         bad = np.abs(emp_corr - model_corr) > tol
         for a, b in zip(*np.nonzero(np.triu(bad, 1))):
@@ -1025,6 +1028,26 @@ def _sanity_report(
         model_corr,
         failures,
     )
+
+
+def _pooled_correlation(returns: np.ndarray) -> np.ndarray:
+    """np.corrcoef of the pooled returns, each product's (path, step) samples
+    one variable, computed in place: ``returns`` is left centred.
+
+    np.corrcoef(returns.reshape(-1, n).T) first copies its argument with the
+    argument's strides; this runs np.cov's and np.corrcoef's own steps on
+    that transposed view instead, so it has their bits without the copy.
+    """
+    x = returns.reshape(-1, returns.shape[-1]).T
+    x -= np.average(x, axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # one sample gives NaN, as np.corrcoef does
+        c = np.dot(x, x.T.conj())
+        c *= np.true_divide(1, x.shape[1] - 1)
+        std = np.sqrt(np.diag(c))
+        c /= std[:, None]
+        c /= std[None, :]
+    np.clip(c, -1, 1, out=c)
+    return c
 
 
 def _simulate_stage(
@@ -1067,18 +1090,24 @@ def _write_path_rows(values: np.ndarray, time_grid: np.ndarray, keys, path, stop
     """paths.csv of every path in ``values``, path x time x product.
 
     Product n is frozen from time index stop[n] on: its cells there repeat
-    its value at stop[n] - 1, so each path formats only its distinct values.
+    its value at stop[n] - 1, so each path formats only its distinct values,
+    with one % call. A path's rows are one join over (id, cell, value)
+    pieces laid out by slice assignment, not a concatenation per row.
     """
     labels = [_csv_field(key.label) for key in keys]
     # "time,label," of each (time, product) cell, in the C order of a path's values
     cells = [f"{t:.10g},{label}," for t in time_grid.tolist() for label in labels]
     distinct, src = _distinct_cells(stop, time_grid.size)
+    template = "%.10g\n" * distinct.size
+    pieces: list = [None] * (3 * len(cells))  # row i is pieces[3i:3i + 3]
+    pieces[1::3] = cells
     with open(path, "w", newline="") as fh:
         fh.write("path_id,time,product_key,value\n")
         for p in range(values.shape[0]):
-            text = [f"{v:.10g}\n" for v in values[p].ravel()[distinct].tolist()]
-            head = f"{p},"
-            fh.write("".join([head + cell + text[i] for cell, i in zip(cells, src)]))
+            pieces[::3] = [f"{p},"] * len(cells)
+            text = (template % tuple(values[p].ravel()[distinct].tolist())).splitlines(True)
+            pieces[2::3] = map(text.__getitem__, src)
+            fh.write("".join(pieces))
 
 
 def write_paths_csv(paths: PathSet, path, max_paths: int | None = None) -> None:

@@ -319,6 +319,20 @@ def test_exit_code_every_quote_row_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "curve", "pipeline"])
+def test_exit_code_repeated_market(tmp_path, capsys, command):
+    """A market named twice in the config: exit 1 naming the key and the
+    market before anything is written, not unequal bucket grids at calibrate."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        f"quotes = {ROOT / 'fixtures' / 'quotes_synthetic.csv'}\n"
+        f"out = {tmp_path / 'out'}\nmarkets = DE,DE,TTF\nseed = 1\n"
+    )
+    rc = main([command, "--config", str(conf)])
+    _assert_clean_validation_exit(rc, capsys, "markets lists market 'DE' more than once")
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_input_files_not_text(tmp_path, capsys):
     """Undecodable bytes in the quotes CSV or the config file: exit 1 naming the file."""
     quotes = tmp_path / "quotes.csv"
@@ -1123,9 +1137,9 @@ def test_pipeline_parses_once_and_bootstraps_each_board_once(tmp_path, monkeypat
         return parse(source)
 
     def counting_bootstrap(table):
-        fits = bootstrap(table)
-        boards.update(fits.keys())  # one count per board key
-        return fits
+        layouts = bootstrap(table)
+        boards.update(key for layout in layouts for key in layout.curves.keys)  # one count per board key
+        return layouts
 
     monkeypatch.setattr(hjmkit.cli, "_read_quotes", counting_parse)
     monkeypatch.setattr(hjmkit.cli, "_bootstrap_table", counting_bootstrap)

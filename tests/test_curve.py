@@ -549,15 +549,20 @@ def test_table_fit_matches_bootstrap_boards(boards, rng):
         assert str(info.value) == str(error)
         assert getattr(info.value, "conflicts", None) == getattr(error, "conflicts", None)
         return
-    got = _bootstrap_table(table)
-    assert list(got) == list(want)
-    for key, (curve, report) in want.items():
-        fit = got[key]
-        assert (fit.curve.market, fit.curve.as_of, fit.curve.months) == (key[0], key[1], curve.months)
-        assert fit.curve.values.tobytes() == curve.values.tobytes()
-        assert fit.curve.weights.tobytes() == curve.weights.tobytes()
-        assert (fit.n_removed, fit.n_fills) == (len(report.removed), len(report.fill_groups))
-        assert fit.max_quote_residual == report.max_quote_residual
+    rows = {}  # rank -> (layout, row)
+    for layout in _bootstrap_table(table):
+        for row, rank in enumerate(layout.curves.rank):
+            rows[rank] = (layout, row)
+    assert sorted(rows) == list(range(len(want)))
+    for rank, (key, (curve, report)) in enumerate(want.items()):
+        layout, row = rows[rank]
+        table_curve = layout.curves
+        assert (table_curve.keys[row], table_curve.months) == (key, curve.months)
+        assert table_curve.values[row].tobytes() == curve.values.tobytes()
+        assert table_curve.weights.tobytes() == curve.weights.tobytes()
+        plan = layout.plan
+        assert (len(plan.removed), len(plan.fills)) == (len(report.removed), len(report.fill_groups))
+        assert layout.worst[row] == report.max_quote_residual
 
 
 def test_bootstrap_boards_of_no_boards_is_empty():

@@ -389,9 +389,34 @@ def _fixed_panel_curves():
     return curves, default_tenor_labels(24, 7, 3)
 
 
+def _one_grid_panel_curves():
+    """Curves on one bucket grid (the same months and weights, as the boards
+    of one layout) traded over several months, period ends included."""
+    rng = np.random.default_rng(29)
+    months = [add_months(date(2020, 1, 1), k) for k in range(36) if k != 7]
+    weights = np.array([float(days_in_month(m)) for m in months])
+    dates = [date(2020, 1, 15), date(2020, 1, 31), date(2020, 2, 3), date(2020, 3, 31), date(2020, 4, 1), date(2020, 6, 30)]
+    curves = {d: StepwiseCurve("DE", d, months, 40.0 * rng.lognormal(0, 0.3, len(months)), weights) for d in dates}
+    return curves, default_tenor_labels(24, 7, 3)
+
+
+def _reweighted_panel_curves():
+    """Two curves of one trading month with the same months but other weights."""
+    rng = np.random.default_rng(31)
+    months = [add_months(date(2020, 3, 1), k) for k in range(34)]
+    days = np.array([float(days_in_month(m)) for m in months])
+    curves = {
+        d: StepwiseCurve("DE", d, months, 40.0 * rng.lognormal(0, 0.3, len(months)), w)
+        for d, w in [(date(2020, 3, 2), days), (date(2020, 3, 3), rng.uniform(0.5, 40.0, len(months)))]
+    }
+    return curves, default_tenor_labels(24, 7, 3)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(panel_curves())
 @example(_fixed_panel_curves())
+@example(_one_grid_panel_curves())
+@example(_reweighted_panel_curves())
 def test_relative_panel_matches_per_cell_loop(case):
     curves, labels = case
     panel = build_relative_panel("DE", curves, labels)

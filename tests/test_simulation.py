@@ -1317,12 +1317,16 @@ def test_theoretical_variances_on_a_grid_match_scalar_calls(contract):
 
 @pytest.mark.parametrize("max_paths", [None, 3])
 def test_write_paths_csv_matches_row_by_row_reference(max_paths, tmp_path):
-    model = _two_market_model()
+    # the second market's labels hold a comma, a double quote and a newline:
+    # the csv dialect quotes them, and each of their rows spans two lines
+    market = 'Hub "B",\npeak'
+    model = model_of(_two_market_model().sigma_star, markets=("A", market))
     cfg = SimConfig(seed=8, n_paths=5, step=1 / 12, horizon=0.25)
     ps = simulate_fixed_delivery(model, [30.0, 31.0, 32.0, 20.0, 21.0, 22.0], cfg)
     write_paths_csv(ps, tmp_path / "fast.csv", max_paths)
     _reference_paths_csv(ps, tmp_path / "slow.csv", max_paths)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+    assert '"Hub ""B"",\npeak:M1"' in (tmp_path / "fast.csv").read_text()
 
 
 @pytest.mark.parametrize("n_paths", [1, 2, 3, 2500])
@@ -1394,6 +1398,22 @@ def test_simulate_stage_holds_one_path_array(tmp_path):
     ps = simulate_fixed_delivery(model, initial, cfg)
     assert _traced_peak(sanity_check, ps, model) <= 0.25 * path_bytes
     assert _traced_peak(write_summary_csv, ps, tmp_path / "summary.csv") <= 0.25 * path_bytes
+
+
+def test_sanity_check_correlates_the_pooled_returns_without_a_copy(monkeypatch):
+    """A short-horizon set's steps all come before its first delivery, so its
+    pooled returns are as large as its path array. With blocks of 2 grid
+    times nothing else the check holds is path-sized: np.corrcoef's copy of
+    the returns would take the peak to twice them."""
+    rows = np.vstack([[0.3 * 0.9**b, 0.05 * (b - 3)] for b in range(6)])
+    model = model_of(rows)
+    cfg = SimConfig(seed=11, n_paths=2000, step=1 / 260, horizon=20 / 260)
+    ps = simulate_short_horizon(model, "X", np.linspace(30.0, 40.0, 6), cfg)
+    want = _reference_sanity_stats(ps)[3]
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 2 * cfg.n_paths * 6)
+    return_bytes = cfg.n_paths * cfg.n_steps * 6 * 8
+    assert _traced_peak(sanity_check, ps, model) <= 1.5 * return_bytes
+    np.testing.assert_array_equal(sanity_check(ps, model).empirical_correlation, want)
 
 
 def test_lognormal_blocks_hold_no_normals_past_the_last_delivery(monkeypatch):

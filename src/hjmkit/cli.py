@@ -73,11 +73,10 @@ from .pricing import (
     StorageContract,
     SwingContract,
     VppContract,
-    _RegressionPlan,
+    _price_swings,
+    _price_vpps,
     _storage_grid,
     price_storage,
-    price_swing,
-    price_vpp,
 )
 from .simulation import (
     ContractDescriptor,
@@ -203,6 +202,16 @@ class RunConfig:
         if self.seed is None:
             raise ValidationError("seed is required (no wall-clock default)")
         return self.seed
+
+    def sim_config(self) -> SimConfig:
+        """The simulate stage's sampling settings, checked."""
+        return SimConfig(self.need_seed(), self.n_paths, self.sim_step(), self.horizon, self.antithetic)
+
+    def simulated_market(self, markets: list[str]) -> str:
+        """The market a short_horizon or swap run simulates: sim_market, else the first market."""
+        if self.sim_market and self.sim_market not in markets:
+            raise ValidationError(f"sim_market {self.sim_market!r} is not one of the markets {markets}")
+        return self.sim_market or markets[0]
 
 
 # each key's kind is its field's annotation, optional or not
@@ -413,7 +422,7 @@ def cmd_ingest(cfg: RunConfig, loaded) -> list[RelativePanel]:
 
     removed_total: dict[tuple[str, str], int] = {}
     if rets:
-        combined = combine_log_returns([rets[m] for m in sorted(rets)]) if len(rets) > 1 else rets[sorted(rets)[0]]
+        combined = combine_log_returns([rets[m] for m in sorted(rets)])
         filtered, removed_total = filter_outliers(combined, cfg.outlier_k)
         # frozen products (e.g. an in-delivery M0) have zero return variance
         # and carry no correlation information
@@ -497,7 +506,7 @@ def cmd_calibrate(cfg: RunConfig, panels: list[RelativePanel]) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     markets = [p.market for p in panels]
     rets = [log_returns(p, cfg.dt) for p in panels]
-    combined = combine_log_returns(rets) if len(rets) > 1 else rets[0]
+    combined = combine_log_returns(rets)
     filtered, removed = filter_outliers(combined, cfg.outlier_k)
 
     # the factor grid uses monthly tenors M1..M contiguous and common to all
@@ -565,11 +574,9 @@ def cmd_simulate(cfg: RunConfig, calibrated) -> None:
     the same way. Nothing is written until every block has passed the value
     check.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    sim_cfg = cfg.sim_config()
     model, curves = calibrated
-    sim_cfg = SimConfig(
-        cfg.need_seed(), cfg.n_paths, cfg.sim_step(), cfg.horizon, cfg.antithetic
-    )
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     mode = cfg.sim_mode
     expected = None  # spot means track the curve, not the t=0 value
@@ -586,14 +593,14 @@ def cmd_simulate(cfg: RunConfig, calibrated) -> None:
             initial = [extract_fixed_delivery(_curve_for(cfg, curves, mk), b) for mk, b in products]
             law = _fixed_delivery_law(model, products, initial, sim_cfg)
         elif mode == "short_horizon":
-            market = cfg.sim_market or model.markets[0]
+            market = cfg.simulated_market(model.markets)
             initial = [
                 extract_fixed_delivery(_curve_for(cfg, curves, market), b)
                 for b in range(1, model.buckets_per_market + 1)
             ]
             law = _short_horizon_law(model, market, initial, sim_cfg)
         else:  # swap
-            market = cfg.sim_market or model.markets[0]
+            market = cfg.simulated_market(model.markets)
             contract = ContractDescriptor("swap", market, tau_start=cfg.swap_tau)
             initial = extract_fixed_delivery(
                 _curve_for(cfg, curves, market), max(1, round(cfg.swap_tau * 12))
@@ -642,14 +649,15 @@ class _ContractDecl:
     cls: type
     # the contract file, key by key as (file key, contract field, kind, default).
     # The default is _REQUIRED, a value, or a function of (the values read so
-    # far, the model). A field of None marks a market key, which takes its
-    # default also when left empty; a tuple of fields marks a sweep key, which
-    # re-prices the contract with each listed value in all of those fields.
+    # far, the run's markets). A field of None marks a market key, which takes
+    # its default also when left empty; a tuple of fields marks a sweep key,
+    # which re-prices the contract with each listed value in all of those fields.
     keys: tuple
-    window: str  # the key of the priced window, at least `shortest` grid times
-    shortest: int
+    window: str  # the key of the priced window; it and extra_points span the spot grid's times, at least 2
     per_year: float  # grid times per year of the spot paths
-    price: Callable  # (contract, paths, fresh paths, rate, regression plan) -> result
+    # (contract, sweep entries' contracts, paths, fresh paths, rate) -> the
+    # results of the contract and of each entry, in order
+    price: Callable
     report: Callable  # result -> {report key: value}, in report order
     stdout: str  # the stdout line after the contract's name, over the report values
     sweep_columns: tuple = ((), ())  # a sweep row's entry columns, then its report keys
@@ -663,7 +671,7 @@ _CONTRACTS = {
     "swing": _ContractDecl(
         SwingContract,
         (
-            ("market", None, "str", lambda values, model: model.markets[0]),
+            ("market", None, "str", lambda values, markets: markets[0]),
             ("n_days", "n_days", "int", 30),
             ("u_max", "u_max", "int", 1),
             ("d_max", "d_max", "int", 1),
@@ -671,8 +679,10 @@ _CONTRACTS = {
             ("Q", "quantity", "float", 1.0),
             ("sweep_rights", ("u_max", "d_max"), "list[int]", ()),
         ),
-        "n_days", 2, _DAYS_PER_YEAR,
-        lambda c, paths, fresh, rate, plan: price_swing(c, paths, rate, plan=plan),
+        "n_days", _DAYS_PER_YEAR,
+        lambda c, entries, paths, fresh, rate: _price_swings(
+            c, [(e.u_max, e.d_max) for e in (c, *entries)], paths, rate, LsmcSettings(), 0
+        ),
         lambda r: dict(
             value=r.lsmc.value, std_error=r.lsmc.std_error,
             lower_bound=r.lower_bound, lower_bound_std_error=r.lower_bound_std_error,
@@ -684,8 +694,8 @@ _CONTRACTS = {
     "vpp": _ContractDecl(
         VppContract,
         (
-            ("power_market", None, "str", lambda values, model: model.markets[0]),
-            ("fuel_market", None, "str", lambda values, model: model.markets[-1]),
+            ("power_market", None, "str", lambda values, markets: markets[0]),
+            ("fuel_market", None, "str", lambda values, markets: markets[-1]),
             ("n_hours", "n_hours", "int", 168),
             ("t_on", "t_on", "int", 1),
             ("t_off", "t_off", "int", 1),
@@ -696,10 +706,11 @@ _CONTRACTS = {
             ("H", "heat_rate", "float", 1.0),
             ("sweep_lock_hours", ("t_on", "t_off"), "list[int]", ()),
         ),
-        "n_hours", 2, _HOURS_PER_YEAR,
+        "n_hours", _HOURS_PER_YEAR,
         # the fuel is the last product, the only one when it is the power market
-        lambda c, paths, fresh, rate, plan: price_vpp(
-            c, paths, paths, rate, power_product=0, fuel_product=len(paths.product_keys) - 1, plan=plan
+        lambda c, entries, paths, fresh, rate: _price_vpps(
+            c, [(e.t_on, e.t_off) for e in (c, *entries)], paths, paths, rate, LsmcSettings(), 0,
+            len(paths.product_keys) - 1,
         ),
         lambda r: dict(
             value=r.lsmc.value, std_error=r.lsmc.std_error,
@@ -713,7 +724,7 @@ _CONTRACTS = {
     "storage": _ContractDecl(
         StorageContract,
         (
-            ("market", None, "str", lambda values, model: model.markets[0]),
+            ("market", None, "str", lambda values, markets: markets[0]),
             ("n_days", "n_days", "int", 30),
             ("v_min", "v_min", "float", _REQUIRED),
             ("v_max", "v_max", "float", _REQUIRED),
@@ -723,8 +734,8 @@ _CONTRACTS = {
             ("i_max", "inject_rate", "float", _REQUIRED),
             ("penalty_scale", "penalty_scale", "float", 2.0),
         ),
-        "n_days", 1, _DAYS_PER_YEAR,
-        lambda c, paths, fresh, rate, plan: price_storage(c, paths, fresh, rate),
+        "n_days", _DAYS_PER_YEAR,
+        lambda c, entries, paths, fresh, rate: [price_storage(c, paths, fresh, rate)],
         lambda r: dict(
             deterministic=r.deterministic, deterministic_std_error=r.deterministic_std_error,
             sdp_value=r.sdp.value, sdp_std_error=r.sdp.std_error,
@@ -743,7 +754,7 @@ _CONTRACTS = {
 }
 
 
-def _read_contract(cfg: RunConfig, name: str, model) -> dict:
+def _read_contract(cfg: RunConfig, name: str, markets: list[str]) -> dict:
     """Every declared key of the named contract file: its parsed value, else its default."""
     path, keys = getattr(cfg, name), _CONTRACTS[name].keys
     kinds = {key: kind for key, _, kind, _ in keys}
@@ -757,7 +768,7 @@ def _read_contract(cfg: RunConfig, name: str, model) -> dict:
             continue
         if default is _REQUIRED:
             raise ValidationError(f"{path}: missing required contract key {key!r}")
-        values[key] = default(values, model) if callable(default) else default
+        values[key] = default(values, markets) if callable(default) else default
     return values
 
 
@@ -778,12 +789,11 @@ def _checked(path, name: str, where: str, build, *args, **kwargs):
 
 
 def _price_contract(cfg: RunConfig, model, curves, name: str, spec: dict, contract, sweep) -> None:
-    """Price a contract of _configured_contracts on spot paths of its markets
-    (product i is market i of _contract_markets) and write price_<name>.txt:
-    the file keys in declaration order, sweeps left out, the run's sampling
-    settings, then the report; and price_<name>_sweep.csv, one row per sweep
-    entry. An entry equal to the headline contract reuses its result: every
-    entry prices the same paths on one regression plan."""
+    """Price a contract of _configured_contracts and its sweep entries in one
+    pricer call on spot paths of its markets (product i is market i of
+    _contract_markets) and write price_<name>.txt: the file keys in
+    declaration order, sweeps left out, the run's sampling settings, then
+    the report; and price_<name>_sweep.csv, one row per sweep entry."""
     decl = _CONTRACTS[name]
     markets, points = _contract_markets(name, spec), spec[decl.window] + decl.extra_points
 
@@ -791,18 +801,15 @@ def _price_contract(cfg: RunConfig, model, curves, name: str, spec: dict, contra
         sim_cfg = SimConfig(seed, cfg.n_paths, 1.0 / decl.per_year, (points - 1) / decl.per_year, cfg.antithetic)
         return simulate_spot(model, _curve_means(cfg, curves, markets, sim_cfg.time_grid), sim_cfg, markets)
 
-    paths, plan = draw(cfg.need_seed()), _RegressionPlan()
+    paths = draw(cfg.need_seed())
     fresh = draw((cfg.seed + 1) % 2**64) if decl.fresh else None
-
-    def price(c):
-        return decl.report(decl.price(c, paths, fresh, cfg.rate, plan))
-
-    result = price(contract)
+    results = decl.price(contract, [varied for _, varied in sweep], paths, fresh, cfg.rate)
+    result, *entries = map(decl.report, results)
     entry_columns, value_columns = decl.sweep_columns
-    rows = []
-    for entry, varied in sweep:
-        values = result if varied == contract else price(varied)
-        rows.append([entry] * len(entry_columns) + [_fmt(values[c]) for c in value_columns])
+    rows = [
+        [entry] * len(entry_columns) + [_fmt(values[c]) for c in value_columns]
+        for (entry, _), values in zip(sweep, entries)
+    ]
     lines = [("contract", name)]
     for key, f, key_kind, _ in decl.keys:
         if not isinstance(f, tuple):
@@ -815,11 +822,12 @@ def _price_contract(cfg: RunConfig, model, curves, name: str, spec: dict, contra
     print(f"{name} " + decl.stdout.format(**result))
 
 
-def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
+def _configured_contracts(cfg: RunConfig, markets: list[str]) -> list[tuple]:
     """(name, file values, contract, sweep) of each configured contract,
     checked before any path is drawn: its keys and fields, each sweep
     entry's contract, given as (entry, contract), storage's volume grid, its
-    markets against the model, and the path count against its regressions.
+    markets against ``markets`` (the model's, or those a pipeline will
+    calibrate, in the same order), and the path count against its regressions.
 
     The path rule is lsmc_continuation's: at least min_samples_per_dim
     samples per basis function. It assumes simulated prices are
@@ -835,9 +843,10 @@ def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
         path = getattr(cfg, name)
         if not path:
             continue
-        spec = _read_contract(cfg, name, model)
-        if spec[decl.window] < decl.shortest:
-            raise ValidationError(f"{name} contract: {decl.window} must be at least {decl.shortest}")
+        spec = _read_contract(cfg, name, markets)
+        shortest = 2 - decl.extra_points  # the spot grid needs two points
+        if spec[decl.window] < shortest:
+            raise ValidationError(f"{name} contract: {decl.window} must be at least {shortest}")
         values = {f: spec[key] for key, f, _, _ in decl.keys if isinstance(f, str)}
         contract = _checked(path, name, "", decl.cls, **values)
         _checked(path, name, "", decl.check, contract)
@@ -847,7 +856,8 @@ def _configured_contracts(cfg: RunConfig, model) -> list[tuple]:
             for key, swept, _, _ in decl.keys if isinstance(swept, tuple) for entry in spec[key]
         ]
         for market in _contract_markets(name, spec):
-            model.row_index(market, 1)  # an unknown market raises here
+            if market not in markets:
+                raise ValidationError(f"unknown market {market!r}")
         need = lsmc.min_samples_per_dim * (1 if decl.constant(spec) else lsmc.degree + 1)
         if cfg.n_paths < need:
             raise ValidationError(
@@ -864,7 +874,7 @@ def _pricing_inputs(cfg: RunConfig):
     if not any(getattr(cfg, name) for name in _CONTRACTS):
         raise ValidationError("no contract files configured (vpp/swing/storage)")
     model, curves = _load_model_and_curves(cfg)
-    return model, curves, _configured_contracts(cfg, model)
+    return model, curves, _configured_contracts(cfg, model.markets)
 
 
 def cmd_price(cfg: RunConfig, inputs) -> None:
@@ -882,18 +892,25 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     file reads back: the panels of this run (not older ones beside them) and
     each market's latest curve. model.json is the one file read back. The
     quotes and boards are dropped once ingest and curve have written theirs.
+    The sampling settings, the simulated market and the contract files are
+    checked before anything is written, against the markets ingest writes
+    panels for, which calibrate's model lists in the same order.
     """
     loaded = _load_boards(cfg)  # one parse and one bootstrap per board
+    cfg.sim_config()  # the sampling settings raise here
+    markets = cfg.markets or loaded[0].markets
+    if cfg.sim_mode in ("short_horizon", "swap"):
+        cfg.simulated_market(markets)
+    contracts = _configured_contracts(cfg, markets)
     panels = cmd_ingest(cfg, loaded)
     cmd_curve(cfg, loaded)
     curves = {market: _curve_as_written(curve) for market, curve in _latest_boards(loaded[2]).items()}
     del loaded
     cmd_calibrate(cfg, panels)
-    calibrated = FactorModel.load(cfg.path_model()), curves
-    contracts = _configured_contracts(cfg, calibrated[0])  # fail before any path is drawn
-    cmd_simulate(cfg, calibrated)
+    model = FactorModel.load(cfg.path_model())
+    cmd_simulate(cfg, (model, curves))
     if contracts:
-        cmd_price(cfg, (*calibrated, contracts))
+        cmd_price(cfg, (model, curves, contracts))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ step, so no paths x steps cash matrix is built. In the core:
   matrix per step, and U(U'y) from its thin SVD gives the in-sample
   continuation values without a second pass over the design;
 * the design side (centre, scale, basis size, SVD) depends on the prices
-  alone, so a regression plan sets it up once per price array, in
-  stacked blocks of steps; the calls of a VPP lock sweep or a swing
-  rights sweep share one plan, and each solves only its own U'y;
+  alone, so a regression plan local to the call sets it up in stacked
+  blocks of steps and drops each step once used;
+* a swing rights sweep or a VPP lock sweep is one call over the union of
+  its contracts' states: a swing's day 0 holds every start, a VPP carries
+  one block of states per lock, and each contract reads its value from
+  its own start state;
 * a move may stop the contract (targets -1): it is then worth its cash
   alone. A step may regress on a price-only sample of its paths and
   decide there alone, the other paths taking a default move. The
@@ -315,53 +318,34 @@ class LsmcSettings:
 
 
 _PLAN_VALUES = 2**18  # design values in one stacked block of a regression plan
-_PLAN_KEEP_VALUES = 2**22  # U values a shared plan may keep (32 MB)
 
 
 class _RegressionPlan:
-    """The regression set-up of every step of one price array, shared by
-    the core calls on it.
+    """The regression set-up of every step of one price array (paths x
+    steps), for one core call.
 
-    The first use binds the plan to its prices (paths x steps) and
-    settings; a later use with other prices or settings raises. Steps are
-    set up lazily, as the backward loop reaches them, in stacked blocks of
-    consecutive steps: one contiguous copy, sort, mean, std, design and
-    batched SVD per block, each row computed with the same float
-    operations as _setup on that step alone. A step whose basis is
+    Steps are set up lazily, as the backward loop reaches them, in stacked
+    blocks of consecutive steps: one contiguous copy, sort, mean, std,
+    design and batched SVD per block, each row computed with the same
+    float operations as _setup on that step alone. A step whose basis is
     reduced, whose scale is zero or non-finite, or whose design is rank
     deficient is set up alone when reached, so it keeps _setup's path and
-    messages. A plan with keep=False, local to one call, drops each step
-    once used; so does a shared plan whose U matrices would exceed
-    _PLAN_KEEP_VALUES, which bounds its memory at year scale, where every
-    call then sets its steps up again. ``legs`` caches the American bounds
-    of price_swing, which depend on the same prices.
+    messages. Each step is dropped once used, so the plan holds at most
+    one block.
     """
 
-    def __init__(self, keep: bool = True):
-        self.keep = keep
-        self.prices: np.ndarray | None = None
-        self.settings: LsmcSettings | None = None
-        self.legs: dict = {}
+    def __init__(self, prices: np.ndarray, settings: LsmcSettings):
+        self.prices, self.settings = prices, settings
         self._steps: dict[int, _Setup | None] = {}
-
-    def bind(self, prices: np.ndarray, settings: LsmcSettings) -> _RegressionPlan:
-        if self.prices is None:
-            self.prices, self.settings = prices, settings
-            self.keep &= prices.size * (settings.degree + 1) <= _PLAN_KEEP_VALUES
-        elif settings != self.settings or not np.array_equal(prices, self.prices):
-            raise ValidationError("a regression plan serves one price array and one LsmcSettings")
-        return self
 
     def fit(self, k: int, values) -> tuple[ContinuationFit, np.ndarray]:
         """The continuation fit of values on step k's prices, and its in-sample values."""
         if k not in self._steps:
             self._build(k)
-        setup = self._steps[k] if self.keep else self._steps.pop(k)
+        setup = self._steps.pop(k)
         if setup is None:
             s = self.settings
             setup = _setup(self.prices[:, k], s.degree, s.min_samples_per_dim)
-            if self.keep:
-                self._steps[k] = setup
         return _solve(setup, values)
 
     def _build(self, k: int) -> None:
@@ -599,7 +583,6 @@ def _backward_induction(
     settings: LsmcSettings,
     foresight: bool,
     fits: list[ContinuationFit | None] | None = None,
-    plan: _RegressionPlan | None = None,
     samples: Sequence | None = None,
     default: int = 0,
 ) -> tuple[np.ndarray, list[ContinuationFit | None] | None]:
@@ -617,7 +600,7 @@ def _backward_induction(
     values are carried. Given ``fits`` from an earlier call, step k's
     continuation is fits[k] evaluated on its prices: on fresh paths, the
     out-of-sample value of that fixed policy. Otherwise the regressions
-    solve through ``plan``, bound to price_state, or a plan local to the call.
+    solve through a regression plan of price_state local to the call.
 
     ``samples[k]``, unless None, selects step k's regression sample (a
     path mask or indices, from the prices alone). The step is set up with
@@ -630,8 +613,7 @@ def _backward_induction(
     one replaces it only when its score beats the best so far by more than
     _TIE_TOL. A state with no valid table is worth -inf.
     """
-    if not foresight and fits is None:
-        plan = (_RegressionPlan(keep=False) if plan is None else plan).bind(price_state, settings)
+    plan = _RegressionPlan(price_state, settings) if not foresight and fits is None else None
     cf = np.ascontiguousarray(terminal.T)
     fitted: list[ContinuationFit | None] = []
     rows = max(1, _CHUNK_VALUES // max(price_state.shape[0], 1))  # states per chunk
@@ -705,22 +687,20 @@ def _backward_induction(
     return cf.T, None if foresight else fitted[::-1]
 
 
-def _policy_value(
+def _policy_values(
     price_state: np.ndarray,
     terminal: np.ndarray,
     moves: Sequence[list[tuple[np.ndarray, np.ndarray]]],
     cash,
-    start: int,
+    starts: Sequence[int],
     antithetic: bool,
     settings: LsmcSettings,
     foresight: bool,
     fits: list[ContinuationFit] | None = None,
-    plan: _RegressionPlan | None = None,
-) -> tuple[np.ndarray, PolicyValuation]:
-    """Run the core; return the start state's per-path cash and its valuation."""
-    cf, fits = _backward_induction(price_state, terminal, moves, cash, settings, foresight, fits, plan)
-    sample = cf[:, start]
-    return sample, PolicyValuation(*_pair_stats(sample, antithetic), fits)
+) -> list[tuple[np.ndarray, PolicyValuation]]:
+    """Run the core once; return each start state's per-path cash and its valuation."""
+    cf, fits = _backward_induction(price_state, terminal, moves, cash, settings, foresight, fits)
+    return [(cf[:, s], PolicyValuation(*_pair_stats(cf[:, s], antithetic), fits)) for s in starts]
 
 
 def _require_dominance(upper: np.ndarray, lower: np.ndarray, what: str) -> None:
@@ -797,22 +777,31 @@ class VppValuation:
     upper_bound_std_error: float
 
 
-def _vpp_moves(contract: VppContract) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Commitment state machine: index = lock hours left, on block then off block.
+def _vpp_moves(locks: Sequence[tuple[int, int]]) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[int]]:
+    """Commitment state machines, one block of states per distinct (t_on, t_off)
+    of ``locks``: index = lock hours left, on block then off block.
 
     A state (mode, lock) entering an hour runs in that mode for the hour;
     lock > 0 forces the mode to persist. Switching on at hour k makes
     hours k..k+t_on-1 mandatory, so the successor entering hour k+1
     carries t_on-1 locked hours (symmetrically for switching off). The
     tables are: run while on, idle while off, start from (off, lock 0),
-    stop from (on, lock 0).
+    stop from (on, lock 0); no move leaves its block. Returns the tables
+    and each lock's start state, (off, lock 0) of its block: the window
+    opens with the unit off and free.
     """
-    n_on = contract.t_on
-    state = np.arange(n_on + contract.t_off)
-    is_on = state < n_on
-    stay = np.maximum(state - 1, np.where(is_on, 0, n_on))
-    switch = np.where(is_on, state.size - 1, n_on - 1)
-    return [(is_on, stay), (~is_on, stay), (state == n_on, switch), (state == 0, switch)]
+    first: dict[tuple[int, int], int] = {}  # each distinct lock's first state
+    for t_on, t_off in locks:
+        first.setdefault((t_on, t_off), sum(map(sum, first)))  # the states of the blocks before it
+    blocks = []
+    for (t_on, t_off), lo in first.items():
+        state = np.arange(t_on + t_off)
+        is_on = state < t_on
+        stay = lo + np.maximum(state - 1, np.where(is_on, 0, t_on))
+        switch = lo + np.where(is_on, state.size - 1, t_on - 1)
+        blocks.append([(is_on, stay), (~is_on, stay), (state == t_on, switch), (state == 0, switch)])
+    tables = [tuple(map(np.concatenate, zip(*table))) for table in zip(*blocks)]
+    return tables, [first[t_on, t_off] + t_on for t_on, t_off in locks]
 
 
 def price_vpp(
@@ -823,8 +812,6 @@ def price_vpp(
     settings: LsmcSettings = LsmcSettings(),
     power_product: int = 0,
     fuel_product: int = 0,
-    *,
-    plan: _RegressionPlan | None = None,
 ) -> VppValuation:
     """LSMC value of the plant plus perfect-foresight and strip benchmarks.
 
@@ -832,10 +819,18 @@ def price_vpp(
     paths and grid). The regression state is the spark spread. The strip
     bound values every hour as an unconstrained spark-spread call at
     q_max; perfect foresight optimizes each path in hindsight. Both
-    dominate the LSMC value path by path, which is asserted. Calls that
-    share a ``plan`` must see the same spread and settings, as in a lock
-    sweep; they then set up each hour's regression once.
+    dominate the LSMC value path by path, which is asserted.
     """
+    locks = [(contract.t_on, contract.t_off)]
+    return _price_vpps(contract, locks, power_paths, fuel_paths, rate, settings, power_product, fuel_product)[0]
+
+
+def _price_vpps(
+    contract: VppContract, locks, power_paths, fuel_paths, rate, settings, power_product, fuel_product
+) -> list[VppValuation]:
+    """price_vpp of the contract with (t_on, t_off) set to each pair of ``locks``. The
+    cash depends on neither lock, so one LSMC pass and one foresight pass run
+    over the union of the locks' blocks of states."""
     _require_finite_rate(rate)
     if power_paths.config != fuel_paths.config or power_paths.time_grid.size != fuel_paths.time_grid.size:
         raise ValidationError("power and fuel paths must share seed, path count and grid")
@@ -852,20 +847,21 @@ def price_vpp(
         start, stop = -contract.start_cost * disc[k] + gen, -contract.stop_cost * disc[k]
         return gen, np.zeros_like(x), start, np.full_like(x, stop)
 
-    moves = [_vpp_moves(contract)] * n
-    terminal = np.zeros((power_paths.n_paths, contract.t_on + contract.t_off))
-    start = contract.t_on  # the window opens with the unit off and free
+    tables, starts = _vpp_moves(locks)
+    moves = [tables] * n
+    terminal = np.zeros((power_paths.n_paths, tables[0][0].size))
     anti = power_paths.config.antithetic
-    sample, lsmc = _policy_value(
-        spread, terminal, moves, cash, start, anti, settings, False, plan=plan
-    )
-    naive_sample, naive = _policy_value(spread, terminal, moves, cash, start, anti, settings, True)
+    lsmc = _policy_values(spread, terminal, moves, cash, starts, anti, settings, False)
+    naive = _policy_values(spread, terminal, moves, cash, starts, anti, settings, True)
     strip_sample = (contract.q_max * np.maximum(spread, 0.0) * disc[None, :]).sum(axis=1)
     strip, strip_se = _pair_stats(strip_sample, anti)
 
-    _require_dominance(naive_sample, sample, "foresight value below policy value")
-    _require_dominance(strip_sample, naive_sample, "strip bound below foresight value")
-    return VppValuation(lsmc, naive.value, naive.std_error, strip, strip_se)
+    results = []
+    for (sample, policy), (naive_sample, foresight) in zip(lsmc, naive):
+        _require_dominance(naive_sample, sample, "foresight value below policy value")
+        _require_dominance(strip_sample, naive_sample, "strip bound below foresight value")
+        results.append(VppValuation(policy, foresight.value, foresight.std_error, strip, strip_se))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -883,18 +879,20 @@ class SwingValuation:
     states: list[list[tuple[int, int]]]
 
 
-def _swing_layers(contract: SwingContract):
+def _swing_layers(contract: SwingContract, starts: Sequence[tuple[int, int]] = ()):
     """Per-step swing states and the (valid, target) table of every move.
 
     layers[k] lists, sorted, the (upswings, downswings) left entering day k
     for k = 0..n_days. With r = n_days - k days left and one exercise a day,
     (u, d) is worth exactly (min(u, r), min(d, r)), so each layer holds the
-    clamped states reachable from (u_max, d_max): layers[0] is that single
-    state and layers[n_days] is (0, 0). Clamping commutes with every move,
-    so moves[k] = [hold, up, down] over layers[k] indexes into layers[k + 1].
+    clamped states reachable from the starts, the (u_max, d_max) pairs of
+    ``starts`` or else the contract's own: layers[0] holds them and
+    layers[n_days] is (0, 0). Clamping commutes with every move, so
+    moves[k] = [hold, up, down] over layers[k] indexes into layers[k + 1],
+    and a state's value-to-go does not depend on the start it came from.
     """
     n = contract.n_days
-    layers = [[(contract.u_max, contract.d_max)]]
+    layers = [sorted(set(starts) or {(contract.u_max, contract.d_max)})]
     moves = []
     for k in range(n):
         r = n - k - 1
@@ -924,8 +922,6 @@ def price_swing(
     rate: float = 0.0,
     settings: LsmcSettings = LsmcSettings(),
     product: int = 0,
-    *,
-    plan: _RegressionPlan | None = None,
 ) -> SwingValuation:
     """LSMC swing value with its American lower and European upper bounds.
 
@@ -940,10 +936,15 @@ def price_swing(
     The lower bound is an American call plus an American put priced on the
     same paths; the upper bound is the strip of daily European calls and
     puts, which dominates path by path. A bound breach beyond three
-    combined standard errors raises. Calls that share a ``plan`` must see
-    the same spot window and settings, as in a rights sweep; they then set
-    up each day's regression once and share the American legs.
+    combined standard errors raises.
     """
+    return _price_swings(contract, [(contract.u_max, contract.d_max)], spot_paths, rate, settings, product)[0]
+
+
+def _price_swings(contract: SwingContract, rights, spot_paths, rate, settings, product) -> list[SwingValuation]:
+    """price_swing of the contract with (u_max, d_max) set to each pair of ``rights``,
+    from one LSMC pass whose day 0 holds every start and one pricing of each
+    American leg. The results share the pass's ``states`` and fits."""
     _require_finite_rate(rate)
     n = contract.n_days
     s = _product_values(spot_paths, "spot_paths", product, "product", n, "days")
@@ -954,35 +955,33 @@ def price_swing(
         up = q * np.maximum(x - strike, 0.0) * disc[k]
         return np.zeros_like(x), up, q * np.maximum(strike - x, 0.0) * disc[k]
 
-    layers, moves = _swing_layers(contract)
+    layers, moves = _swing_layers(contract, rights)
     terminal = np.zeros((spot_paths.n_paths, len(layers[n])))
     anti = spot_paths.config.antithetic
-    sample, lsmc = _policy_value(s, terminal, moves, cash, 0, anti, settings, False, plan=plan)
+    starts = [layers[0].index(pair) for pair in rights]
+    lsmc = _policy_values(s, terminal, moves, cash, starts, anti, settings, False)
     # one of the two legs is exactly 0, so this is the call plus the put strip
     ub_sample = (q * np.abs(s - strike) * disc).sum(axis=1)
     ub, ub_se = _pair_stats(ub_sample, anti)
 
-    # a shared plan has checked that s and settings match its first call
-    legs = {} if plan is None else plan.legs
-    parts = []
-    for kind, rights in (("call", contract.u_max), ("put", contract.d_max)):
-        if rights == 0:
-            continue
-        key = (kind, strike, n - 1, rate, product, anti)
-        if key not in legs:
-            legs[key] = american_option(spot_paths, strike, rate, kind, settings, product, n - 1)
-        parts.append(legs[key])
-    lb = q * sum(p.value for p in parts)
-    lb_se = q * math.sqrt(sum(p.std_error**2 for p in parts))
+    legs = {
+        kind: american_option(spot_paths, strike, rate, kind, settings, product, n - 1)
+        for i, kind in enumerate(("call", "put"))
+        if any(pair[i] for pair in rights)
+    }
+    results = []
+    for (u_max, d_max), (sample, policy) in zip(rights, lsmc):
+        parts = [legs[kind] for kind, held in (("call", u_max), ("put", d_max)) if held]
+        lb = q * sum(p.value for p in parts)
+        lb_se = q * math.sqrt(sum(p.std_error**2 for p in parts))
 
-    _require_dominance(ub_sample, sample, "straddle strip below swing value")
-    # the absolute term absorbs rounding when a certain value has zero standard errors
-    slack = 3.0 * math.sqrt(lsmc.std_error**2 + lb_se**2) + 1e-9 * max(1.0, abs(lb))
-    if lsmc.value < lb - slack:
-        raise PricingError(
-            f"swing value {lsmc.value:.6g} breaches its American lower bound {lb:.6g}"
-        )
-    return SwingValuation(lsmc, lb, lb_se, ub, ub_se, layers)
+        _require_dominance(ub_sample, sample, "straddle strip below swing value")
+        # the absolute term absorbs rounding when a certain value has zero standard errors
+        slack = 3.0 * math.sqrt(policy.std_error**2 + lb_se**2) + 1e-9 * max(1.0, abs(lb))
+        if policy.value < lb - slack:
+            raise PricingError(f"swing value {policy.value:.6g} breaches its American lower bound {lb:.6g}")
+        results.append(SwingValuation(policy, lb, lb_se, ub, ub_se, layers))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1084,8 +1083,8 @@ def price_storage(
 
     terminal = penalty * s[:, n, None] * short
     anti = spot_paths.config.antithetic
-    sample, sdp = _policy_value(s[:, :n], terminal, moves, cash, v0_idx, anti, settings, False)
-    det_sample, det = _policy_value(s[:, :n], terminal, moves, cash, v0_idx, anti, settings, True)
+    [(sample, sdp)] = _policy_values(s[:, :n], terminal, moves, cash, [v0_idx], anti, settings, False)
+    [(det_sample, det)] = _policy_values(s[:, :n], terminal, moves, cash, [v0_idx], anti, settings, True)
     _require_dominance(det_sample, sample, "foresight value below policy value")
 
     out = None
@@ -1093,5 +1092,5 @@ def price_storage(
         terminal = penalty * sf[:, n, None] * short
         anti = fresh_paths.config.antithetic
         fits = sdp.fits
-        _, out = _policy_value(sf[:, :n], terminal, moves, cash, v0_idx, anti, settings, False, fits)
+        [(_, out)] = _policy_values(sf[:, :n], terminal, moves, cash, [v0_idx], anti, settings, False, fits)
     return StorageValuation(sdp, det.value, det.std_error, out, grid, trunc_lo, trunc_hi)

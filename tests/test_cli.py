@@ -333,6 +333,44 @@ def test_exit_code_repeated_market(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "run_edit,swing_edit,needle",
+    [
+        ({"seed": None}, {}, "seed is required"),
+        ({"seed": "-1"}, {}, "seed must fit in 64 bits"),
+        ({"antithetic": "true", "n_paths": "2001"}, {}, "antithetic pairing needs an even path count"),
+        ({"horizon": "0.001"}, {}, "horizon must cover at least one step"),
+        ({"sim_mode": "swap", "sim_market": "XX"}, {}, "sim_market 'XX' is not one of the markets"),
+        ({}, {"K": "-5"}, "swing.conf: K must be positive"),
+        ({}, {"market": "XX"}, "unknown market 'XX'"),
+    ],
+    ids=["no-seed", "negative-seed", "odd-antithetic", "horizon-below-step", "swap-unknown-market",
+         "swing-negative-strike", "swing-unknown-market"],
+)
+def test_pipeline_rejects_a_bad_run_before_the_first_write(tmp_path, capsys, run_edit, swing_edit, needle):
+    """A run the simulate or price stage would reject exits 1 before ingest
+    writes its first artifact, not after the panels, diagnostics, curves.csv
+    and model.json are written."""
+
+    def entries(path: Path, edit: dict) -> str:
+        pairs = dict(line.split(" = ", 1) for line in path.read_text().splitlines() if " = " in line)
+        pairs = {key: value for key, value in {**pairs, **edit}.items() if value is not None}
+        return "".join(f"{key} = {value}\n" for key, value in pairs.items())
+
+    swing = tmp_path / "swing.conf"
+    swing.write_text(entries(ROOT / "fixtures" / "swing.conf", swing_edit))
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        entries(PIPELINE_CONF, {
+            "quotes": ROOT / "fixtures" / "quotes_synthetic.csv", "out": tmp_path / "out", "swing": swing,
+            "vpp": ROOT / "fixtures" / "vpp.conf", "storage": ROOT / "fixtures" / "storage.conf", **run_edit,
+        })
+    )
+    rc = main(["pipeline", "--config", str(conf)])
+    _assert_clean_validation_exit(rc, capsys, needle)
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_input_files_not_text(tmp_path, capsys):
     """Undecodable bytes in the quotes CSV or the config file: exit 1 naming the file."""
     quotes = tmp_path / "quotes.csv"
@@ -1003,7 +1041,7 @@ def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, 
         hjmkit.cli.read_curve_csv,
         hjmkit.cli.read_panel_csv,
         FactorModel.load.__func__,
-        hjmkit.cli.price_vpp,
+        hjmkit.cli._price_vpps,
     )
 
     def counting(name, fn):
@@ -1016,7 +1054,7 @@ def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, 
     monkeypatch.setattr(hjmkit.cli, "read_curve_csv", counting("curves", read_curves))
     monkeypatch.setattr(hjmkit.cli, "read_panel_csv", counting("panels", read_panel))
     monkeypatch.setattr(FactorModel, "load", classmethod(counting("model", load_model)))
-    monkeypatch.setattr(hjmkit.cli, "price_vpp", counting("vpp", vpp))
+    monkeypatch.setattr(hjmkit.cli, "_price_vpps", counting("vpp", vpp))
     opened, real_open = [], builtins.open
 
     def recording_open(file, mode="r", *args, **kwargs):
@@ -1027,8 +1065,8 @@ def test_pipeline_reads_model_and_curves_once_and_reuses_headline_vpp(tmp_path, 
     argv = ["pipeline", "--config", str(PIPELINE_CONF), "--out", str(tmp_path / "out"), "--paths", "300"]
     assert main(argv) == 0
     # curves and panels are handed on in memory; model.json is the one file read back.
-    # The sweep's lock-2 row is the headline contract (t_on = t_off = 2)
-    assert calls == Counter(curves=0, panels=0, model=1, vpp=3)
+    # The VPP and its lock sweep (whose lock-2 row is the headline contract) are one pricer call
+    assert calls == Counter(curves=0, panels=0, model=1, vpp=1)
     written = {name for name, mode in opened if "w" in mode}
     assert {"curves.csv", "panel_DE.csv", "panel_TTF.csv"} <= written
     assert not [

@@ -11,7 +11,6 @@ reproduce the true optimum to rounding error.
 import math
 import tracemalloc
 import warnings
-from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -1569,7 +1568,7 @@ def test_pricers_match_side_matrix_reference_bit_for_bit(vpp, swing, storage, an
 
 
 # ---------------------------------------------------------------------------
-# Regression plans: stacked set-up and sharing across a sweep, bit for bit
+# Regression plans: stacked set-up, bit for bit; sweeps priced in one pass
 # ---------------------------------------------------------------------------
 
 
@@ -1593,9 +1592,8 @@ def _same_fit(got, want):
     )
 
 
-@pytest.mark.parametrize("keep", [True, False])
 @pytest.mark.parametrize("block_steps", [1, 3, 100])
-def test_regression_plan_matches_lsmc_continuation(monkeypatch, keep, block_steps):
+def test_regression_plan_matches_lsmc_continuation(monkeypatch, block_steps):
     """Every step's fit and in-sample values through a plan equal those of
     lsmc_continuation's set-up and solve under ==, in blocks of one step,
     of three, and of the whole array."""
@@ -1603,7 +1601,7 @@ def test_regression_plan_matches_lsmc_continuation(monkeypatch, keep, block_step
     n_paths, n_steps = prices.shape
     monkeypatch.setattr(hjmkit.pricing, "_PLAN_VALUES", block_steps * n_paths * 4)
     rng = np.random.default_rng(5)
-    plan = _RegressionPlan(keep=keep).bind(prices, LsmcSettings())
+    plan = _RegressionPlan(prices, LsmcSettings())
     for k in range(n_steps - 1, -1, -1):
         y = rng.standard_normal((n_paths, 3))
         with warnings.catch_warnings(record=True) as caught_plan:
@@ -1622,14 +1620,14 @@ def test_regression_plan_matches_lsmc_continuation(monkeypatch, keep, block_step
 def test_regression_plan_keeps_lsmc_continuation_errors():
     prices = _plan_prices()
     prices[:, 3] = np.nan
-    plan = _RegressionPlan().bind(prices, LsmcSettings())
+    plan = _RegressionPlan(prices, LsmcSettings())
     y = np.ones(prices.shape[0])
     plan.fit(6, y)  # the non-finite step raises only when it is reached
     with pytest.raises(ValidationError, match="regression inputs must be finite"):
         plan.fit(3, y)
     with pytest.raises(ValidationError, match="regression inputs must be finite"):
         plan.fit(5, np.full(prices.shape[0], np.inf))
-    few = _RegressionPlan().bind(_plan_prices(39), LsmcSettings())
+    few = _RegressionPlan(_plan_prices(39), LsmcSettings())
     with pytest.raises(PricingError) as got:
         few.fit(6, np.ones(39))
     with pytest.raises(PricingError) as want:
@@ -1639,81 +1637,64 @@ def test_regression_plan_keeps_lsmc_continuation_errors():
     )
 
 
-def _live_spread_paths(n_hours=72, n_paths=600, seed=31):
+def _live_spread_paths(n_hours, n_paths, seed, antithetic):
     """Power and fuel whose spread at H = 2.3 changes sign on most hours."""
     rng = np.random.default_rng(seed)
-    power = _gbm_values(rng, n_paths, n_hours, False) * 0.5
-    fuel = _gbm_values(rng, n_paths, n_hours, False) * 0.2
-    return make_paths(np.stack([power, fuel], axis=2), step=1 / 8760, seed=seed)
+    power = _gbm_values(rng, n_paths, n_hours, antithetic) * 0.5
+    fuel = _gbm_values(rng, n_paths, n_hours, antithetic) * 0.2
+    return make_paths(np.stack([power, fuel], axis=2), step=1 / 8760, seed=seed, antithetic=antithetic)
 
 
-@pytest.mark.parametrize("keep_values", [None, 0])
-def test_shared_plan_vpp_lock_sweep_equals_independent_calls(monkeypatch, keep_values):
-    """Also with a plan over its memory budget, which keeps no step."""
-    if keep_values is not None:
-        monkeypatch.setattr(hjmkit.pricing, "_PLAN_KEEP_VALUES", keep_values)
-    ps = _live_spread_paths()
-    spread = ps.values[:, :, 0] - 2.3 * ps.values[:, :, 1]
-    assert 0.2 < (spread < 0).mean() < 0.8
-    plan = _RegressionPlan()
-    for lock in (2, 1, 8):
-        c = VppContract(72, lock, lock, 10.0, 50.0, 100.0, 50.0, 2.3)
-        got = price_vpp(c, ps, ps, 0.01, power_product=0, fuel_product=1, plan=plan)
-        assert len(plan._steps) == (72 if keep_values is None else 0)
-        want = price_vpp(c, ps, ps, 0.01, power_product=0, fuel_product=1)
-        assert (got.lsmc.value, got.lsmc.std_error) == (want.lsmc.value, want.lsmc.std_error)
-        assert (got.naive, got.naive_std_error, got.upper_bound, got.upper_bound_std_error) == (
-            want.naive, want.naive_std_error, want.upper_bound, want.upper_bound_std_error
-        )
-        assert all(
-            np.array_equal(g.coefficients, w.coefficients)
-            for g, w in zip(got.lsmc.fits, want.lsmc.fits, strict=True)
-        )
-
-
-def test_shared_plan_swing_rights_sweep_equals_independent_calls(monkeypatch):
-    ps = gbm_paths(n_paths=600, n_times=30, dt=1 / 365, seed=41)
-    legs = Counter()
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    rights=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    locks=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    antithetic=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(rights=[5, 1, 5, 12, 1], locks=[2, 1, 2, 6, 1], antithetic=True, seed=41)
+@example(rights=[5, 1, 5, 12, 1], locks=[2, 1, 2, 6, 1], antithetic=False, seed=41)
+def test_sweep_in_one_pass_matches_each_contract_priced_alone(rights, locks, antithetic, seed):
+    """A swing rights sweep and a VPP lock sweep, each priced with its
+    headline contract (the first entry) in one backward pass, give every
+    contract the value, standard error and bounds it has priced alone, to
+    1e-9 relative, on a spread that changes sign at H = 2.3, with plain or
+    antithetic paths, and with duplicate entries and entries equal to the
+    headline. A swing sweep prices each American leg once."""
+    rng = np.random.default_rng(seed)
+    ps = make_paths(_gbm_values(rng, 300, 12, antithetic), step=1 / 365, seed=seed, antithetic=antithetic)
+    headline = SwingContract(12, rights[0], rights[0], 100.0, quantity=1.5)
+    legs = []
     american = hjmkit.pricing.american_option
 
     def counting(*args, **kwargs):
-        legs[args[3]] += 1
+        legs.append(args[3])
         return american(*args, **kwargs)
 
-    plan = _RegressionPlan()
-    for rights in (5, 1, 10, 30):
-        c = SwingContract(30, rights, rights, 100.0)
-        monkeypatch.setattr(hjmkit.pricing, "american_option", counting)
-        got = price_swing(c, ps, 0.02, plan=plan)
-        monkeypatch.setattr(hjmkit.pricing, "american_option", american)
-        want = price_swing(c, ps, 0.02)
-        assert (got.lsmc.value, got.lsmc.std_error) == (want.lsmc.value, want.lsmc.std_error)
-        assert (got.lower_bound, got.lower_bound_std_error) == (
-            want.lower_bound, want.lower_bound_std_error
+    with mock.patch.object(hjmkit.pricing, "american_option", counting):
+        swept = hjmkit.pricing._price_swings(headline, [(r, r) for r in rights], ps, 0.02, LsmcSettings(), 0)
+    assert legs == (["call", "put"] if any(rights) else [])
+    for r, got in zip(rights, swept, strict=True):
+        want = price_swing(replace(headline, u_max=r, d_max=r), ps, 0.02)
+        np.testing.assert_allclose(
+            [got.lsmc.value, got.lsmc.std_error, got.lower_bound, got.lower_bound_std_error,
+             got.upper_bound, got.upper_bound_std_error],
+            [want.lsmc.value, want.lsmc.std_error, want.lower_bound, want.lower_bound_std_error,
+             want.upper_bound, want.upper_bound_std_error],
+            rtol=1e-9, atol=0,
         )
-        assert (got.upper_bound, got.upper_bound_std_error) == (
-            want.upper_bound, want.upper_bound_std_error
-        )
-        assert all(
-            np.array_equal(g.coefficients, w.coefficients)
-            for g, w in zip(got.lsmc.fits, want.lsmc.fits, strict=True)
-        )
-    assert legs == {"call": 1, "put": 1}  # the sweep's American legs, priced once
 
-
-def test_shared_plan_rejects_other_prices_or_settings():
-    ps = gbm_paths(n_paths=200, n_times=6, seed=3)
-    other = gbm_paths(n_paths=200, n_times=6, seed=4)
-    c = SwingContract(6, 2, 2, 100.0)
-    plan = _RegressionPlan()
-    price_swing(c, ps, plan=plan)
-    with pytest.raises(ValidationError, match="regression plan"):
-        price_swing(c, other, plan=plan)
-    with pytest.raises(ValidationError, match="regression plan"):
-        price_swing(c, ps, settings=LsmcSettings(degree=2), plan=plan)
-    vpp_plan = _RegressionPlan()
-    vpp_paths = _live_spread_paths(n_hours=6, n_paths=200)
-    vpp = VppContract(6, 1, 1, 0.0, 1.0, 0.0, 0.0, 2.3)
-    price_vpp(vpp, vpp_paths, vpp_paths, fuel_product=1, plan=vpp_plan)
-    with pytest.raises(ValidationError, match="regression plan"):
-        price_vpp(replace(vpp, heat_rate=2.0), vpp_paths, vpp_paths, fuel_product=1, plan=vpp_plan)
+    ps = _live_spread_paths(24, 300, seed, antithetic)
+    spread = ps.values[:, 1:, 0] - 2.3 * ps.values[:, 1:, 1]
+    assert 0.1 < (spread < 0).mean() < 0.9
+    headline = VppContract(24, locks[0], locks[0], 10.0, 50.0, 100.0, 50.0, 2.3)
+    swept = hjmkit.pricing._price_vpps(headline, [(t, t) for t in locks], ps, ps, 0.01, LsmcSettings(), 0, 1)
+    for t, got in zip(locks, swept, strict=True):
+        want = price_vpp(replace(headline, t_on=t, t_off=t), ps, ps, 0.01, power_product=0, fuel_product=1)
+        np.testing.assert_allclose(
+            [got.lsmc.value, got.lsmc.std_error, got.naive, got.naive_std_error,
+             got.upper_bound, got.upper_bound_std_error],
+            [want.lsmc.value, want.lsmc.std_error, want.naive, want.naive_std_error,
+             want.upper_bound, want.upper_bound_std_error],
+            rtol=1e-9, atol=0,
+        )

@@ -1592,18 +1592,21 @@ def _same_fit(got, want):
     )
 
 
+@pytest.mark.parametrize("stacked", [True, False])
 @pytest.mark.parametrize("block_steps", [1, 3, 100])
-def test_regression_plan_matches_lsmc_continuation(monkeypatch, block_steps):
+def test_regression_plan_matches_lsmc_continuation(monkeypatch, stacked, block_steps):
     """Every step's fit and in-sample values through a plan equal those of
     lsmc_continuation's set-up and solve under ==, in blocks of one step,
-    of three, and of the whole array."""
+    of three, and of the whole array, for three stacked value columns (as
+    the swing core fits) and for one 1-D value vector (as an American leg
+    fits)."""
     prices = _plan_prices()
     n_paths, n_steps = prices.shape
     monkeypatch.setattr(hjmkit.pricing, "_PLAN_VALUES", block_steps * n_paths * 4)
     rng = np.random.default_rng(5)
     plan = _RegressionPlan(prices, LsmcSettings())
     for k in range(n_steps - 1, -1, -1):
-        y = rng.standard_normal((n_paths, 3))
+        y = rng.standard_normal((n_paths, 3) if stacked else n_paths)
         with warnings.catch_warnings(record=True) as caught_plan:
             warnings.simplefilter("always")
             got, got_fitted = plan.fit(k, y)

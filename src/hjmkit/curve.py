@@ -38,7 +38,15 @@ import numpy as np
 
 from .dates import add_months, days_in_month, month_end, month_start
 from .errors import HjmkitError, InfeasibleCurveError, ValidationError
-from .marketdata import QuotedSwap, _CurveTable, _QuoteTable, _Window, _csv_field, _curve_tables
+from .marketdata import (
+    QuotedSwap,
+    _CurveTable,
+    _QuoteTable,
+    _Window,
+    _csv_field,
+    _curve_tables,
+    _require_unique_columns,
+)
 
 RESIDUAL_TOL = 1e-9
 
@@ -515,6 +523,7 @@ def read_curve_csv(path) -> dict[tuple[str, date], StepwiseCurve]:
             header = next(reader, None)
             if header is None:
                 raise ValidationError(f"{path}: curve file is empty")
+            _require_unique_columns(path, header)
             used = ("as_of", "market", "bucket_start", "value", "weight")
             missing = [c for c in used if c not in header]
             if missing:

@@ -12,6 +12,8 @@ import calendar
 import functools
 from datetime import date
 
+from .errors import ValidationError
+
 
 @functools.cache  # at most 12 entries per calendar year
 def _month_days(year: int, month: int) -> int:
@@ -36,8 +38,10 @@ def is_month_end(d: date) -> bool:
 
 @functools.lru_cache(maxsize=1 << 14)  # bounded: its keys are arbitrary dates
 def add_months(d: date, n: int) -> date:
-    """Shift a month-start date by n whole months."""
+    """Shift a month-start date by n whole months, within years 1-9999."""
     total = d.year * 12 + (d.month - 1) + n
+    if not 12 <= total < 120000:
+        raise ValidationError(f"{d} shifted by {n} months leaves the calendar's years 1-9999")
     return date(total // 12, total % 12 + 1, 1)
 
 

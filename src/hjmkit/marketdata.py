@@ -385,8 +385,10 @@ def tenor_months(trading_date: date, label: str) -> list[date]:
     if kind == "Q":
         q = add_quarters(trading_date, offset)
         return [add_months(q, i) for i in range(3)]
-    y = date(trading_date.year + offset, 1, 1)
-    return [add_months(y, i) for i in range(12)]
+    year = trading_date.year + offset
+    if year > 9999:  # offsets are positive
+        raise ValidationError(f"tenor {label} as of {trading_date} delivers in year {year}, past 9999")
+    return [add_months(date(year, 1, 1), i) for i in range(12)]
 
 
 def _tenor_period_key(trading_date: date, kind: str):
@@ -760,6 +762,13 @@ def write_panel_csv(panel: RelativePanel, path) -> RelativePanel:
     )
 
 
+def _require_unique_columns(path, header: list[str]) -> None:
+    """A repeated column name would silently be read as one of its columns."""
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ValidationError(f"{path}: repeated column name(s) {', '.join(repeated)}")
+
+
 def read_panel_csv(path, market: str) -> RelativePanel:
     """Inverse of write_panel_csv; the market is carried by the file name."""
     try:
@@ -768,6 +777,7 @@ def read_panel_csv(path, market: str) -> RelativePanel:
             header = next(reader, None)
             if not header or header[0] != "date":
                 raise ValidationError(f"{path}: not a panel file (missing date header)")
+            _require_unique_columns(path, header)
             labels = header[1:]
             for label in labels:
                 parse_tenor(label)
@@ -793,4 +803,7 @@ def read_panel_csv(path, market: str) -> RelativePanel:
         raise ValidationError(f"cannot decode panel file {path}: {exc}") from None
     if not dates:
         raise ValidationError(f"{path}: panel has no data rows")
-    return RelativePanel(market, labels, dates, np.array(rows))
+    try:
+        return RelativePanel(market, labels, dates, np.array(rows))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -13,8 +13,10 @@ step, so no paths x steps cash matrix is built. In the core:
   matrix per step, and U(U'y) from its thin SVD gives the in-sample
   continuation values without a second pass over the design;
 * the design side (centre, scale, basis size, SVD) depends on the prices
-  alone, so a regression plan local to the call sets it up in stacked
-  blocks of steps and drops each step once used;
+  alone, so a generator local to the call sets it up in stacked blocks of
+  steps and yields each step's set-up as the backward loop reaches it, or
+  None where the step is set up alone; each set-up owns its rows of U,
+  so a used step's U is freed as the loop runs;
 * a swing rights sweep or a VPP lock sweep is one call over the union of
   its contracts' states: a swing's day 0 holds every start, a VPP carries
   one block of states per lock, and each contract reads its value from
@@ -320,61 +322,43 @@ class LsmcSettings:
 _PLAN_VALUES = 2**18  # design values in one stacked block of a regression plan
 
 
-class _RegressionPlan:
-    """The regression set-up of every step of one price array (paths x
-    steps), for one core call.
+def _plan(prices: np.ndarray, settings: LsmcSettings):
+    """Yield the regression set-up of each step of a price array (paths x
+    steps), from the last step back, or None where _setup must run alone.
 
-    Steps are set up lazily, as the backward loop reaches them, in stacked
-    blocks of consecutive steps: one contiguous copy, sort, mean, std,
-    design and batched SVD per block, each row computed with the same
-    float operations as _setup on that step alone. A step whose basis is
-    reduced, whose scale is zero or non-finite, or whose design is rank
-    deficient is set up alone when reached, so it keeps _setup's path and
-    messages. Each step is dropped once used, so the plan holds at most
-    one block.
+    Steps are set up in stacked blocks of consecutive steps, each built when
+    the loop asks for its last step: one contiguous copy, sort, mean, std,
+    design and batched SVD per block, each row computed with the same float
+    operations as _setup on that step alone. A step whose basis is reduced,
+    whose scale is zero or non-finite, or whose design is rank deficient
+    yields None, so it keeps _setup's path and messages. Each set-up owns
+    its rows of U and is given up as it is yielded, so a used step's U is
+    freed as the loop runs and a block is gone before the next is built.
     """
-
-    def __init__(self, prices: np.ndarray, settings: LsmcSettings):
-        self.prices, self.settings = prices, settings
-        self._steps: dict[int, _Setup | None] = {}
-
-    def fit(self, k: int, values) -> tuple[ContinuationFit, np.ndarray]:
-        """The continuation fit of values on step k's prices, and its in-sample values."""
-        if k not in self._steps:
-            self._build(k)
-        setup = self._steps.pop(k)
-        if setup is None:
-            s = self.settings
-            setup = _setup(self.prices[:, k], s.degree, s.min_samples_per_dim)
-        return _solve(setup, values)
-
-    def _build(self, k: int) -> None:
-        """Set up the block of steps that ends at step k."""
-        n, degree = self.prices.shape[0], self.settings.degree
-        dim = degree + 1
-        lo = max(0, k + 1 - max(1, _PLAN_VALUES // (n * max(dim, 1))))
-        self._steps.update(dict.fromkeys(range(lo, k + 1)))  # None: set up alone
-        if degree < 0 or n < self.settings.min_samples_per_dim * dim:
-            return
-        blk = np.ascontiguousarray(self.prices[:, lo : k + 1].T)  # one row per step
-        xs = np.sort(blk, axis=1)
-        distinct = 1 + np.count_nonzero(xs[:, 1:] != xs[:, :-1], axis=1)
-        del xs
-        center, scale = blk.mean(axis=1), blk.std(axis=1)
-        # a finite mean implies finite samples
-        regular = (distinct >= dim) & np.isfinite(center) & np.isfinite(scale) & (scale != 0.0)
-        rows = np.flatnonzero(regular)
-        if rows.size == 0:
-            return
-        design = _design(blk[rows], center[rows, None], scale[rows, None], dim)
-        del blk
-        u, sv, vt = np.linalg.svd(design, full_matrices=False)
-        del design
-        full = _rank(sv, n, dim) == dim
-        for i, j in enumerate(rows):
-            if full[i]:
-                c, s = float(center[j]), float(scale[j])
-                self._steps[lo + j] = _Setup(c, s, dim, u[i], sv[i], vt[i])
+    n, degree = prices.shape[0], settings.degree
+    dim = degree + 1
+    size = max(1, _PLAN_VALUES // (n * max(dim, 1)))
+    for hi in range(prices.shape[1], 0, -size):
+        lo = max(0, hi - size)
+        block: list[_Setup | None] = [None] * (hi - lo)
+        if degree >= 0 and n >= settings.min_samples_per_dim * dim:
+            blk = np.ascontiguousarray(prices[:, lo:hi].T)  # one row per step
+            xs = np.sort(blk, axis=1)
+            distinct = 1 + np.count_nonzero(xs[:, 1:] != xs[:, :-1], axis=1)
+            del xs
+            center, scale = blk.mean(axis=1), blk.std(axis=1)
+            # a finite mean implies finite samples
+            rows = np.flatnonzero((distinct >= dim) & np.isfinite(center) & np.isfinite(scale) & (scale != 0.0))
+            design = _design(blk[rows], center[rows, None], scale[rows, None], dim)
+            del blk
+            u, sv, vt = np.linalg.svd(design, full_matrices=False)
+            del design
+            for i in np.flatnonzero(_rank(sv, n, dim) == dim):
+                j = rows[i]
+                block[j] = _Setup(float(center[j]), float(scale[j]), dim, u[i].copy(), sv[i], vt[i])
+            del u, sv, vt
+        while block:
+            yield block.pop()
 
 
 @dataclass
@@ -599,21 +583,26 @@ def _backward_induction(
     (per-path optimum); otherwise fitted continuations decide and realized
     values are carried. Given ``fits`` from an earlier call, step k's
     continuation is fits[k] evaluated on its prices: on fresh paths, the
-    out-of-sample value of that fixed policy. Otherwise the regressions
-    solve through a regression plan of price_state local to the call.
+    out-of-sample value of that fixed policy. Otherwise every step's
+    regression solves at one call site, on the set-up the plan of
+    price_state yields for it, or on _setup of its prices where the plan
+    yields None.
 
     ``samples[k]``, unless None, selects step k's regression sample (a
-    path mask or indices, from the prices alone). The step is set up with
-    _setup on it alone and decides only there; the other paths take table
+    path mask or indices, from the prices alone). A call with samples
+    builds no plan: each step is set up with _setup alone, and a sampled
+    step decides only on its sample; the other paths take table
     ``default``. A sample too small for _setup's size rule decides
-    nowhere, and the step's fit is None.
+    nowhere, and the step's fit is None; on an unsampled step that error
+    is raised.
 
     Values are carried state-major, (n_states, n_paths), and returned as
     the transposed view. The first valid table of a state sets it; a later
     one replaces it only when its score beats the best so far by more than
     _TIE_TOL. A state with no valid table is worth -inf.
     """
-    plan = _RegressionPlan(price_state, settings) if not foresight and fits is None else None
+    # each step's set-up as the loop reaches it; a call with samples sets up every step alone
+    plan = _plan(price_state, settings) if samples is None else iter(())
     cf = np.ascontiguousarray(terminal.T)
     fitted: list[ContinuationFit | None] = []
     rows = max(1, _CHUNK_VALUES // max(price_state.shape[0], 1))  # states per chunk
@@ -641,12 +630,14 @@ def _backward_induction(
         elif fits is not None:
             fit = fits[k]
             cont = None if fit is None and sample is not None else fit.evaluate(x).T
-        elif sample is None:
-            fit, cont = plan.fit(k, cf.T)
         else:
             try:
-                fit, cont = _solve(_setup(x, settings.degree, settings.min_samples_per_dim), cf.T)
+                setup = next(plan, None) or _setup(x, settings.degree, settings.min_samples_per_dim)
+                fit, cont = _solve(setup, cf.T)
+                del setup  # a used step's U is freed before the plan builds its next block
             except PricingError:  # too small a sample: the default move on every path
+                if sample is None:
+                    raise
                 fit = cont = None
         fitted.append(fit)
         if cont is None:

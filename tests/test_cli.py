@@ -220,8 +220,9 @@ def _replace_field(lines, line_no, column, text):
         (lambda ls: ls[:2] + ["2020-01-02,DE,2020-03-01\n"] + ls[2:], "line 3"),
         (lambda ls: _replace_field(ls, 4, 4, "abc"), "line 4"),
         (lambda ls: _replace_field(ls, 4, 2, "2021-02-xx"), "line 4"),
+        (lambda ls: [ls[0].replace(",bucket_end,", ",value,")] + ls[1:], "repeated column name(s) value"),
     ],
-    ids=["missing-value-column", "short-row", "bad-value", "bad-date"],
+    ids=["missing-value-column", "short-row", "bad-value", "bad-date", "repeated-column"],
 )
 def test_exit_code_malformed_curve_file(pipeline_out, tmp_path, capsys, edit, needle):
     curves = _corrupt_copy(pipeline_out / "curves.csv", tmp_path / "curves.csv", edit)
@@ -274,16 +275,24 @@ def test_exit_code_market_missing_from_model(pipeline_out, tmp_path, capsys):
     _assert_clean_validation_exit(rc, capsys, "unknown market 'TTF'")
 
 
-def test_exit_code_malformed_panel_cell(pipeline_out, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda ls: _replace_field(ls, 5, 2, "n/a"), "line 5"),
+        (lambda ls: [ls[0].replace(",M2,", ",M1,")] + ls[1:], "repeated column name(s) M1"),
+        (lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:], "panel dates must be strictly increasing"),
+        (lambda ls: _replace_field(ls, 5, 2, "0"), "panel prices must be positive where present"),
+    ],
+    ids=["bad-cell", "repeated-column", "swapped-dates", "zero-price"],
+)
+def test_exit_code_malformed_panel_file(pipeline_out, tmp_path, capsys, edit, needle):
     out = tmp_path / "out"
     out.mkdir()
-    _corrupt_copy(
-        pipeline_out / "panel_DE.csv", out / "panel_DE.csv", lambda ls: _replace_field(ls, 5, 2, "n/a")
-    )
+    _corrupt_copy(pipeline_out / "panel_DE.csv", out / "panel_DE.csv", edit)
     conf = tmp_path / "run.conf"
     conf.write_text(f"out = {out}\nmarkets = DE\n")
     rc = main(["calibrate", "--config", str(conf)])
-    _assert_clean_validation_exit(rc, capsys, str(out / "panel_DE.csv"), "line 5")
+    _assert_clean_validation_exit(rc, capsys, str(out / "panel_DE.csv"), needle)
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
@@ -331,6 +340,43 @@ def test_exit_code_repeated_market(tmp_path, capsys, command):
     rc = main([command, "--config", str(conf)])
     _assert_clean_validation_exit(rc, capsys, "markets lists market 'DE' more than once")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, edit, needle",
+    [
+        ("ingest", {"markets": "DE"}, "tenor Y1 as of 9999-01-01 delivers in year 10000, past 9999"),
+        ("pipeline", {"n_month_tenors": "100000"}, "2021-01-01 shifted by 95748 months leaves the calendar"),
+        ("pipeline", {"n_quarter_tenors": "40000"}, "2021-01-01 shifted by 95748 months leaves the calendar"),
+        ("pipeline", {"n_year_tenors": "9000"}, "tenor Y7979 as of 2021-01-01 delivers in year 10000, past 9999"),
+        ("pipeline", {"sim_mode": "swap", "swap_tau": "1e9"}, "shifted by 12000000000 months"),
+    ],
+    ids=["quotes-in-9999", "month-tenors", "quarter-tenors", "year-tenors", "swap-tau"],
+)
+def test_calendar_overflow_exits_1(tmp_path, capsys, command, edit, needle):
+    """A delivery month past the year 9999 exits 1 naming the date and the
+    offset, not with a traceback from the datetime module: quotes traded in
+    9999, tenors reaching past it, or a swap delivering past it."""
+    quotes = ROOT / "fixtures" / "quotes_synthetic.csv"
+    if command == "ingest":  # boards of two month quotes on three trading dates
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text(
+            "trading_date,market,delivery_start,delivery_end,price\n"
+            + "".join(
+                f"9999-01-0{day},DE,9999-0{m}-01,9999-0{m}-{end},{price}\n"
+                for day in (4, 5, 6)
+                for m, end, price in ((2, 28, 50.0 + day / 10), (3, 31, 51.0 + day / 10))
+            )
+        )
+    lines = PIPELINE_CONF.read_text().splitlines()
+    pairs = dict(line.split(" = ", 1) for line in lines if " = " in line and not line.startswith("#"))
+    pairs.update(quotes=quotes, out=tmp_path / "out", **edit)
+    for key in ("swing", "vpp", "storage"):
+        pairs[key] = ROOT / pairs[key]
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+    rc = main([command, "--config", str(conf)])
+    _assert_clean_validation_exit(rc, capsys, needle)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ reproduce the true optimum to rounding error.
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -29,7 +30,7 @@ from hjmkit.pricing import (
     SwingContract,
     VppContract,
     _backward_induction,
-    _RegressionPlan,
+    _plan,
     _setup,
     _solve,
     _storage_grid,
@@ -1592,6 +1593,12 @@ def _same_fit(got, want):
     )
 
 
+def _plan_fit(plan, prices, k, values):
+    """Step k's fit and in-sample values as the core gets them: on the set-up
+    the plan yields, or on _setup of the step's prices where it yields None."""
+    return _solve(next(plan) or _setup(prices[:, k], 3, 10), values)
+
+
 @pytest.mark.parametrize("stacked", [True, False])
 @pytest.mark.parametrize("block_steps", [1, 3, 100])
 def test_regression_plan_matches_lsmc_continuation(monkeypatch, stacked, block_steps):
@@ -1599,17 +1606,18 @@ def test_regression_plan_matches_lsmc_continuation(monkeypatch, stacked, block_s
     lsmc_continuation's set-up and solve under ==, in blocks of one step,
     of three, and of the whole array, for three stacked value columns (as
     the swing core fits) and for one 1-D value vector (as an American leg
-    fits)."""
+    fits). The plan yields one item per step, None where the step is set
+    up alone."""
     prices = _plan_prices()
     n_paths, n_steps = prices.shape
     monkeypatch.setattr(hjmkit.pricing, "_PLAN_VALUES", block_steps * n_paths * 4)
     rng = np.random.default_rng(5)
-    plan = _RegressionPlan(prices, LsmcSettings())
+    plan = _plan(prices, LsmcSettings())
     for k in range(n_steps - 1, -1, -1):
         y = rng.standard_normal((n_paths, 3) if stacked else n_paths)
         with warnings.catch_warnings(record=True) as caught_plan:
             warnings.simplefilter("always")
-            got, got_fitted = plan.fit(k, y)
+            got, got_fitted = _plan_fit(plan, prices, k, y)
         with warnings.catch_warnings(record=True) as caught_ref:
             warnings.simplefilter("always")
             want, want_fitted = _solve(_setup(prices[:, k], 3, 10), y)
@@ -1618,26 +1626,65 @@ def test_regression_plan_matches_lsmc_continuation(monkeypatch, stacked, block_s
         assert (got.dim, got.ridge_used) == {0: (1, False), 2: (2, False), 4: (4, True)}.get(
             k, (4, False)
         )
+    with pytest.raises(StopIteration):
+        next(plan)
 
 
 def test_regression_plan_keeps_lsmc_continuation_errors():
     prices = _plan_prices()
     prices[:, 3] = np.nan
-    plan = _RegressionPlan(prices, LsmcSettings())
+    plan = _plan(prices, LsmcSettings())
     y = np.ones(prices.shape[0])
-    plan.fit(6, y)  # the non-finite step raises only when it is reached
+    _plan_fit(plan, prices, 6, y)  # the non-finite step raises only when it is reached
     with pytest.raises(ValidationError, match="regression inputs must be finite"):
-        plan.fit(3, y)
+        _plan_fit(plan, prices, 5, np.full(prices.shape[0], np.inf))
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        _plan_fit(plan, prices, 4, y)
     with pytest.raises(ValidationError, match="regression inputs must be finite"):
-        plan.fit(5, np.full(prices.shape[0], np.inf))
-    few = _RegressionPlan(_plan_prices(39), LsmcSettings())
+        _plan_fit(plan, prices, 3, y)
+    few = _plan(_plan_prices(39), LsmcSettings())
     with pytest.raises(PricingError) as got:
-        few.fit(6, np.ones(39))
+        _plan_fit(few, _plan_prices(39), 6, np.ones(39))
     with pytest.raises(PricingError) as want:
         lsmc_continuation(_plan_prices(39)[:, 6], np.ones(39))
     assert str(got.value) == str(want.value) == (
         "continuation regression needs at least 40 samples for 4 basis functions, got 39"
     )
+
+
+def test_core_frees_each_used_u_and_each_block(monkeypatch):
+    """A set-up owns its rows of U, so no stacked block's SVD output is alive
+    when a step solves, and neither the plan nor the core keeps a used
+    set-up: when a block's SVD runs, no earlier block's U and no used
+    step's U is alive."""
+    contract = SwingContract(8, 2, 2, 45.0)
+    layers, moves = hjmkit.pricing._swing_layers(contract)
+    n_paths = 300
+    prices = gbm_paths(n_paths=n_paths, n_times=8, s0=45.0, dt=1 / 365, seed=5).values[:, :, 0]
+    monkeypatch.setattr(hjmkit.pricing, "_PLAN_VALUES", 3 * n_paths * 4)  # blocks of three steps
+    svd, solve = np.linalg.svd, hjmkit.pricing._solve
+    blocks, used = [], []
+
+    def tracked_svd(a, *args, **kwargs):
+        if a.ndim == 3:  # a stacked block
+            assert all(ref() is None for ref in blocks + used), len(blocks)
+        out = svd(a, *args, **kwargs)
+        if a.ndim == 3:
+            blocks.append(weakref.ref(out.U))
+        return out
+
+    def tracked_solve(setup, values):
+        assert all(ref() is None for ref in blocks), len(used)
+        used.append(weakref.ref(setup.u))
+        return solve(setup, values)
+
+    def cash(x, k):
+        return np.zeros_like(x), np.maximum(x - 45.0, 0.0), np.maximum(45.0 - x, 0.0)
+
+    monkeypatch.setattr(np.linalg, "svd", tracked_svd)
+    monkeypatch.setattr(hjmkit.pricing, "_solve", tracked_solve)
+    _backward_induction(prices, np.zeros((n_paths, 1)), moves, cash, LsmcSettings(), False)
+    assert (len(blocks), len(used)) == (3, 8)
 
 
 def _live_spread_paths(n_hours, n_paths, seed, antithetic):

@@ -600,11 +600,7 @@ def cmd_simulate(cfg: RunConfig, calibrated) -> None:
             ]
             law = _short_horizon_law(model, market, initial, sim_cfg)
         else:  # swap
-            market = cfg.simulated_market(model.markets)
-            contract = ContractDescriptor("swap", market, tau_start=cfg.swap_tau)
-            initial = extract_fixed_delivery(
-                _curve_for(cfg, curves, market), max(1, round(cfg.swap_tau * 12))
-            )
+            contract, initial = _simulated_swap(cfg, curves, cfg.simulated_market(model.markets))
             law = _swap_law(model, contract, initial, sim_cfg)
         keys, blocks = law.keys, _lognormal_blocks(law.rows, law.live, law.initial, sim_cfg)
 
@@ -619,6 +615,14 @@ def cmd_simulate(cfg: RunConfig, calibrated) -> None:
         raise SimulationError(
             "sanity check failed: " + "; ".join(report.failures[:3])
         )
+
+
+def _simulated_swap(cfg: RunConfig, curves, market: str) -> tuple[ContractDescriptor, float]:
+    """The swap a swap run simulates and its initial value: the curve's
+    bucket delivering round(12 swap_tau) months ahead, and at least one."""
+    contract = ContractDescriptor("swap", market, tau_start=cfg.swap_tau)
+    month = max(1, round(cfg.swap_tau * 12))
+    return contract, extract_fixed_delivery(_curve_for(cfg, curves, market), month)
 
 
 def _write_sanity(path: Path, mode: str, sim_cfg: SimConfig, report: SanityReport) -> None:
@@ -892,19 +896,23 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     file reads back: the panels of this run (not older ones beside them) and
     each market's latest curve. model.json is the one file read back. The
     quotes and boards are dropped once ingest and curve have written theirs.
-    The sampling settings, the simulated market and the contract files are
-    checked before anything is written, against the markets ingest writes
-    panels for, which calibrate's model lists in the same order.
+    The sampling settings, the simulated market, a swap run's swap and the
+    contract files are checked before anything is written, against the
+    markets ingest writes panels for, which calibrate's model lists in the
+    same order, and each market's latest board.
     """
     loaded = _load_boards(cfg)  # one parse and one bootstrap per board
     cfg.sim_config()  # the sampling settings raise here
     markets = cfg.markets or loaded[0].markets
+    latest = _latest_boards(loaded[2])
     if cfg.sim_mode in ("short_horizon", "swap"):
-        cfg.simulated_market(markets)
+        market = cfg.simulated_market(markets)
+        if cfg.sim_mode == "swap":  # its tau and delivery month raise here
+            _simulated_swap(cfg, latest, market)
     contracts = _configured_contracts(cfg, markets)
     panels = cmd_ingest(cfg, loaded)
     cmd_curve(cfg, loaded)
-    curves = {market: _curve_as_written(curve) for market, curve in _latest_boards(loaded[2]).items()}
+    curves = {market: _curve_as_written(curve) for market, curve in latest.items()}
     del loaded
     cmd_calibrate(cfg, panels)
     model = FactorModel.load(cfg.path_model())
@@ -967,6 +975,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -34,14 +34,20 @@ _BLOCK_VALUES values each, which continue one generator's stream and so give
 the bits of one whole draw. The lognormal engine keeps, of each chunk, only
 the steps some product still moves on, and runs over blocks of grid times of
 about _BLOCK_VALUES values each; each block carries the log level the block
-before it ended on into its cumulative sum, so the blocks give the same bits
-as one whole-grid pass. A product stops moving once its delivery begins:
-its later steps have live time exactly 0 and add +-0.0 to its log level, so
-its later values repeat its last moving one bit for bit. A block therefore
-holds only the products still moving at its first time, and a later,
-narrower block spans more times in the same memory. On a one-year daily run over six monthly buckets the blocks hold
-29.4% of the (time, product) cells. The public generators copy the blocks
-into the one path array they return and fill each product's frozen cells.
+before it ended on into its cumulative sum, a running sum over the block's
+steps with np.cumsum's additions in its order, so the blocks give the same
+bits as one whole-grid pass. The budget is 2**17 values (1 MiB), which keeps
+a block, and the one block-sized temporary its reductions hold beside it,
+small beside what the streamed stage holds whole: at the nightly size, the
+pooled correlation returns (7.6 MB) and the kept normals (5 MB). A product
+stops moving once its delivery begins: its later steps have live time
+exactly 0 and add +-0.0 to its log level, so its later values repeat its
+last moving one bit for bit. A block therefore holds only the products
+still moving at its first time, and a later, narrower block spans more
+times in the same memory. On a one-year daily run over six monthly buckets
+the blocks hold 29.4% of the (time, product) cells. The public generators
+copy the blocks into the one path array they return and fill each
+product's frozen cells.
 The command line's simulate stage consumes the blocks instead, in one pass
 that reduces each block to the summary statistics, the sanity moments, the
 exported paths and the pooled returns of the correlation check, so it never
@@ -69,7 +75,7 @@ from .marketdata import LogReturnMatrix, _csv_field
 _U64_MAX = 2**64 - 1
 # values per block of grid times in the path-wise reductions (at least one
 # time), and normals per chunk of drawn paths (at least one path or pair)
-_BLOCK_VALUES = 2**19
+_BLOCK_VALUES = 2**17
 # standard errors a sanity moment may stray from its model value
 _Z_TOL = 4.0
 
@@ -387,7 +393,11 @@ def _lognormal_blocks(
             x += drift[steps, cols]
             if s.start:
                 x[:, 0, :] += carry[:, cols]
-            np.cumsum(x, axis=1, out=x)
+            # np.cumsum's additions in its order, so its bits, one step's
+            # (paths, products) slice per add: about twice as fast as numpy's
+            # accumulate along the strided time axis
+            for k in range(1, x.shape[1]):
+                x[:, k] += x[:, k - 1]
             carry[:, cols] = x[:, -1, :]
             np.exp(x, out=x)
             x *= initial[cols]

@@ -1173,6 +1173,67 @@ def test_live_column_stage_matches_whole_width_engine_and_stage(tmp_path_factory
     assert (tmp / "paths.csv").read_bytes() == (tmp / "paths_whole.csv").read_bytes()
 
 
+def _whole_grid_paths(law, cfg):
+    """The lognormal paths of one whole-grid pass: one draw, one einsum and
+    one np.cumsum along the whole time axis, frozen cells included."""
+    rows = law.rows
+    x = np.einsum("pkj,nj->pkn", _one_draw(cfg, cfg.n_steps, rows.shape[1]), rows)
+    x *= np.sqrt(law.live)
+    x += -0.5 * (rows**2).sum(axis=1)[None, :] * law.live
+    np.cumsum(x, axis=1, out=x)
+    np.exp(x, out=x)
+    x *= law.initial
+    values = np.empty((cfg.n_paths, cfg.n_steps + 1, rows.shape[0]))
+    values[:, 0] = law.initial
+    values[:, 1:] = x
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n_markets=st.integers(1, 3),
+    n_factors=st.integers(1, 3),
+    step=st.sampled_from([1 / 52, 1 / 48]),
+    horizon=st.sampled_from([0.05, 0.3, 0.5]),
+    antithetic=st.booleans(),
+    swap=st.booleans(),
+    budget=st.integers(1, 40 * 27 * 9),
+)
+# budget 1: every block of several products spans one time
+@example(seed=1, n_markets=2, n_factors=3, step=1 / 52, horizon=0.5, antithetic=False, swap=False, budget=1)
+# one market: past its second delivery the blocks hold its third bucket alone
+@example(seed=2, n_markets=1, n_factors=2, step=1 / 48, horizon=0.5, antithetic=True, swap=False, budget=120)
+# a swap: one product, in blocks of at least two times, frozen past its delivery
+@example(seed=3, n_markets=1, n_factors=1, step=1 / 52, horizon=0.3, antithetic=True, swap=True, budget=50)
+def test_lognormal_blocks_match_a_whole_grid_cumsum(
+    seed, n_markets, n_factors, step, horizon, antithetic, swap, budget
+):
+    """At any budget every block the engine yields, its running sums carried
+    across the block seams and its normals drawn in chunks of paths, holds
+    the bits of one whole-grid pass over the same law."""
+    rng = np.random.default_rng(seed)
+    markets = ("A", "B", "C")[:n_markets]
+    model = model_of(0.1 + 0.3 * rng.random((3 * n_markets, n_factors)), markets=markets)
+    cfg = SimConfig(seed=seed, n_paths=40, step=step, horizon=horizon, antithetic=antithetic)
+    if swap:
+        law = simulation._swap_law(model, ContractDescriptor("swap", "A", tau_start=0.2), 30.0, cfg)
+    else:
+        products = [(mk, b) for mk in markets for b in (1, 2, 3)]
+        law = simulation._fixed_delivery_law(model, products, 20.0 + rng.random(len(products)), cfg)
+    want = _whole_grid_paths(law, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK_VALUES", budget)
+        blocks = list(simulation._lognormal_blocks(law.rows, law.live, law.initial, cfg))
+    last = simulation._last_moves(law.live)
+    held = np.zeros((cfg.n_steps + 1, law.rows.shape[0]), dtype=bool)
+    for s, cols, blk in blocks:
+        np.testing.assert_array_equal(blk, want[:, s][:, :, cols])
+        held[s, cols] = True
+    # every cell up to its product's last move is in some block
+    assert held[np.arange(cfg.n_steps + 1)[:, None] <= last].all()
+
+
 def test_nightly_law_blocks_hold_only_the_moving_cells():
     """3 markets x 6 monthly buckets over a daily year: 29.4% of the cells."""
     rows = np.vstack([[0.3 * 0.9**b, 0.05 * (b - 3)] for b in range(18)])
@@ -1433,8 +1494,9 @@ def test_lognormal_blocks_hold_no_normals_past_the_last_delivery(monkeypatch):
     assert _traced_peak(run) < draw_bytes
 
 
-def test_spot_holds_its_values_and_at_most_two_chunks():
-    """400 paths x 2000 steps x 2 factors: 4 chunks of paths at the default budget."""
+def test_spot_holds_its_values_and_at_most_two_chunks(monkeypatch):
+    """400 paths x 2000 steps x 2 factors: 4 chunks of paths at a budget of 2^19."""
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 2**19)
     rows = [[0.45, 0.1], [0.3, -0.05], [0.22, 0.02], [0.3, 0.2], [0.25, -0.1], [0.1, 0.05]]
     model = model_of(rows, markets=("X", "Y"), bucket_width=1 / 12)
     cfg = SimConfig(seed=5, n_paths=400, step=1 / 8760, horizon=2000 / 8760)
